@@ -1,7 +1,8 @@
 """Prove a derivation log is honest, then catch it lying.
 
 Generates a design, re-derives it from the log alone, and shows that the
-verifier pins down the exact step at which a doctored log diverges.
+verifier pins down the exact step at which a doctored log diverges, even
+when the forger recomputes the log hash.
 
     python3 demos/replay_forensics.py --seed 99
 """
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import json
 
+from gridgram.canon import canonical_hash
 from gridgram.core import GridConfig
 from gridgram.generator import (
     GenerationConfig,
@@ -60,6 +62,18 @@ def main() -> None:
         except ReplayError as e:
             where = f" at step {e.step}" if e.step is not None else ""
             print(f"  {label}:\n      caught ({e.kind}{where})")
+
+    # Every recorded step is legal; only re-deriving from the seed exposes it.
+    reseeded = dataclasses.replace(
+        log, gen_config=dataclasses.replace(log.gen_config, seed=args.seed + 1)
+    )
+    reseeded = dataclasses.replace(reseeded, log_hash=canonical_hash(reseeded.core_obj()))
+    label = "claim another seed and recompute the log hash"
+    try:
+        verify_log(reseeded, grammar)
+        print(f"  {label}: NOT DETECTED")
+    except ReplayError as e:
+        print(f"  {label}:\n      caught ({e.kind} at step {e.step})")
 
     wrong = dataclasses.replace(log, grammar_fingerprint="0" * 64)
     try:

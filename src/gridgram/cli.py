@@ -19,7 +19,7 @@ from pathlib import Path
 
 from gridgram.canon import canonical_json
 from gridgram.constraint_matcher import EmptyGrammarError, optimal_assignment
-from gridgram.core import GridConfig, InternalInvariantError
+from gridgram.core import MAX_N_HALF, GridConfig, InternalInvariantError
 from gridgram.generator import (
     Design,
     DesignFormatError,
@@ -75,6 +75,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _n_half(text: str) -> int:
+    value = _non_negative_int(text)
+    if value > MAX_N_HALF:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_N_HALF}, got {value}")
+    return value
+
+
 def _emit(obj: dict) -> None:
     print(canonical_json(obj))
 
@@ -115,7 +122,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 "outcome": item.outcome,
                 "steps": item.step_count,
                 "counts": {s.label: n for s, n in item.design.counts().items()},
-                "design_hash": item.design.hash,
+                "design_hash": item.log.design_hash,
             }
         )
     elapsed = time.perf_counter() - started
@@ -130,7 +137,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     log = parse_log(_read_text(args.log, "log file"))
     grammar = parse_grammar(_read_text(args.grammar, "grammar file"))
     try:
-        design = verify_log(log, grammar)
+        verify_log(log, grammar)
     except ReplayError as e:
         print(f"replay failed: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -139,7 +146,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             "verified": True,
             "steps": len(log.steps),
             "outcome": log.outcome,
-            "design_hash": design.hash,
+            "design_hash": log.design_hash,
         }
     )
     return EXIT_OK
@@ -283,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="run derivations and write designs + logs")
     p.add_argument("grammar")
-    p.add_argument("--n-half", type=_non_negative_int, default=3)
+    p.add_argument("--n-half", type=_n_half, default=3)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument(
@@ -328,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time batches of derivations")
     p.add_argument("grammar")
-    p.add_argument("--n-half", type=_non_negative_int, default=3)
+    p.add_argument("--n-half", type=_n_half, default=3)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument(

@@ -14,6 +14,10 @@ from typing import Iterator
 
 Point = tuple[int, int, int]
 
+#: Largest accepted half-width (33**3 points). Grids are sized from untrusted
+#: logs and designs, and an engine's tables cost about 1.2 KB per point.
+MAX_N_HALF = 16
+
 
 class GridError(Exception):
     """Base class for grid-level failures (caller bugs, not data states)."""
@@ -169,8 +173,8 @@ class GridConfig:
     unit: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_half < 0:
-            raise ValueError(f"n_half must be >= 0, got {self.n_half}")
+        if not 0 <= self.n_half <= MAX_N_HALF:
+            raise ValueError(f"n_half must be in [0, {MAX_N_HALF}], got {self.n_half}")
 
     @property
     def side(self) -> int:
@@ -398,7 +402,3 @@ class Grid:
                     )
         return problems
 
-
-def grid_new(config: GridConfig) -> Grid:
-    """Alias for Grid.empty: all points Unoccupied, empty edge set."""
-    return Grid.empty(config)

@@ -4,13 +4,16 @@ A derivation starts from the all-Unoccupied grid and repeats: pick a frontier
 point (a rewritable point with at least one matching rule), pick one of its
 matching rules, apply the production. It ends when every point is terminal
 (complete), when nothing matches (stuck), or at a step cap (step-limit).
+``Engine.run`` is the one implementation of this loop.
 
 Determinism contract: a derivation is a pure function of (grammar, grid
 config, generation config). The RNG is SplitMix64 seeded with the config
 seed; each step draws first the frontier index (uniform-random-frontier
 only), then the rule index (uniform-random and weighted only), with the
 frontier kept in lexicographic point order. Logs carry hashes of their own
-content and of the produced design, so replay can verify both.
+content and of the produced design. Verification re-runs the engine on the
+log's recorded configs and requires exactly the recorded steps, then checks
+the design, the outcome and both hashes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import json
 import os
 from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NoReturn
 
 from gridgram.canon import canonical_hash, canonical_json
 from gridgram.core import (
@@ -35,9 +39,6 @@ from gridgram.core import (
 )
 from gridgram.grammar import (
     Grammar,
-    Rule,
-    applicable_rules,
-    apply_production,
     lint_errors,
     lint_grammar,
     parse_grammar,
@@ -73,8 +74,11 @@ class ReplayError(GeneratorError):
     """Log verification failed.
 
     ``kind``: fingerprint, index, point, pre-state, rule-missing, no-match,
-    design-hash, outcome, or log-hash. ``step`` is the failing step index for
-    the per-step kinds, else None.
+    divergence, design-hash, outcome, or log-hash. The per-step kinds describe
+    the first step at which the log departs from what its configs derive:
+    index through no-match name an illegal step, and divergence a legal step
+    the seed would not take, or a log that stops early or runs on. ``step`` is
+    that step's index for the per-step kinds, else None.
     """
 
     def __init__(self, kind: str, step: int | None, message: str):
@@ -126,10 +130,10 @@ class GenerationConfig:
     @classmethod
     def from_obj(cls, obj: dict) -> GenerationConfig:
         return cls(
-            seed=obj["seed"],
+            seed=_int(obj["seed"]),
             point_strategy=obj["point_strategy"],
             rule_strategy=obj["rule_strategy"],
-            max_steps=obj["max_steps"],
+            max_steps=None if obj["max_steps"] is None else _int(obj["max_steps"]),
         )
 
 
@@ -185,12 +189,22 @@ class DerivationLog:
         return obj
 
 
+def _int(value: object) -> int:
+    """``value`` itself if it is an int; bool, float and str are refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _grid_config_obj(cfg: GridConfig) -> dict:
     return {"n_half": cfg.n_half, "unit": cfg.unit}
 
 
 def _grid_config_from_obj(obj: dict) -> GridConfig:
-    return GridConfig(n_half=obj["n_half"], unit=obj["unit"])
+    unit = obj["unit"]
+    if unit is not None and type(unit) is not str:
+        raise TypeError(f"unit must be a string or null, got {unit!r}")
+    return GridConfig(n_half=_int(obj["n_half"]), unit=unit)
 
 
 class Design:
@@ -259,7 +273,7 @@ class Design:
                 raise DesignFormatError(f"unknown cell letter {e.args[0]!r}") from None
             edges = set()
             for pair in obj["components"]["edges"]:
-                a, b = (tuple(int(v) for v in end) for end in pair)
+                a, b = (tuple(_int(v) for v in end) for end in pair)
                 edges.add((a, b) if a <= b else (b, a))
             grid = Grid(cfg, cells, edges)
             problems = grid.audit()
@@ -308,12 +322,12 @@ def parse_log(text: str) -> DerivationLog:
             raise LogFormatError(f"unknown outcome {obj['outcome']!r}")
         steps = []
         for s in obj["steps"]:
-            if s.keys() != {"index", "point", "rule", "pre_state"}:
+            if not isinstance(s, dict) or s.keys() != {"index", "point", "rule", "pre_state"}:
                 raise LogFormatError("unexpected or missing step keys")
-            x, y, z = (int(v) for v in s["point"])
+            x, y, z = (_int(v) for v in s["point"])
             steps.append(
                 DerivationStep(
-                    index=s["index"],
+                    index=_int(s["index"]),
                     point=(x, y, z),
                     rule_name=s["rule"],
                     pre_state=State.from_labels(s["pre_state"]),
@@ -335,54 +349,6 @@ def parse_log(text: str) -> DerivationLog:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise LogFormatError(f"malformed log: {e}") from None
-
-
-def frontier(grammar: Grammar, grid: Grid) -> list[Point]:
-    """Rewritable points with at least one matching rule, lexicographic order."""
-    out = []
-    for p in grid.points():
-        if grid.symbol_at(p) in NONTERMINALS and applicable_rules(grammar, grid, p):
-            out.append(p)
-    return out
-
-
-def _choose_point(points: list[Point], strategy: str, rng: SplitMix64) -> Point:
-    if strategy == "uniform-random-frontier":
-        return points[rng.below(len(points))]
-    if strategy == "scanline":
-        return points[0]
-    return min(points, key=lambda p: (p[0] * p[0] + p[1] * p[1] + p[2] * p[2], p))
-
-
-def _choose_rule(rules: list[Rule], strategy: str, rng: SplitMix64) -> Rule:
-    if strategy == "uniform-random":
-        return rules[rng.below(len(rules))]
-    if strategy == "weighted":
-        return rules[rng.choice_index([r.weight for r in rules])]
-    return rules[0]
-
-
-def step(
-    grammar: Grammar,
-    grid: Grid,
-    gen_config: GenerationConfig,
-    rng: SplitMix64,
-    index: int = 0,
-) -> DerivationStep | None:
-    """One derivation step, mutating ``grid``; None when the frontier is empty.
-
-    generate() is exactly a loop over this selection semantics (the batch
-    engine is an optimized equivalent; tests hold them to the same outputs).
-    """
-    points = frontier(grammar, grid)
-    if not points:
-        return None
-    p = _choose_point(points, gen_config.point_strategy, rng)
-    pre = grid.state_of(p)
-    rules = [r for r in grammar.rules if r.matches(pre)]
-    rule = _choose_rule(rules, gen_config.rule_strategy, rng)
-    apply_production(grid, p, rule)
-    return DerivationStep(index=index, point=p, rule_name=rule.name, pre_state=pre)
 
 
 class Engine:
@@ -614,51 +580,72 @@ def _matcher_fn(grammar: Grammar, matcher: str):
     raise ValueError(f"unknown matcher {matcher!r}")
 
 
-def replay(log: DerivationLog, grammar: Grammar) -> Design:
-    """Re-apply a log step by step, verifying every recorded fact en route."""
+def _rederive(log: DerivationLog, grammar: Grammar) -> tuple[Design, str]:
+    """Re-run the kernel on the log's configs; the log must record exactly its steps."""
     if grammar.fingerprint != log.grammar_fingerprint:
         raise ReplayError(
             "fingerprint", None,
             "log was produced by a different grammar",
         )
-    grid = Grid.empty(log.grid_config)
-    for i, s in enumerate(log.steps):
-        if s.index != i:
-            raise ReplayError("index", i, f"recorded index is {s.index}")
-        if not log.grid_config.contains(s.point):
-            raise ReplayError("point", i, f"{s.point} is outside the grid")
-        live = grid.state_of(s.point)
-        if live != s.pre_state:
-            raise ReplayError(
-                "pre-state", i,
-                f"recorded pre-state does not match the replayed grid at {s.point}",
-            )
-        try:
-            rule = grammar.rule_named(s.rule_name)
-        except KeyError:
-            raise ReplayError("rule-missing", i, f"no rule named {s.rule_name!r}") from None
-        if not rule.matches(s.pre_state):
-            raise ReplayError("no-match", i, f"rule {rule.name} does not match the pre-state")
-        apply_production(grid, s.point, rule)
-    return Design(grid)
+    engine = Engine(grammar, log.grid_config)
+    cells, edges, raw_steps, outcome = engine.run(log.gen_config)
+    pts, rules = engine._points, grammar.rules
+    for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
+        if (
+            s.index != i or s.point != pts[pi]
+            or s.rule_name != rules[ri].name or s.pre_state.key != key
+        ):
+            _diagnose(engine, log, i)
+    if len(log.steps) != len(raw_steps):
+        _diagnose(engine, log, min(len(log.steps), len(raw_steps)))
+    return engine.to_design(cells, edges), outcome
+
+
+def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
+    """Raise the ReplayError for step ``i``, the first one the engine did not derive."""
+    if i == len(log.steps):
+        raise ReplayError("divergence", i, "the log ends here; its configs derive more steps")
+    s = log.steps[i]
+    if s.index != i:
+        raise ReplayError("index", i, f"recorded index is {s.index}")
+    if not log.grid_config.contains(s.point):
+        raise ReplayError("point", i, f"{s.point} is outside the grid")
+    if i == 0:
+        grid = Grid.empty(log.grid_config)
+    else:
+        cells, edges, _, _ = engine.run(replace(log.gen_config, max_steps=i))
+        grid = engine.to_design(cells, edges).grid
+    if grid.state_of(s.point) != s.pre_state:
+        raise ReplayError(
+            "pre-state", i,
+            f"recorded pre-state does not match the replayed grid at {s.point}",
+        )
+    try:
+        rule = engine.grammar.rule_named(s.rule_name)
+    except KeyError:
+        raise ReplayError("rule-missing", i, f"no rule named {s.rule_name!r}") from None
+    if not rule.matches(s.pre_state):
+        raise ReplayError("no-match", i, f"rule {rule.name} does not match the pre-state")
+    raise ReplayError(
+        "divergence", i, "legal step, but not the one the recorded configs derive"
+    )
+
+
+def replay(log: DerivationLog, grammar: Grammar) -> Design:
+    """Re-derive a log's design, requiring every recorded step to be the derived one."""
+    return _rederive(log, grammar)[0]
 
 
 def verify_log(log: DerivationLog, grammar: Grammar) -> Design:
-    """Full verification: replay, then design hash, outcome, and log hash."""
-    design = replay(log, grammar)
+    """Full verification: re-derivation, then design hash, outcome, and log hash."""
+    design, outcome = _rederive(log, grammar)
     if design.hash != log.design_hash:
         raise ReplayError(
             "design-hash", None, "replayed design does not hash to the recorded value"
         )
-    if design.counts()[Symbol.UNOCCUPIED] == 0:
-        expected = "complete"
-    elif not frontier(grammar, design.grid):
-        expected = "stuck"
-    else:
-        expected = "step-limit"
-    if log.outcome != expected:
+    if log.outcome != outcome:
         raise ReplayError(
-            "outcome", None, f"recorded {log.outcome!r}, replay implies {expected!r}"
+            "outcome", None, f"recorded {log.outcome!r}, replay implies {outcome!r}"
         )
     if canonical_hash(log.core_obj()) != log.log_hash:
         raise ReplayError("log-hash", None, "log content does not hash to log_hash")
@@ -728,10 +715,13 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
                 "no-isolated", not isolated, f"{len(isolated)} isolated component point(s)"
             )
         )
-    for label, bounds in (profile.get("counts") or {}).items():
+    count_bounds = profile.get("counts") or {}
+    if not isinstance(count_bounds, dict):
+        raise ProfileFormatError("counts must be an object")
+    for label, bounds in count_bounds.items():
         try:
             sym = Symbol.from_label(label)
-            lo, hi = bounds
+            lo, hi = (None if b is None else _int(b) for b in bounds)
         except (KeyError, TypeError, ValueError) as e:
             raise ProfileFormatError(f"bad counts entry {label!r}: {e}") from None
         have = counts.get(sym, 0)

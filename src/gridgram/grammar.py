@@ -34,7 +34,7 @@ from gridgram.core import (
 WILDCARD_EGO = frozenset(s for s in Symbol if s is not Symbol.BOUNDARY)
 WILDCARD_NON_EGO = frozenset(Symbol)
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 
 
 class GrammarError(Exception):
@@ -279,7 +279,7 @@ def parse_grammar(text: str) -> Grammar:
         if not isinstance(robj, dict):
             raise GrammarParseError("format", "rule must be an object", rpath, None)
         rname = robj.get("name")
-        if not isinstance(rname, str) or not _NAME_RE.match(rname):
+        if not isinstance(rname, str) or not _NAME_RE.fullmatch(rname):
             raise GrammarParseError(
                 "format", f"rule name must be an identifier, got {rname!r}", rpath, None
             )

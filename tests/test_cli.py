@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from gridgram.cli import main
+from gridgram.core import MAX_N_HALF
 from gridgram.generator import Design, parse_log, verify_log
 from gridgram.grammar import parse_grammar
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
@@ -399,6 +400,33 @@ class TestBench:
         summary = json.loads(out)
         assert summary["identical_designs"] is True
         assert set(summary["results"]) == {"direct", "contract"}
+
+
+class TestGridBound:
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_n_half_over_max_is_usage_error(self, command, demo_path, tmp_path, capsys):
+        argv = [command, demo_path, "--n-half", str(MAX_N_HALF + 1)]
+        if command == "generate":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"must be <= {MAX_N_HALF}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, name", [("replay", "log_2.json"), ("validate", "design_2.json")]
+    )
+    def test_file_n_half_over_max_is_parse_error(
+        self, command, name, demo_path, run_n1, tmp_path, capsys
+    ):
+        obj = json.loads((run_n1 / name).read_text())
+        obj["grid_config"]["n_half"] = MAX_N_HALF + 1
+        doctored = tmp_path / name
+        doctored.write_text(json.dumps(obj))
+        argv = ["replay", str(doctored), demo_path] if command == "replay" else [
+            "validate", str(doctored),
+        ]
+        assert main(argv) == 3
+        assert "n_half must be in" in capsys.readouterr().err
 
 
 class TestUsage:

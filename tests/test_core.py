@@ -19,6 +19,7 @@ from gridgram.core import (
     EdgeSymbolError,
     Grid,
     GridConfig,
+    MAX_N_HALF,
     OutOfGridError,
     State,
     Symbol,
@@ -138,6 +139,11 @@ class TestGridConfig:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             GridConfig(-1)
+
+    def test_bounded_by_max_n_half(self):
+        assert GridConfig(MAX_N_HALF).point_count == 33**3
+        with pytest.raises(ValueError):
+            GridConfig(MAX_N_HALF + 1)
 
     def test_contains(self):
         cfg = GridConfig(2)

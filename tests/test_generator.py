@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridgram.canon import canonical_hash
 from gridgram.core import Direction, Grid, GridConfig, State, Symbol
 from gridgram.generator import (
     BatchItem,
@@ -23,20 +24,19 @@ from gridgram.generator import (
     LogFormatError,
     ProfileFormatError,
     ReplayError,
-    frontier,
     generate,
     parse_log,
     replay,
     resolve_workers,
     run_batch,
     serialize_log,
-    step,
     validate_design,
     verify_log,
 )
 from gridgram.grammar import parse_grammar
 from gridgram.rng import SplitMix64
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
+from step_oracle import frontier, step
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,6 +118,14 @@ def small_log_text(demo):
 def seed13_design(demo):
     design, _ = generate(demo, GridConfig(2), GenerationConfig(seed=13))
     return design
+
+
+def _reconfigured(log, **changes):
+    return replace(log, gen_config=replace(log.gen_config, **changes))
+
+
+def _to_float(values, i):
+    values[i] = float(values[i])
 
 
 class TestGenerationConfig:
@@ -424,6 +432,28 @@ class TestReplayAndVerify:
         with pytest.raises(ReplayError):
             verify_log(bad, demo)
 
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda log, g: _reconfigured(log, seed=log.gen_config.seed + 1),
+            lambda log, g: _reconfigured(log, point_strategy="scanline"),
+            lambda log, g: _reconfigured(log, max_steps=3),
+            # The honest 10-step log, relabelled as an uncapped run.
+            lambda log, g: replace(
+                generate(g, log.grid_config, replace(log.gen_config, max_steps=10))[1],
+                gen_config=log.gen_config,
+            ),
+        ],
+        ids=["seed", "point-strategy", "max-steps", "truncated-step-limit"],
+    )
+    def test_forged_and_rehashed_log_diverges(self, seed7_run, forge):
+        demo, _, log = seed7_run
+        forged = forge(log, demo)
+        forged = replace(forged, log_hash=canonical_hash(forged.core_obj()))
+        with pytest.raises(ReplayError) as e:
+            verify_log(forged, demo)
+        assert e.value.kind == "divergence"
+
 
 class TestLogParsing:
     def test_parse_back_equals_original(self, demo, small_log_text):
@@ -470,6 +500,33 @@ class TestLogParsing:
         with pytest.raises(LogFormatError):
             parse_log(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda o: _to_float(o["steps"][0]["point"], 0),
+            lambda o: o["steps"][0]["point"].__setitem__(0, str(o["steps"][0]["point"][0])),
+            lambda o: o["steps"][1].__setitem__("index", True),
+            lambda o: o["steps"][1].__setitem__("index", 1.0),
+            lambda o: o["steps"].__setitem__(0, list(o["steps"][0].values())),
+            lambda o: o["generation_config"].__setitem__("seed", True),
+            lambda o: o["generation_config"].__setitem__("max_steps", 50.0),
+            lambda o: o["grid_config"].__setitem__("n_half", 1.0),
+            lambda o: o["grid_config"].__setitem__("n_half", True),
+            lambda o: o["grid_config"].__setitem__("n_half", 17),
+            lambda o: o["grid_config"].__setitem__("unit", 1.5),
+        ],
+        ids=[
+            "float-coordinate", "str-coordinate", "bool-index", "float-index",
+            "step-not-object", "bool-seed", "float-max-steps",
+            "float-n-half", "bool-n-half", "n-half-over-max", "float-unit",
+        ],
+    )
+    def test_wrong_types_are_rejected_not_coerced(self, small_log_text, doctor):
+        obj = json.loads(small_log_text)
+        doctor(obj)
+        with pytest.raises(LogFormatError):
+            parse_log(json.dumps(obj))
+
 
 class TestDesignSerialization:
     def test_parse_back_equals_original(self, seed13_design):
@@ -510,6 +567,21 @@ class TestDesignSerialization:
     def test_tampered_counts_rejected(self, seed13_design):
         obj = json.loads(seed13_design.serialize())
         obj["counts"]["Rotor"] += 1
+        with pytest.raises(DesignFormatError):
+            Design.from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda o: _to_float(o["components"]["edges"][0][0], 0),
+            lambda o: _to_float(o["components"]["edges"][-1][1], 2),
+            lambda o: o["grid_config"].__setitem__("unit", 1.5),
+        ],
+        ids=["float-first-end", "float-second-end", "float-unit"],
+    )
+    def test_wrong_types_are_rejected_not_coerced(self, seed13_design, doctor):
+        obj = json.loads(seed13_design.serialize())
+        doctor(obj)
         with pytest.raises(DesignFormatError):
             Design.from_obj(obj)
 
@@ -602,6 +674,12 @@ class TestValidateDesign:
             validate_design(self._design(), {"counts": {"Engine": [1, 1]}})
         with pytest.raises(ProfileFormatError):
             validate_design(self._design(), {"counts": {"Rotor": [1, 2, 3]}})
+        with pytest.raises(ProfileFormatError):
+            validate_design(self._design(), {"counts": {"Rotor": ["1", 2]}})
+        with pytest.raises(ProfileFormatError):
+            validate_design(self._design(), {"counts": {"Rotor": [1.5, None]}})
+        with pytest.raises(ProfileFormatError):
+            validate_design(self._design(), {"counts": [["Rotor", 1, 2]]})
 
     def test_report_to_obj_shape(self):
         report = validate_design(self._design(), {"require_complete": True})

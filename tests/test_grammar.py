@@ -114,6 +114,7 @@ class TestParse:
             (lambda d: d["rules"][0].update(weight=1.5), "format"),
             (lambda d: d["rules"][0].update(weight=True), "format"),
             (lambda d: d["rules"][0]["contexts"][0].update(front=[]), "format"),
+            (lambda d: d["rules"][0].update(name="r0\n"), "format"),
         ],
     )
     def test_rejections(self, mutate, kind):
