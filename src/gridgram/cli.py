@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 a requested check said no (lint errors, failed
 validation, failed replay, no assignment to compute); 2 usage or file-access
-problems; 3 unparseable input content; 4 an internal invariant broke.
+problems; 3 unparseable input content; 4 an internal invariant broke or a
+batch worker process died.
 
 Machine-readable results go to standard output (JSON, one object per line
 where a command reports per-item results); progress and error text goes to
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from gridgram.canon import canonical_json
@@ -31,7 +33,6 @@ from gridgram.generator import (
     parse_log,
     resolve_workers,
     run_batch,
-    serialize_log,
     validate_design,
     verify_log,
 )
@@ -110,19 +111,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for item in items:
-        (out_dir / f"design_{item.seed}.json").write_text(
-            item.design.serialize() + "\n"
-        )
-        (out_dir / f"log_{item.seed}.json").write_text(
-            serialize_log(item.log) + "\n"
-        )
+        (out_dir / f"design_{item.seed}.json").write_text(item.design_text + "\n")
+        (out_dir / f"log_{item.seed}.json").write_text(item.log_text + "\n")
         _emit(
             {
                 "seed": item.seed,
                 "outcome": item.outcome,
                 "steps": item.step_count,
-                "counts": {s.label: n for s, n in item.design.counts().items()},
-                "design_hash": item.log.design_hash,
+                "counts": item.counts,
+                "design_hash": item.design_hash,
             }
         )
     elapsed = time.perf_counter() - started
@@ -264,7 +261,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ),
             "outcomes": outcomes,
         }
-        hashes[matcher] = [i.design.hash for i in items]
+        hashes[matcher] = [i.design_hash for i in items]
         print(
             f"{matcher}: {len(items)} designs in {elapsed:.2f}s",
             file=sys.stderr,
@@ -370,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except InternalInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenExecutor as e:
+        print(f"internal error: a worker process died: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -173,6 +173,10 @@ class GridConfig:
     unit: str | None = None
 
     def __post_init__(self) -> None:
+        if type(self.n_half) is not int:
+            raise TypeError(f"n_half must be an integer, got {self.n_half!r}")
+        if self.unit is not None and type(self.unit) is not str:
+            raise TypeError(f"unit must be a string or None, got {self.unit!r}")
         if not 0 <= self.n_half <= MAX_N_HALF:
             raise ValueError(f"n_half must be in [0, {MAX_N_HALF}], got {self.n_half}")
 
@@ -350,6 +354,10 @@ class Grid:
 
     def has_edge(self, p: Point, q: Point) -> bool:
         return _normalize_edge(p, q) in self._edges
+
+    def cell_codes(self) -> bytes:
+        """Every point's symbol code, lexicographic point order."""
+        return bytes(self._cells)
 
     def edges(self) -> list[tuple[Point, Point]]:
         """All edges, sorted, each as a lexicographically normalized pair."""

@@ -14,6 +14,11 @@ frontier kept in lexicographic point order. Logs carry hashes of their own
 content and of the produced design. Verification re-runs the engine on the
 log's recorded configs and requires exactly the recorded steps, then checks
 the design, the outcome and both hashes.
+
+Designs and logs are written by the one encoder each in ``gridgram.canon``,
+fed from the engine's arrays (``Engine.design_text``, ``Engine.log_text``)
+or from the objects (``Design.serialize``, ``serialize_log``). Batch workers
+encode where they derive and return text.
 """
 
 from __future__ import annotations
@@ -23,15 +28,32 @@ import os
 from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NoReturn
 
-from gridgram.canon import canonical_hash, canonical_json
+from gridgram.canon import (
+    CELL_LETTERS,
+    DESIGN_FORMAT,
+    LOG_FORMAT,
+    STEP_JSON,
+    canonical_json,
+    cells_text,
+    encode_design,
+    encode_log,
+    grid_config_obj,
+    point_coords,
+    sha256_hex,
+    state_json,
+    with_log_hash,
+    xyz,
+)
 from gridgram.core import (
     Direction,
     Grid,
     GridConfig,
     NEIGHBOR_DIRECTIONS,
     NONTERMINALS,
+    STORABLE,
     Point,
     State,
     Symbol,
@@ -46,15 +68,12 @@ from gridgram.grammar import (
 )
 from gridgram.rng import SplitMix64
 
-LOG_FORMAT = "gridgram-log-v1"
-DESIGN_FORMAT = "gridgram-design-v1"
-
 POINT_STRATEGIES = ("uniform-random-frontier", "scanline", "nearest-to-origin")
 RULE_STRATEGIES = ("uniform-random", "weighted", "first-match")
 OUTCOMES = ("complete", "stuck", "step-limit")
 
-_CELL_LETTERS = "FRWCEU"  # indexed by Symbol code
-_LETTER_TO_CODE = {c: i for i, c in enumerate(_CELL_LETTERS)}
+_LETTER_TO_CODE = {c: i for i, c in enumerate(CELL_LETTERS)}
+_STORABLE_ORDER = sorted(STORABLE)
 
 
 class GeneratorError(Exception):
@@ -110,6 +129,10 @@ class GenerationConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.seed) is not int:
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        if self.max_steps is not None and type(self.max_steps) is not int:
+            raise TypeError(f"max_steps must be an integer or None, got {self.max_steps!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.point_strategy not in POINT_STRATEGIES:
@@ -130,10 +153,10 @@ class GenerationConfig:
     @classmethod
     def from_obj(cls, obj: dict) -> GenerationConfig:
         return cls(
-            seed=_int(obj["seed"]),
+            seed=obj["seed"],
             point_strategy=obj["point_strategy"],
             rule_strategy=obj["rule_strategy"],
-            max_steps=None if obj["max_steps"] is None else _int(obj["max_steps"]),
+            max_steps=obj["max_steps"],
         )
 
 
@@ -147,6 +170,13 @@ class DerivationStep:
     pre_state: State
 
     def __post_init__(self) -> None:
+        if type(self.index) is not int:
+            raise TypeError(f"step index must be an integer, got {self.index!r}")
+        p = self.point
+        if type(p) is not tuple or len(p) != 3 or not all(type(c) is int for c in p):
+            raise TypeError(f"point must be a tuple of 3 integers, got {p!r}")
+        if type(self.rule_name) is not str:
+            raise TypeError(f"rule name must be a string, got {self.rule_name!r}")
         if self.pre_state.ego not in NONTERMINALS:
             raise ValueError("recorded pre-state must have a nonterminal ego")
 
@@ -172,21 +202,16 @@ class DerivationLog:
     log_hash: str
 
     def core_obj(self) -> dict:
-        """Everything except log_hash (which is the hash of this)."""
+        """Plain data of everything except log_hash; log_hash hashes its canonical JSON."""
         return {
             "format": LOG_FORMAT,
             "grammar_fingerprint": self.grammar_fingerprint,
-            "grid_config": _grid_config_obj(self.grid_config),
+            "grid_config": grid_config_obj(self.grid_config),
             "generation_config": self.gen_config.to_obj(),
             "steps": [s.to_obj() for s in self.steps],
             "outcome": self.outcome,
             "design_hash": self.design_hash,
         }
-
-    def to_obj(self) -> dict:
-        obj = self.core_obj()
-        obj["log_hash"] = self.log_hash
-        return obj
 
 
 def _int(value: object) -> int:
@@ -196,15 +221,24 @@ def _int(value: object) -> int:
     return value
 
 
-def _grid_config_obj(cfg: GridConfig) -> dict:
-    return {"n_half": cfg.n_half, "unit": cfg.unit}
-
-
 def _grid_config_from_obj(obj: dict) -> GridConfig:
-    unit = obj["unit"]
-    if unit is not None and type(unit) is not str:
-        raise TypeError(f"unit must be a string or null, got {unit!r}")
-    return GridConfig(n_half=_int(obj["n_half"]), unit=unit)
+    return GridConfig(n_half=obj["n_half"], unit=obj["unit"])
+
+
+def _log_parts_of(log: DerivationLog) -> tuple[str, str]:
+    rules: dict[str, str] = {}
+    states: dict[int, str] = {}
+    steps = []
+    for s in log.steps:
+        rule = rules.get(s.rule_name)
+        if rule is None:
+            rule = rules[s.rule_name] = json.dumps(s.rule_name)
+        state = state_json(s.pre_state.key, states)
+        steps.append(STEP_JSON % (s.index, xyz(s.point), state, rule))
+    return encode_log(
+        log.grammar_fingerprint, log.grid_config, log.gen_config.to_obj(),
+        log.outcome, log.design_hash, steps,
+    )
 
 
 class Design:
@@ -231,27 +265,15 @@ class Design:
 
     def cells_text(self) -> str:
         """All point symbols as one letter each, lexicographic point order."""
-        cfg = self.grid.config
-        return "".join(_CELL_LETTERS[self.grid.symbol_at(p)] for p in cfg.points())
-
-    def to_obj(self) -> dict:
-        return {
-            "format": DESIGN_FORMAT,
-            "grid_config": _grid_config_obj(self.grid.config),
-            "cells": self.cells_text(),
-            "components": {
-                "nodes": [[*p, s.label] for p, s in self.component_nodes()],
-                "edges": [[list(a), list(b)] for a, b in self.component_edges()],
-            },
-            "counts": {s.label: n for s, n in self.counts().items()},
-        }
+        return cells_text(self.grid.cell_codes())
 
     @property
     def hash(self) -> str:
-        return canonical_hash(self.to_obj())
+        return sha256_hex(self.serialize())
 
     def serialize(self) -> str:
-        return canonical_json(self.to_obj())
+        edges = [(xyz(a), xyz(b)) for a, b in self.grid.edges()]
+        return encode_design(self.grid.config, self.grid.cell_codes(), edges)
 
     @classmethod
     def from_obj(cls, obj: object) -> Design:
@@ -280,7 +302,7 @@ class Design:
             if problems:
                 raise DesignFormatError("; ".join(problems))
             design = cls(grid)
-            if design.to_obj() != obj:
+            if canonical_json(obj) != design.serialize():
                 raise DesignFormatError(
                     "components or counts do not match the cell contents"
                 )
@@ -300,7 +322,7 @@ class Design:
 
 
 def serialize_log(log: DerivationLog) -> str:
-    return canonical_json(log.to_obj())
+    return with_log_hash(_log_parts_of(log), log.log_hash)
 
 
 def parse_log(text: str) -> DerivationLog:
@@ -324,11 +346,10 @@ def parse_log(text: str) -> DerivationLog:
         for s in obj["steps"]:
             if not isinstance(s, dict) or s.keys() != {"index", "point", "rule", "pre_state"}:
                 raise LogFormatError("unexpected or missing step keys")
-            x, y, z = (_int(v) for v in s["point"])
             steps.append(
                 DerivationStep(
-                    index=_int(s["index"]),
-                    point=(x, y, z),
+                    index=s["index"],
+                    point=tuple(s["point"]),
                     rule_name=s["rule"],
                     pre_state=State.from_labels(s["pre_state"]),
                 )
@@ -375,6 +396,8 @@ class Engine:
         self._prod = [
             (r.production.symbol, r.production.direction) for r in grammar.rules
         ]
+        self._rule_json = [json.dumps(r.name) for r in grammar.rules]
+        self._state_text: dict[int, str] = {}  # pre-state JSON by key, filled by log_text
         self._match_fn = match_fn
 
         # Per point: packed neighbor indices, -1 where out of grid; the
@@ -405,6 +428,11 @@ class Engine:
             for i in range(count)
         ]
         self._memo: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        """The grammar's fingerprint, hashed on first use and once per engine."""
+        return self.grammar.fingerprint
 
     def _match_list(self, key: int) -> tuple[int, ...]:
         if key & 7 != Symbol.UNOCCUPIED:
@@ -519,6 +547,32 @@ class Engine:
         }
         return Design(Grid(self.grid_config, bytearray(cells), point_edges))
 
+    def design_text(self, cells: bytearray, edges: set[tuple[int, int]]) -> str:
+        """Canonical text of the design ``to_design(cells, edges)`` builds."""
+        coords = point_coords(self.grid_config.n_half)
+        pairs = [(coords[a], coords[b]) for a, b in sorted(edges)]
+        return encode_design(self.grid_config, cells, pairs)
+
+    def log_text(
+        self,
+        gen_config: GenerationConfig,
+        raw_steps: list[tuple[int, int, int]],
+        outcome: str,
+        design_hash: str,
+    ) -> tuple[str, str]:
+        """Canonical log text and its log_hash, straight from ``run``'s raw steps."""
+        coords = point_coords(self.grid_config.n_half)
+        rules, states = self._rule_json, self._state_text
+        steps = [
+            STEP_JSON % (i, coords[pi], states.get(key) or state_json(key, states), rules[ri])
+            for i, (pi, ri, key) in enumerate(raw_steps)
+        ]
+        parts = encode_log(
+            self._fingerprint, self.grid_config, gen_config.to_obj(), outcome, design_hash, steps
+        )
+        log_hash = sha256_hex(parts[0] + parts[1])
+        return with_log_hash(parts, log_hash), log_hash
+
     def to_log(
         self,
         gen_config: GenerationConfig,
@@ -537,23 +591,15 @@ class Engine:
             )
             for i, (pi, ri, key) in enumerate(raw_steps)
         )
-        core = DerivationLog(
-            grammar_fingerprint=self.grammar.fingerprint,
+        design_hash = design.hash
+        return DerivationLog(
+            grammar_fingerprint=self._fingerprint,
             grid_config=self.grid_config,
             gen_config=gen_config,
             steps=steps,
             outcome=outcome,
-            design_hash=design.hash,
-            log_hash="",
-        )
-        return DerivationLog(
-            grammar_fingerprint=core.grammar_fingerprint,
-            grid_config=core.grid_config,
-            gen_config=core.gen_config,
-            steps=core.steps,
-            outcome=core.outcome,
-            design_hash=core.design_hash,
-            log_hash=canonical_hash(core.core_obj()),
+            design_hash=design_hash,
+            log_hash=self.log_text(gen_config, raw_steps, outcome, design_hash)[1],
         )
 
 
@@ -647,7 +693,7 @@ def verify_log(log: DerivationLog, grammar: Grammar) -> Design:
         raise ReplayError(
             "outcome", None, f"recorded {log.outcome!r}, replay implies {outcome!r}"
         )
-    if canonical_hash(log.core_obj()) != log.log_hash:
+    if sha256_hex("".join(_log_parts_of(log))) != log.log_hash:
         raise ReplayError("log-hash", None, "log content does not hash to log_hash")
     return design
 
@@ -685,6 +731,11 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
     unknown = profile.keys() - _PROFILE_KEYS
     if unknown:
         raise ProfileFormatError(f"unknown profile key(s) {sorted(unknown)}")
+    for key in ("require_complete", "require_connected", "forbid_isolated"):
+        if key in profile and type(profile[key]) is not bool:
+            raise ProfileFormatError(f"{key} must be true or false, got {profile[key]!r}")
+    if "name" in profile and type(profile["name"]) is not str:
+        raise ProfileFormatError(f"name must be a string, got {profile['name']!r}")
     checks: list[CheckResult] = []
     counts = design.counts()
 
@@ -753,26 +804,55 @@ def _connected_component(nodes: list[Point], edges: list[tuple[Point, Point]]) -
     return seen
 
 
+#: Most worker processes a batch uses, whatever is requested.
+MAX_WORKERS = 32
+
+
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit request, else GRIDGRAM_THREADS, else CPU count."""
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("GRIDGRAM_THREADS")
-    if env:
+    """Worker count in [1, MAX_WORKERS]: explicit request, else
+    GRIDGRAM_THREADS, else CPU count."""
+    if requested is None:
         try:
-            return max(1, int(env))
+            requested = int(os.environ.get("GRIDGRAM_THREADS", ""))
         except ValueError:
-            pass
-    return os.cpu_count() or 1
+            requested = os.cpu_count() or 1
+    return max(1, min(requested, MAX_WORKERS))
 
 
 @dataclass(frozen=True, slots=True)
 class BatchItem:
+    """One derivation of a batch, encoded where it ran.
+
+    ``design_text`` and ``log_text`` are the canonical file contents without
+    the trailing newline; ``log_text`` is None when logs were not asked for.
+    ``counts`` maps each storable symbol's label to its count.
+    """
+
     seed: int
     design: Design
-    log: DerivationLog | None
+    design_text: str
+    design_hash: str
+    log_text: str | None
+    counts: dict[str, int]
     step_count: int
     outcome: str
+
+
+def _batch_item(engine: Engine, cfg: GenerationConfig, want_logs: bool) -> BatchItem:
+    cells, edges, raw_steps, outcome = engine.run(cfg)
+    design_text = engine.design_text(cells, edges)
+    design_hash = sha256_hex(design_text)
+    log_text = engine.log_text(cfg, raw_steps, outcome, design_hash)[0] if want_logs else None
+    return BatchItem(
+        seed=cfg.seed,
+        design=engine.to_design(cells, edges),
+        design_text=design_text,
+        design_hash=design_hash,
+        log_text=log_text,
+        counts={s.label: cells.count(s) for s in _STORABLE_ORDER},
+        step_count=len(raw_steps),
+        outcome=outcome,
+    )
 
 
 def _batch_worker(args) -> list[tuple[int, BatchItem]]:
@@ -780,14 +860,10 @@ def _batch_worker(args) -> list[tuple[int, BatchItem]]:
     grammar = parse_grammar(grammar_text)
     grid_config = _grid_config_from_obj(grid_obj)
     engine = Engine(grammar, grid_config, match_fn=_matcher_fn(grammar, matcher))
-    out = []
-    for pos, cobj in indexed_configs:
-        cfg = GenerationConfig.from_obj(cobj)
-        cells, edges, raw_steps, outcome = engine.run(cfg)
-        design = engine.to_design(cells, edges)
-        log = engine.to_log(cfg, raw_steps, outcome, design) if want_logs else None
-        out.append((pos, BatchItem(cfg.seed, design, log, len(raw_steps), outcome)))
-    return out
+    return [
+        (pos, _batch_item(engine, GenerationConfig.from_obj(cobj), want_logs))
+        for pos, cobj in indexed_configs
+    ]
 
 
 def run_batch(
@@ -807,16 +883,10 @@ def run_batch(
     nworkers = min(resolve_workers(workers), len(configs)) if configs else 1
     if nworkers <= 1:
         engine = Engine(grammar, grid_config, match_fn=_matcher_fn(grammar, matcher))
-        out = []
-        for cfg in configs:
-            cells, edges, raw_steps, outcome = engine.run(cfg)
-            design = engine.to_design(cells, edges)
-            log = engine.to_log(cfg, raw_steps, outcome, design) if want_logs else None
-            out.append(BatchItem(cfg.seed, design, log, len(raw_steps), outcome))
-        return out
+        return [_batch_item(engine, cfg, want_logs) for cfg in configs]
 
     text = serialize_grammar(grammar)
-    grid_obj = _grid_config_obj(grid_config)
+    grid_obj = grid_config_obj(grid_config)
     indexed = [(i, c.to_obj()) for i, c in enumerate(configs)]
     chunks = [indexed[i::nworkers] for i in range(nworkers)]
     jobs = [(text, grid_obj, chunk, matcher, want_logs) for chunk in chunks if chunk]

@@ -7,13 +7,15 @@ Every test drives ``main(argv)`` directly; one test goes through
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gridgram.cli import main
+from gridgram import generator
+from gridgram.cli import EXIT_INTERNAL, main
 from gridgram.core import MAX_N_HALF
 from gridgram.generator import Design, parse_log, verify_log
 from gridgram.grammar import parse_grammar
@@ -58,6 +60,11 @@ EMPTY_WITH_CONNECTION_GRAMMAR = """
 """
 
 NO_RULES_GRAMMAR = '{"name": "empty", "version": "1", "rules": []}'
+
+
+def _die(args):
+    """Stands in for the batch worker: the process ends without a result."""
+    os._exit(1)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +198,19 @@ class TestGenerate:
         rc = main(["generate", demo_path, "--count", "0", "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_dead_worker_is_internal_error(self, demo_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(generator, "_batch_worker", _die)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
+        rc = main([
+            "generate", demo_path, "--n-half", "1", "--count", "2",
+            "--out-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INTERNAL
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("internal error:")
+
 
 class TestReplay:
     def test_generated_log_verifies(self, demo_path, run_n1, capsys):
@@ -267,6 +287,15 @@ class TestValidate:
             "validate", str(run42 / "design_42.json"), "--profile", str(profile),
         ])
         assert rc == 3
+
+    def test_non_boolean_flag_is_parse_error(self, run42, tmp_path, capsys):
+        profile = tmp_path / "loose.json"
+        profile.write_text('{"require_complete": "no", "require_connected": 0}')
+        rc = main([
+            "validate", str(run42 / "design_42.json"), "--profile", str(profile),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().out == ""
 
     def test_profile_must_be_an_object(self, run42, tmp_path):
         profile = tmp_path / "list.json"

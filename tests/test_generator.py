@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from gridgram.canon import canonical_hash
 from gridgram.core import Direction, Grid, GridConfig, State, Symbol
 from gridgram.generator import (
+    MAX_WORKERS,
+    POINT_STRATEGIES,
+    RULE_STRATEGIES,
     BatchItem,
     Design,
     DesignFormatError,
@@ -36,6 +39,7 @@ from gridgram.generator import (
 from gridgram.grammar import parse_grammar
 from gridgram.rng import SplitMix64
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
+import encode_oracle
 from step_oracle import frontier, step
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -148,6 +152,33 @@ class TestGenerationConfig:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             GenerationConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GridConfig(2.0),
+            lambda: GridConfig(True),
+            lambda: GridConfig("2"),
+            lambda: GridConfig(1, unit=1.5),
+            lambda: GenerationConfig(seed=1.0),
+            lambda: GenerationConfig(seed=True),
+            lambda: GenerationConfig(seed="1"),
+            lambda: GenerationConfig(seed=0, max_steps=5.0),
+            lambda: GenerationConfig(seed=0, max_steps=True),
+            lambda: DerivationStep(True, (0, 0, 0), "r", State.from_key(0o5555555)),
+            lambda: DerivationStep(0, [0, 0, 0], "r", State.from_key(0o5555555)),
+            lambda: DerivationStep(0, (0, 0.0, 0), "r", State.from_key(0o5555555)),
+            lambda: DerivationStep(0, (0, 0, 0), 1.5, State.from_key(0o5555555)),
+        ],
+        ids=[
+            "float-n-half", "bool-n-half", "str-n-half", "float-unit",
+            "float-seed", "bool-seed", "str-seed", "float-max-steps", "bool-max-steps",
+            "bool-step-index", "list-point", "float-coordinate", "float-rule-name",
+        ],
+    )
+    def test_constructors_refuse_non_integers(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_obj_round_trip(self):
         cfg = GenerationConfig(
@@ -681,6 +712,20 @@ class TestValidateDesign:
         with pytest.raises(ProfileFormatError):
             validate_design(self._design(), {"counts": [["Rotor", 1, 2]]})
 
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            {"require_complete": "no", "require_connected": 0},
+            {"require_connected": 1},
+            {"forbid_isolated": None},
+            {"name": 5},
+        ],
+        ids=["str-and-int-flags", "int-flag", "null-flag", "int-name"],
+    )
+    def test_flags_must_be_booleans_and_name_a_string(self, profile):
+        with pytest.raises(ProfileFormatError):
+            validate_design(self._design(), profile)
+
     def test_report_to_obj_shape(self):
         report = validate_design(self._design(), {"require_complete": True})
         obj = report.to_obj()
@@ -698,7 +743,7 @@ class TestRunBatch:
             assert a.seed == b.seed
             assert a.outcome == b.outcome
             assert a.design == b.design
-            assert serialize_log(a.log) == serialize_log(b.log)
+            assert a.log_text == b.log_text
 
     def test_duplicate_seeds_keep_input_order(self, demo):
         configs = [GenerationConfig(seed=s) for s in (5, 5, 3)]
@@ -710,7 +755,7 @@ class TestRunBatch:
         items = run_batch(
             demo, GridConfig(1), [GenerationConfig(seed=1)], workers=1, want_logs=False
         )
-        assert items[0].log is None
+        assert items[0].log_text is None
         assert items[0].step_count > 0
 
     def test_empty_batch(self, demo):
@@ -724,6 +769,56 @@ class TestRunBatch:
         assert resolve_workers(2) == 2
         monkeypatch.setenv("GRIDGRAM_THREADS", "junk")
         assert resolve_workers() >= 1
+
+    def test_resolve_workers_is_capped(self, monkeypatch):
+        monkeypatch.setenv("GRIDGRAM_THREADS", "100000")
+        assert resolve_workers() == MAX_WORKERS
+        assert resolve_workers(100000) == MAX_WORKERS
+
+
+_ODD_UNIT = 'a"b\\c-\u00b5m-\u7ffc'
+
+
+class TestEncodersMatchOracle:
+    """Design and log text, and both hashes, equal the object-based encoding."""
+
+    @pytest.mark.parametrize(
+        "n_half, unit", [(0, None), (1, _ODD_UNIT), (2, None), (3, _ODD_UNIT)]
+    )
+    def test_bytes_equal_the_oracle(self, demo, n_half, unit):
+        grid = GridConfig(n_half, unit)
+        configs = [
+            GenerationConfig(seed, point, rule, max_steps)
+            for point in POINT_STRATEGIES
+            for rule in RULE_STRATEGIES
+            for max_steps in (None, 1, 7)
+            for seed in (n_half, 1000 + n_half)
+        ]
+        inline = run_batch(demo, grid, configs, workers=1)
+        parallel = run_batch(demo, grid, configs, workers=2)
+        for cfg, a, b in zip(configs, inline, parallel):
+            design, log = generate(demo, grid, cfg)
+            expected_design = encode_oracle.design_text(design)
+            expected_log = encode_oracle.log_text(log)
+            assert log.log_hash == encode_oracle.log_hash(log)
+            assert log.design_hash == encode_oracle.design_hash(design)
+            assert design.serialize() == expected_design
+            assert design.hash == encode_oracle.design_hash(design)
+            assert serialize_log(log) == expected_log
+            for item in (a, b):
+                assert item.design == design
+                assert item.design_text == expected_design
+                assert item.design_hash == log.design_hash
+                assert item.log_text == expected_log
+                assert item.counts == {s.label: n for s, n in design.counts().items()}
+
+    def test_recorded_strings_are_escaped_like_the_oracle(self, small_log_text):
+        log = replace(
+            parse_log(small_log_text),
+            grammar_fingerprint=_ODD_UNIT,
+            log_hash=(_ODD_UNIT * 8)[:64],
+        )
+        assert serialize_log(log) == encode_oracle.log_text(log)
 
 
 class TestGoldens:
