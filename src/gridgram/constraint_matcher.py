@@ -8,6 +8,13 @@ interval constraints, and matching is decided by composing a state's
 contract with a rule's. The direct matcher stays the reference; both
 backends are held to identical answers by the test suite.
 
+Derivations do not run this backend. A contract union and a rule's
+patterns denote the same set of contexts (the tests hold
+``compose_matches`` to ``Rule.matches``), and the slot order only changes
+how a context is written, not whether it matches. So ``contract_match_fn``,
+behind ``--matcher contract``, hands the engine the grammar's
+``MatchTable``, the same one the direct matcher uses.
+
 The slot assignment is a degree of freedom: interval shapes (and so the
 number of constraints) depend on which direction lands on which slot.
 ``optimal_assignment`` scans all 5040 bijections for the one minimizing the
@@ -21,7 +28,7 @@ from itertools import permutations
 from math import prod
 
 from gridgram.core import Direction, State, Symbol
-from gridgram.grammar import Grammar, Rule
+from gridgram.grammar import Grammar, MatchTable, Rule
 
 _DIRECTIONS = tuple(Direction)
 
@@ -324,51 +331,21 @@ def encode_state_key(key: int, assignment: DirectionAssignment) -> int:
 
 
 def contract_match_fn(grammar: Grammar, assignment: DirectionAssignment | None = None):
-    """Matching backend for the derivation engine: (rule index, key) -> bool.
+    """Matching backend behind ``--matcher contract``: (rule index, key) -> bool.
 
-    Each rule's contract union denotes a set of accepted slot codes; a state
-    matches when its own code is in that set. The codes are produced here by
-    the same context-to-slots encoding the union members carry, fused so the
-    engine never materializes per-context objects; tests pin this table to
-    ``member_key`` over ``rule_to_contract_union`` and to ``compose_matches``.
+    Returns a predicate carrying the grammar's ``MatchTable`` as
+    ``match.table``; ``Engine(match_fn=...)`` reads that table and never
+    calls the predicate. ``assignment`` is accepted for callers that hold
+    one, but the table does not depend on it, and none is computed here.
+    No concrete context is enumerated.
     """
-    if assignment is None:
-        if grammar.rules:
-            assignment, _ = optimal_assignment(grammar)
-        else:
-            assignment = DirectionAssignment.identity()
-    perm = assignment.slot_of
-    tables = []
-    for rule in grammar.rules:
-        codes = set()
-        for pattern in rule.omega:
-            for key in pattern.context_keys():
-                code = 0
-                for i in range(7):
-                    code |= ((key >> (3 * i)) & 7) << (3 * perm[i])
-                codes.add(code)
-        tables.append(frozenset(codes))
+    table = MatchTable.from_grammar(grammar)
 
     def match(rule_index: int, key: int) -> bool:
-        return encode_state_key(key, assignment) in tables[rule_index]
+        return rule_index in table.rules_matching(key)
 
+    match.table = table
     return match
-
-
-def _subtract_box(
-    box: tuple[frozenset, ...], cut: tuple[frozenset, ...]
-) -> list[tuple[frozenset, ...]]:
-    """Orthogonal difference box \\ cut as disjoint boxes."""
-    if any(not (b & c) for b, c in zip(box, cut)):
-        return [box]
-    pieces = []
-    common: list[frozenset] = []
-    for i, (b, c) in enumerate(zip(box, cut)):
-        rest = b - c
-        if rest:
-            pieces.append(tuple(common) + (rest,) + box[i + 1 :])
-        common.append(b & c)
-    return pieces
 
 
 def optimal_assignment(grammar: Grammar) -> tuple[DirectionAssignment, int]:
@@ -387,13 +364,7 @@ def optimal_assignment(grammar: Grammar) -> tuple[DirectionAssignment, int]:
     pair = [[0] * 7 for _ in range(7)]
     saw_context = False
     for rule in grammar.rules:
-        boxes: list[tuple[frozenset, ...]] = []
-        for pattern in rule.omega:
-            pieces = [pattern.sets]
-            for done in boxes:
-                pieces = [q for piece in pieces for q in _subtract_box(piece, done)]
-            boxes.extend(pieces)
-        for box in boxes:
+        for box in rule.disjoint_boxes():
             saw_context = True
             sizes = [len(s) for s in box]
             size = prod(sizes)

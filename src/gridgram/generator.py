@@ -28,7 +28,6 @@ import os
 from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NoReturn
 
 from gridgram.canon import (
@@ -61,6 +60,7 @@ from gridgram.core import (
 )
 from gridgram.grammar import (
     Grammar,
+    MatchTable,
     lint_errors,
     lint_grammar,
     parse_grammar,
@@ -375,10 +375,13 @@ def parse_log(text: str) -> DerivationLog:
 class Engine:
     """Reusable derivation runner for one grammar and grid size.
 
-    Keeps per-state match results memoized across runs, so batches over the
-    same grammar amortize almost all matching work. ``match_fn`` swaps the
-    matching backend: it takes (rule index, packed state key) and must agree
-    with the direct matcher (the constraint backend is verified equivalent).
+    Matching is one compiled ``MatchTable``: a memo miss ANDs seven bit
+    columns and reads off the matching rules. Per-state results stay
+    memoized across runs, so batches over the same grammar amortize almost
+    all matching work. With ``match_fn`` None the engine builds the table
+    from the grammar's patterns; otherwise ``match_fn`` is a predicate that
+    carries one as its ``table`` attribute (``contract_match_fn`` returns
+    such a predicate), and the engine reads that table and never calls it.
     """
 
     def __init__(self, grammar: Grammar, grid_config: GridConfig, match_fn=None):
@@ -391,14 +394,15 @@ class Engine:
         count = grid_config.point_count
         self._points: list[Point] = list(grid_config.points())
         self._rules = grammar.rules
-        self._rule_masks = [tuple(p.masks for p in r.omega) for r in grammar.rules]
+        table = MatchTable.from_grammar(grammar) if match_fn is None else match_fn.table
+        # Packed state key -> ascending indices of the rules matching it.
+        self._match_list = table.rules_matching
         self._weights = [r.weight for r in grammar.rules]
         self._prod = [
             (r.production.symbol, r.production.direction) for r in grammar.rules
         ]
         self._rule_json = [json.dumps(r.name) for r in grammar.rules]
         self._state_text: dict[int, str] = {}  # pre-state JSON by key, filled by log_text
-        self._match_fn = match_fn
 
         # Per point: packed neighbor indices, -1 where out of grid; the
         # initial all-Unoccupied key; squared distance to the origin.
@@ -428,33 +432,6 @@ class Engine:
             for i in range(count)
         ]
         self._memo: dict[int, tuple[int, ...]] = {}
-
-    @cached_property
-    def _fingerprint(self) -> str:
-        """The grammar's fingerprint, hashed on first use and once per engine."""
-        return self.grammar.fingerprint
-
-    def _match_list(self, key: int) -> tuple[int, ...]:
-        if key & 7 != Symbol.UNOCCUPIED:
-            return ()
-        syms = tuple((key >> (3 * i)) & 7 for i in range(7))
-        if self._match_fn is not None:
-            found = tuple(
-                ri for ri in range(len(self._rules)) if self._match_fn(ri, key)
-            )
-            return found
-        out = []
-        for ri, mask_sets in enumerate(self._rule_masks):
-            for masks in mask_sets:
-                if (
-                    (masks[0] >> syms[0]) & 1 and (masks[1] >> syms[1]) & 1
-                    and (masks[2] >> syms[2]) & 1 and (masks[3] >> syms[3]) & 1
-                    and (masks[4] >> syms[4]) & 1 and (masks[5] >> syms[5]) & 1
-                    and (masks[6] >> syms[6]) & 1
-                ):
-                    out.append(ri)
-                    break
-        return tuple(out)
 
     def run(self, gen_config: GenerationConfig):
         """One derivation; returns (cells, edges, raw steps, outcome).
@@ -568,7 +545,8 @@ class Engine:
             for i, (pi, ri, key) in enumerate(raw_steps)
         ]
         parts = encode_log(
-            self._fingerprint, self.grid_config, gen_config.to_obj(), outcome, design_hash, steps
+            self.grammar.fingerprint, self.grid_config, gen_config.to_obj(),
+            outcome, design_hash, steps,
         )
         log_hash = sha256_hex(parts[0] + parts[1])
         return with_log_hash(parts, log_hash), log_hash
@@ -593,7 +571,7 @@ class Engine:
         )
         design_hash = design.hash
         return DerivationLog(
-            grammar_fingerprint=self._fingerprint,
+            grammar_fingerprint=self.grammar.fingerprint,
             grid_config=self.grid_config,
             gen_config=gen_config,
             steps=steps,

@@ -4,8 +4,10 @@ A rule file is JSON: ``{"name": ..., "version": ..., "rules": [...]}``. Each
 rule gives a list of context patterns (one entry per direction: a symbol
 name, a list of names, or "*") and a production ``{"symbol": ..., "connect":
 ...}``. Patterns are sugar: a pattern stands for the Cartesian product of its
-per-direction symbol sets, a finite set of concrete contexts. A rule matches
-a state exactly when the state is one of those contexts.
+per-direction symbol sets (a box), a finite set of concrete contexts. A rule
+matches a state exactly when the state is one of those contexts.
+``MatchTable`` compiles every pattern of a grammar into per-direction
+bit-vectors, so matching a state costs seven lookups and an AND.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from gridgram.canon import canonical_hash, canonical_json
@@ -81,7 +84,8 @@ class ContextPattern:
 
     ``sets`` is Direction-indexed. Every set is non-empty and the ego set
     never admits Boundary. ``masks`` is the same data as 7 bitmasks (bit i set
-    iff Symbol(i) admitted), precomputed for the matching hot path.
+    iff Symbol(i) admitted), precomputed for ``admits`` and the linter; the
+    engine matches through ``MatchTable`` instead.
     """
 
     sets: tuple[frozenset[Symbol], ...]
@@ -167,13 +171,92 @@ class Rule:
 
     def context_count(self) -> int:
         """Size of the concrete-context set (patterns may overlap; deduplicated)."""
-        return len(self.context_key_set())
+        return sum(prod(len(s) for s in box) for box in self.disjoint_boxes())
+
+    def disjoint_boxes(self) -> list[tuple[frozenset[Symbol], ...]]:
+        """Pairwise disjoint boxes covering exactly the contexts of ``omega``.
+
+        Each pattern in turn, minus the boxes of the patterns before it, so
+        overlapping patterns count every shared context once.
+        """
+        boxes: list[tuple[frozenset[Symbol], ...]] = []
+        for pattern in self.omega:
+            pieces = [pattern.sets]
+            for done in boxes:
+                pieces = [q for piece in pieces for q in _subtract_box(piece, done)]
+            boxes.extend(pieces)
+        return boxes
 
     def context_key_set(self) -> frozenset[int]:
         keys: set[int] = set()
         for pat in self.omega:
             keys.update(pat.context_keys())
         return frozenset(keys)
+
+
+def _subtract_box(
+    box: tuple[frozenset, ...], cut: tuple[frozenset, ...]
+) -> list[tuple[frozenset, ...]]:
+    """Orthogonal difference box \\ cut as disjoint boxes."""
+    if any(not (b & c) for b, c in zip(box, cut)):
+        return [box]
+    pieces = []
+    common: list[frozenset] = []
+    for i, (b, c) in enumerate(zip(box, cut)):
+        rest = b - c
+        if rest:
+            pieces.append(tuple(common) + (rest,) + box[i + 1 :])
+        common.append(b & c)
+    return pieces
+
+
+@dataclass(frozen=True, slots=True)
+class MatchTable:
+    """Rule matching compiled into per-direction bit-vectors over patterns.
+
+    Patterns are numbered rule by rule, in grammar order. ``cols[d][v]`` has
+    bit b set when pattern b admits symbol code v in direction d, so a state
+    fits pattern b exactly when bit b survives the AND of its seven columns
+    (the bit-vector scheme for multi-field packet classification of Lakshman
+    and Stiliadis, SIGCOMM 1998). ``rule_of[b]`` is pattern b's rule index
+    and ``later[r]`` keeps only the bits of the rules after rule r.
+    """
+
+    cols: tuple[tuple[int, ...], ...]
+    rule_of: tuple[int, ...]
+    later: tuple[int, ...]
+
+    @classmethod
+    def from_grammar(cls, grammar: Grammar) -> MatchTable:
+        """The table of every pattern of ``grammar``, directions in Direction order."""
+        cols = [[0] * 8 for _ in range(7)]
+        rule_of: list[int] = []
+        later: list[int] = []
+        for ri, rule in enumerate(grammar.rules):
+            for pattern in rule.omega:
+                bit = 1 << len(rule_of)
+                rule_of.append(ri)
+                for col, symbols in zip(cols, pattern.sets, strict=True):
+                    for v in symbols:
+                        col[v] |= bit
+            later.append(-1 << len(rule_of))
+        return cls(tuple(map(tuple, cols)), tuple(rule_of), tuple(later))
+
+    def rules_matching(self, key: int) -> tuple[int, ...]:
+        """Ascending indices of the rules admitting the packed state ``key``."""
+        c = self.cols
+        bits = (
+            c[0][key & 7] & c[1][key >> 3 & 7] & c[2][key >> 6 & 7]
+            & c[3][key >> 9 & 7] & c[4][key >> 12 & 7] & c[5][key >> 15 & 7]
+            & c[6][key >> 18 & 7]
+        )
+        rule_of, later = self.rule_of, self.later
+        out = []
+        while bits:
+            ri = rule_of[(bits & -bits).bit_length() - 1]
+            out.append(ri)
+            bits &= later[ri]
+        return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,6 +266,7 @@ class Grammar:
     name: str
     version: str
     rules: tuple[Rule, ...]
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -199,8 +283,12 @@ class Grammar:
 
     @property
     def fingerprint(self) -> str:
-        """Content hash of the canonical serialization."""
-        return canonical_hash(grammar_to_obj(self))
+        """Content hash of the canonical serialization, computed on first use."""
+        fp = self._fingerprint
+        if fp is None:
+            fp = canonical_hash(grammar_to_obj(self))
+            object.__setattr__(self, "_fingerprint", fp)
+        return fp
 
 
 def _entry_to_set(value: object, d: Direction, path: str, line: int | None) -> frozenset[Symbol]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import permutations, product
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridgram import constraint_matcher
 from gridgram.constraint_matcher import (
     AssignmentMismatchError,
     ConjunctiveContract,
@@ -34,8 +36,9 @@ from gridgram.constraint_matcher import (
     rule_to_contract_union,
     state_to_contract_union,
 )
-from gridgram.core import Direction, State, Symbol
-from gridgram.grammar import parse_grammar
+from gridgram.core import Direction, GridConfig, State, Symbol
+from gridgram.generator import POINT_STRATEGIES, RULE_STRATEGIES, Engine, GenerationConfig
+from gridgram.grammar import ContextPattern, MatchTable, parse_grammar
 from gridgram.rulesets import demo_uav_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,6 +71,31 @@ def state_with(**kw) -> State:
     for label, sym in kw.items():
         symbols[Direction.from_label(label)] = sym
     return State(tuple(symbols))
+
+
+def random_overlapping_grammar(rng: Random, rules: int) -> object:
+    """Rules of one to three patterns; later patterns widen or shift the first."""
+    labels = [s.label for s in Symbol if s is not Symbol.BOUNDARY]
+    dirs = ("front", "rear", "left", "right", "top", "bottom")
+    out = []
+    for i in range(rules):
+        first = {"ego": "Unoccupied"}
+        for d in dirs:
+            first[d] = rng.sample(labels + ["Boundary"], rng.randint(1, 3))
+        contexts = [first]
+        for _ in range(rng.randint(0, 2)):
+            c = {d: list(v) if isinstance(v, list) else v for d, v in first.items()}
+            for d in rng.sample(dirs, rng.randint(1, 3)):
+                c[d] = rng.choice(["*", rng.sample(labels, rng.randint(1, 4))])
+            contexts.append(c)
+        out.append(
+            {
+                "name": f"r{i}",
+                "contexts": contexts,
+                "produce": {"symbol": "Empty", "connect": "ego"},
+            }
+        )
+    return grammar_of(out)
 
 
 def naive_interval_total(grammar, assignment: DirectionAssignment) -> int:
@@ -468,6 +496,93 @@ class TestFusedBackend:
         )
         with pytest.raises(MatcherError):
             member_key(partial)
+
+
+class TestMatchTable:
+    """Both matchers derive through one table; the engine only looks it up."""
+
+    def test_table_agrees_with_rule_matches_on_random_grammars(self):
+        rng = Random(20261018)
+        multi = matched = 0
+        for _ in range(25):
+            g = random_overlapping_grammar(rng, rng.randint(1, 6))
+            multi += sum(len(r.omega) > 1 for r in g.rules)
+            table = MatchTable.from_grammar(g)
+            patterns = [p for r in g.rules for p in r.omega]
+            for _ in range(200):
+                # A context of some pattern, with one direction redrawn.
+                symbols = [rng.choice(sorted(ss)) for ss in rng.choice(patterns).sets]
+                symbols[rng.randrange(1, 7)] = rng.choice(FULL)
+                s = State(tuple(symbols))
+                want = tuple(ri for ri, r in enumerate(g.rules) if r.matches(s))
+                matched += bool(want)
+                assert table.rules_matching(s.key) == want
+        assert multi >= 25 and matched >= 1000
+
+    def test_engine_match_list_equals_rule_matches(self):
+        g = grammar_of(
+            [
+                {
+                    "name": "a",
+                    "contexts": [
+                        ctx(front="Connector"),
+                        ctx(front=["Connector", "Rotor"], top="Rotor"),
+                    ],
+                    "produce": {"symbol": "Rotor", "connect": "front"},
+                },
+                {
+                    "name": "b",
+                    "contexts": [
+                        ctx(top=["Connector", "Rotor"], bottom="Unoccupied"),
+                        ctx(left="Rotor", right="Rotor"),
+                        ctx(top="Rotor"),
+                    ],
+                    "produce": {"symbol": "Empty", "connect": "ego"},
+                },
+                {
+                    "name": "c",
+                    "contexts": [ctx(rear="Connector"), ctx(rear="Connector", front="Rotor")],
+                    "produce": {"symbol": "Connector", "connect": "rear"},
+                },
+            ]
+        )
+        engine = Engine(g, GridConfig(1))
+        for combo in product(REDUCED, repeat=7):
+            key = State(combo).key
+            want = [ri for ri, r in enumerate(g.rules) if r.matches(State.from_key(key))]
+            assert list(engine._match_list(key)) == want
+
+    def test_contract_backend_enumerates_no_context(self, demo, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a concrete context or an assignment was computed")
+
+        monkeypatch.setattr(ContextPattern, "context_keys", refuse)
+        monkeypatch.setattr(constraint_matcher, "optimal_assignment", refuse)
+        match = contract_match_fn(demo)
+        engine = Engine(demo, GridConfig(2), match_fn=match)
+        _, _, steps, outcome = engine.run(GenerationConfig(seed=3))
+        assert steps and outcome in ("complete", "stuck")
+        probe = state_with(front=Symbol.CONNECTOR)
+        assert [ri for ri in range(len(demo.rules)) if match(ri, probe.key)] == [
+            ri for ri, r in enumerate(demo.rules) if r.matches(probe)
+        ]
+
+    def test_engine_reads_the_table_through_a_wrapped_callable(self, demo):
+        match = contract_match_fn(demo)
+
+        @functools.wraps(match)
+        def traced(rule_index, key):
+            raise AssertionError("the engine called the predicate")
+
+        grid = GridConfig(2)
+        wrapped, direct = Engine(demo, grid, match_fn=traced), Engine(demo, grid)
+        for seed in (0, 1, 2):
+            for ps in POINT_STRATEGIES:
+                for rs in RULE_STRATEGIES:
+                    cfg = GenerationConfig(seed=seed, point_strategy=ps, rule_strategy=rs)
+                    a, b = wrapped.run(cfg), direct.run(cfg)
+                    assert a == b
+                    assert wrapped.design_text(*a[:2]) == direct.design_text(*b[:2])
 
 
 class TestOptimalAssignment:

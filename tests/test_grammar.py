@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -210,6 +211,36 @@ class TestRoundTripFuzz:
         again = parse_grammar(text)
         assert again == g
         assert serialize_grammar(again) == text
+
+
+class TestFingerprint:
+    def test_hashed_once_per_grammar_object(self, monkeypatch):
+        import gridgram.grammar as grammar_module
+
+        g = parse_grammar(demo_uav_text())
+        first = g.fingerprint
+        monkeypatch.setattr(grammar_module, "canonical_hash", None)
+        assert g.fingerprint == first
+        assert g == parse_grammar(demo_uav_text())
+
+    def test_a_replaced_grammar_hashes_its_own_content(self):
+        g = parse_grammar(demo_uav_text())
+        g.fingerprint
+        renamed = replace(g, name="other")
+        assert renamed.fingerprint != g.fingerprint
+        assert renamed.fingerprint == parse_grammar(serialize_grammar(renamed)).fingerprint
+
+
+class TestDisjointBoxes:
+    @settings(max_examples=60, deadline=None)
+    @given(grammars())
+    def test_boxes_tile_the_context_set(self, g):
+        for r in g.rules:
+            boxes = r.disjoint_boxes()
+            keys = [k for box in boxes for k in ContextPattern(box).context_keys()]
+            assert len(keys) == len(set(keys))
+            assert set(keys) == r.context_key_set()
+            assert r.context_count() == len(r.context_key_set())
 
 
 class TestExpand:
