@@ -16,6 +16,7 @@ from gridgram.constraint_matcher import (
     DirectionAssignment,
     constraint_count,
     contract_text,
+    interval_total,
     optimal_assignment,
     rule_to_contract_union,
 )
@@ -50,10 +51,7 @@ def main() -> None:
         print(f"  {name:9s} {assignment}  -> {constraint_count(ctx, assignment)} "
               f"interval(s) for this context")
 
-    total_identity = sum(
-        constraint_count(State.from_key(k), identity)
-        for r in grammar.rules for k in r.context_key_set()
-    )
+    total_identity = interval_total(grammar, identity)
     print(f"\nwhat the search minimizes is the grammar-wide total: "
           f"{total_identity} intervals\nunder identity, {total_best} under the "
           f"optimal bijection")

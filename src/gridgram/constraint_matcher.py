@@ -17,8 +17,9 @@ behind ``--matcher contract``, hands the engine the grammar's
 
 The slot assignment is a degree of freedom: interval shapes (and so the
 number of constraints) depend on which direction lands on which slot.
-``optimal_assignment`` scans all 5040 bijections for the one minimizing the
-total interval count across every concrete context of every rule.
+``interval_total`` gives the total interval count across every concrete
+context of every rule in closed form, and ``optimal_assignment`` scans all
+5040 bijections for the one minimizing it.
 """
 
 from __future__ import annotations
@@ -348,34 +349,52 @@ def contract_match_fn(grammar: Grammar, assignment: DirectionAssignment | None =
     return match
 
 
-def optimal_assignment(grammar: Grammar) -> tuple[DirectionAssignment, int]:
-    """Scan all 5040 bijections for the minimum total interval count.
+def _interval_table(grammar: Grammar) -> tuple[int, list[list[int]]]:
+    """The closed form behind every interval total.
 
-    The total is summed over every distinct concrete context of every rule.
-    Enumerating contexts explicitly is hopeless for wildcard-heavy rules, so
-    each rule's patterns are first decomposed into disjoint boxes (products
-    of per-direction symbol sets). Within one box, a context's interval
-    count is one plus the number of adjacent slot pairs holding different
-    symbols, which sums in closed form from pairwise set sizes. The scan
-    then costs six table lookups per bijection. Ties break toward the
-    lexicographically smallest slot tuple in direction order.
+    Returns the number of concrete contexts summed over rules, and
+    ``pair[d][e]``: how many of those contexts hold different symbols in
+    directions d and e. A context's interval count is one plus the number of
+    adjacent slot pairs holding different symbols, so a grammar-wide total
+    under any bijection is the context count plus six ``pair`` entries.
+    Enumerating contexts is hopeless for wildcard-heavy rules, so each
+    rule's patterns are first decomposed into disjoint boxes (products of
+    per-direction symbol sets), over which these counts sum from pairwise
+    set sizes.
     """
-    total_size = 0
+    contexts = 0
     pair = [[0] * 7 for _ in range(7)]
-    saw_context = False
     for rule in grammar.rules:
         for box in rule.disjoint_boxes():
-            saw_context = True
             sizes = [len(s) for s in box]
             size = prod(sizes)
-            total_size += size
+            contexts += size
             for d in range(7):
                 for e in range(d + 1, 7):
                     rest = size // (sizes[d] * sizes[e])
                     diff = rest * (sizes[d] * sizes[e] - len(box[d] & box[e]))
                     pair[d][e] += diff
                     pair[e][d] += diff
-    if not saw_context:
+    return contexts, pair
+
+
+def interval_total(grammar: Grammar, assignment: DirectionAssignment) -> int:
+    """Total interval count under ``assignment`` over every concrete context
+    of every rule: the sum of ``constraint_count``, without enumerating."""
+    contexts, pair = _interval_table(grammar)
+    inv = [assignment.direction_at(s) for s in range(7)]
+    return contexts + sum(pair[inv[s - 1]][inv[s]] for s in range(1, 7))
+
+
+def optimal_assignment(grammar: Grammar) -> tuple[DirectionAssignment, int]:
+    """Scan all 5040 bijections for the minimum ``interval_total``.
+
+    Each bijection costs six lookups in the table ``interval_total`` reads.
+    Ties break toward the lexicographically smallest slot tuple in direction
+    order.
+    """
+    total_size, pair = _interval_table(grammar)
+    if not total_size:
         raise EmptyGrammarError("grammar has no concrete contexts to encode")
 
     best_cost = None

@@ -8,12 +8,26 @@ matching rules, apply the production. It ends when every point is terminal
 
 Determinism contract: a derivation is a pure function of (grammar, grid
 config, generation config). The RNG is SplitMix64 seeded with the config
-seed; each step draws first the frontier index (uniform-random-frontier
-only), then the rule index (uniform-random and weighted only), with the
-frontier kept in lexicographic point order. Logs carry hashes of their own
-content and of the produced design. Verification re-runs the engine on the
-log's recorded configs and requires exactly the recorded steps, then checks
-the design, the outcome and both hashes.
+seed; each step draws first the point (uniform-random-frontier only), then
+the rule (uniform-random and weighted only).
+
+- uniform-random-frontier takes index ``below(len(frontier))`` of the
+  frontier in lexicographic point order;
+- scanline takes the lexicographically first frontier point;
+- nearest-to-origin takes the frontier point with the least
+  x*x + y*y + z*z, ties to the lexicographically first.
+
+Among the rules matching that point's state, in grammar order:
+
+- uniform-random takes index ``below(count)``;
+- weighted draws ``below(total weight)`` and takes the first rule whose
+  cumulative weight exceeds the draw;
+- first-match takes the first.
+
+Logs carry hashes of their own content and of the produced design.
+Verification re-runs the engine on the log's recorded configs and requires
+exactly the recorded steps, then checks the design, the outcome and both
+hashes.
 
 Designs and logs are written by the one encoder each in ``gridgram.canon``,
 fed from the engine's arrays (``Engine.design_text``, ``Engine.log_text``)
@@ -25,9 +39,10 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NoReturn
 
 from gridgram.canon import (
@@ -398,6 +413,8 @@ class Engine:
         # Packed state key -> ascending indices of the rules matching it.
         self._match_list = table.rules_matching
         self._weights = [r.weight for r in grammar.rules]
+        # Matching-rule tuple -> running sums of its rules' weights.
+        self._cum_weights: dict[tuple[int, ...], list[int]] = {}
         self._prod = [
             (r.production.symbol, r.production.direction) for r in grammar.rules
         ]
@@ -405,12 +422,11 @@ class Engine:
         self._state_text: dict[int, str] = {}  # pre-state JSON by key, filled by log_text
 
         # Per point: packed neighbor indices, -1 where out of grid; the
-        # initial all-Unoccupied key; squared distance to the origin.
+        # initial all-Unoccupied key.
         U = Symbol.UNOCCUPIED
         B = Symbol.BOUNDARY
         self._nbr = nbr = [[-1] * 7 for _ in range(count)]
         self._base_keys = base = [0] * count
-        self._dist2 = [x * x + y * y + z * z for (x, y, z) in self._points]
         for i, p in enumerate(self._points):
             key = int(U)
             for d in NEIGHBOR_DIRECTIONS:
@@ -432,11 +448,20 @@ class Engine:
             for i in range(count)
         ]
         self._memo: dict[int, tuple[int, ...]] = {}
+        # nearest-to-origin visits points by (x*x + y*y + z*z, index) (the
+        # sort is stable); rank inverts that order.
+        dist2 = [x * x + y * y + z * z for (x, y, z) in self._points]
+        self._near_order = sorted(range(count), key=dist2.__getitem__)
+        self._near_rank = [0] * count
+        for r, i in enumerate(self._near_order):
+            self._near_rank[i] = r
 
     def run(self, gen_config: GenerationConfig):
         """One derivation; returns (cells, edges, raw steps, outcome).
 
-        Raw steps are (point index, rule index, packed pre-state key).
+        Raw steps are (point index, rule index, packed pre-state key). The
+        frontier is kept as a sorted list of ranks in the point strategy's
+        order, so every strategy takes its point by position.
         """
         memo = self._memo
         keys = list(self._base_keys)
@@ -447,36 +472,43 @@ class Engine:
         point_strategy = gen_config.point_strategy
         rule_strategy = gen_config.rule_strategy
         max_steps = gen_config.max_steps
-        dist2 = self._dist2
+        weights, cum_weights = self._weights, self._cum_weights
         nonterminals = len(keys)
+        if point_strategy == "nearest-to-origin":
+            order, rank = self._near_order, self._near_rank
+        else:
+            order = rank = range(len(keys))
 
         flist: list[int] = []
         fflag = bytearray(len(keys))
-        for i, key in enumerate(keys):
+        for r, i in enumerate(order):
+            key = keys[i]
             lst = memo.get(key)
             if lst is None:
                 lst = self._match_list(key)
                 memo[key] = lst
             if lst:
-                flist.append(i)
+                flist.append(r)
                 fflag[i] = 1
 
         steps: list[tuple[int, int, int]] = []
         while flist and (max_steps is None or len(steps) < max_steps):
             if point_strategy == "uniform-random-frontier":
-                pi = flist[rng.below(len(flist))]
-            elif point_strategy == "scanline":
-                pi = flist[0]
+                pi = order[flist[rng.below(len(flist))]]
             else:
-                pi = min(flist, key=lambda i: (dist2[i], i))
+                pi = order[flist[0]]
 
             key = keys[pi]
             applicable = memo[key]
             if rule_strategy == "uniform-random":
                 ri = applicable[rng.below(len(applicable))]
             elif rule_strategy == "weighted":
-                weights = self._weights
-                ri = applicable[rng.choice_index([weights[r] for r in applicable])]
+                cum = cum_weights.get(applicable)
+                if cum is None:
+                    cum = cum_weights[applicable] = list(
+                        accumulate(weights[r] for r in applicable)
+                    )
+                ri = applicable[bisect_right(cum, rng.below(cum[-1]))]
             else:
                 ri = applicable[0]
             steps.append((pi, ri, key))
@@ -486,7 +518,7 @@ class Engine:
             cells[pi] = s_code
             keys[pi] = (key & ~7) | s_code
             nonterminals -= 1
-            del flist[bisect_left(flist, pi)]
+            del flist[bisect_left(flist, rank[pi])]
             fflag[pi] = 0
 
             if pdir is not Direction.EGO:
@@ -503,10 +535,10 @@ class Engine:
                         memo[kq] = lst
                     if lst:
                         if not fflag[qi]:
-                            insort(flist, qi)
+                            insort(flist, rank[qi])
                             fflag[qi] = 1
                     elif fflag[qi]:
-                        del flist[bisect_left(flist, qi)]
+                        del flist[bisect_left(flist, rank[qi])]
                         fflag[qi] = 0
 
         if nonterminals == 0:
@@ -744,16 +776,20 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
                 "no-isolated", not isolated, f"{len(isolated)} isolated component point(s)"
             )
         )
-    count_bounds = profile.get("counts") or {}
+    count_bounds = profile.get("counts", {})
     if not isinstance(count_bounds, dict):
-        raise ProfileFormatError("counts must be an object")
+        raise ProfileFormatError(f"counts must be an object, got {count_bounds!r}")
     for label, bounds in count_bounds.items():
         try:
             sym = Symbol.from_label(label)
             lo, hi = (None if b is None else _int(b) for b in bounds)
         except (KeyError, TypeError, ValueError) as e:
             raise ProfileFormatError(f"bad counts entry {label!r}: {e}") from None
-        have = counts.get(sym, 0)
+        if sym not in STORABLE:
+            raise ProfileFormatError(
+                f"bad counts entry {label!r}: never stored at a grid point"
+            )
+        have = counts[sym]
         ok = (lo is None or have >= lo) and (hi is None or have <= hi)
         checks.append(
             CheckResult(

@@ -297,6 +297,18 @@ class TestValidate:
         assert rc == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "counts", ["[]", "0", "false", '""', "null", '{"Boundary": [0, null]}']
+    )
+    def test_bad_counts_are_parse_errors(self, run42, tmp_path, capsys, counts):
+        profile = tmp_path / "counts.json"
+        profile.write_text(f'{{"counts": {counts}}}')
+        rc = main([
+            "validate", str(run42 / "design_42.json"), "--profile", str(profile),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().out == ""
+
     def test_profile_must_be_an_object(self, run42, tmp_path):
         profile = tmp_path / "list.json"
         profile.write_text("[1, 2]")

@@ -31,6 +31,7 @@ from gridgram.constraint_matcher import (
     decode_context,
     encode_context,
     encode_state_key,
+    interval_total,
     member_key,
     optimal_assignment,
     rule_to_contract_union,
@@ -38,7 +39,14 @@ from gridgram.constraint_matcher import (
 )
 from gridgram.core import Direction, GridConfig, State, Symbol
 from gridgram.generator import POINT_STRATEGIES, RULE_STRATEGIES, Engine, GenerationConfig
-from gridgram.grammar import ContextPattern, MatchTable, parse_grammar
+from gridgram.grammar import (
+    ContextPattern,
+    Grammar,
+    MatchTable,
+    Production,
+    Rule,
+    parse_grammar,
+)
 from gridgram.rulesets import demo_uav_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,6 +61,26 @@ states_st = st.tuples(
     st.sampled_from(sorted(set(FULL) - {Symbol.BOUNDARY})),
     *[st.sampled_from(FULL) for _ in range(6)],
 ).map(State)
+
+
+_small_sets = st.sets(st.sampled_from(FULL), min_size=1, max_size=3).map(frozenset)
+_small_patterns = st.tuples(
+    st.just(frozenset({Symbol.UNOCCUPIED})), *[_small_sets for _ in range(6)]
+).map(ContextPattern)
+
+
+@st.composite
+def small_grammars(draw):
+    """Up to three rules of one or two (possibly overlapping) small patterns."""
+    rules = tuple(
+        Rule(
+            f"r{i}",
+            tuple(draw(st.lists(_small_patterns, min_size=1, max_size=2))),
+            Production(Symbol.EMPTY, Direction.EGO),
+        )
+        for i in range(draw(st.integers(0, 3)))
+    )
+    return Grammar("t", "1", rules)
 
 
 def grammar_of(rules: list[dict]) -> object:
@@ -583,6 +611,29 @@ class TestMatchTable:
                     a, b = wrapped.run(cfg), direct.run(cfg)
                     assert a == b
                     assert wrapped.design_text(*a[:2]) == direct.design_text(*b[:2])
+
+
+class TestIntervalTotal:
+    @settings(max_examples=40, deadline=None)
+    @given(small_grammars(), assignments_st)
+    def test_equals_the_brute_force_sum(self, g, a):
+        brute = sum(
+            constraint_count(State.from_key(k), a)
+            for r in g.rules for k in r.context_key_set()
+        )
+        assert interval_total(g, a) == brute
+        assert interval_total(g, a) == naive_interval_total(g, a)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_grammars().filter(lambda g: g.rules))
+    def test_optimal_total_is_the_total_of_the_best(self, g):
+        best, total = optimal_assignment(g)
+        assert interval_total(g, best) == total
+
+    def test_demo_totals(self, demo):
+        best, total = optimal_assignment(demo)
+        assert interval_total(demo, best) == total
+        assert interval_total(demo, DirectionAssignment.identity()) == 2374810
 
 
 class TestOptimalAssignment:

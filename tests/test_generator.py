@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgram.canon import canonical_hash
+from gridgram.canon import canonical_hash, sha256_hex
 from gridgram.core import Direction, Grid, GridConfig, State, Symbol
 from gridgram.generator import (
     MAX_WORKERS,
@@ -99,6 +99,15 @@ CORNER_ONLY_GRAMMAR = json.dumps(
 @pytest.fixture(scope="module")
 def demo():
     return parse_grammar(demo_uav_text())
+
+
+@pytest.fixture(scope="module")
+def weighted_demo(demo):
+    """The demo rules with unequal weights, so ``weighted`` draws are not uniform."""
+    return replace(
+        demo,
+        rules=tuple(replace(r, weight=1 + (7 * i) % 5) for i, r in enumerate(demo.rules)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +259,15 @@ class TestStep:
 
 
 class TestGenerate:
+    def test_nearest_to_origin_orders_by_distance_then_point(self, fill):
+        cfg = GridConfig(2)
+        engine = Engine(fill, cfg)
+        gcfg = GenerationConfig(seed=0, point_strategy="nearest-to-origin")
+        _, _, raw_steps, _ = engine.run(gcfg)
+        pts = list(cfg.points())
+        visited = [pts[pi] for pi, _, _ in raw_steps]
+        assert visited == sorted(pts, key=lambda p: (sum(c * c for c in p), p))
+
     def test_empty_grammar_sticks_immediately(self):
         g = parse_grammar(EMPTY_GRAMMAR)
         design, log = generate(g, GridConfig(1), GenerationConfig(seed=0))
@@ -369,6 +387,28 @@ class TestEngineMatchesStepLoop:
         gcfg = GenerationConfig(seed=9, rule_strategy=rule_strategy, max_steps=40)
         design, log = generate(demo, GridConfig(2), gcfg)
         grid, steps = self._run_with_step(demo, GridConfig(2), gcfg)
+        assert Design(grid) == design
+        assert [s.to_obj() for s in steps] == [s.to_obj() for s in log.steps]
+
+    # Rule weights are read only by the weighted strategy, so the weighted
+    # copy of the demo grammar is run with that strategy alone.
+    @pytest.mark.parametrize("max_steps", [None, 40])
+    @pytest.mark.parametrize("n_half", [2, 3])
+    @pytest.mark.parametrize(
+        "grammar_name, point_strategy, rule_strategy",
+        [("demo", p, r) for p in POINT_STRATEGIES for r in RULE_STRATEGIES]
+        + [("weighted_demo", p, "weighted") for p in POINT_STRATEGIES],
+    )
+    def test_every_strategy_pair_agrees(
+        self, request, grammar_name, point_strategy, rule_strategy, n_half, max_steps
+    ):
+        grammar = request.getfixturevalue(grammar_name)
+        gcfg = GenerationConfig(
+            seed=11, point_strategy=point_strategy, rule_strategy=rule_strategy,
+            max_steps=max_steps,
+        )
+        design, log = generate(grammar, GridConfig(n_half), gcfg)
+        grid, steps = self._run_with_step(grammar, GridConfig(n_half), gcfg)
         assert Design(grid) == design
         assert [s.to_obj() for s in steps] == [s.to_obj() for s in log.steps]
 
@@ -709,8 +749,11 @@ class TestValidateDesign:
             validate_design(self._design(), {"counts": {"Rotor": ["1", 2]}})
         with pytest.raises(ProfileFormatError):
             validate_design(self._design(), {"counts": {"Rotor": [1.5, None]}})
-        with pytest.raises(ProfileFormatError):
-            validate_design(self._design(), {"counts": [["Rotor", 1, 2]]})
+        for counts in ([["Rotor", 1, 2]], [], 0, False, "", None, {"Rotor": None}):
+            with pytest.raises(ProfileFormatError):
+                validate_design(self._design(), {"counts": counts})
+        with pytest.raises(ProfileFormatError, match="never stored"):
+            validate_design(self._design(), {"counts": {"Boundary": [0, None]}})
 
     @pytest.mark.parametrize(
         "profile",
@@ -838,3 +881,29 @@ class TestGoldens:
         log = parse_log((GOLDEN / "demo_seed42_log.json").read_text())
         design = Design.parse((GOLDEN / "demo_seed42_design.json").read_text())
         assert verify_log(log, demo) == design
+
+    @pytest.mark.parametrize("n_half", [3, 5])
+    @pytest.mark.parametrize("grammar_name", ["demo", "weighted_demo"])
+    def test_strategy_pair_hashes_are_stable(self, request, grammar_name, n_half):
+        """Design and log hashes of every strategy pair, frozen for 3 seeds."""
+        frozen = json.loads((GOLDEN / "strategy_pairs.json").read_text())
+        grammar = request.getfixturevalue(grammar_name)
+        if grammar_name == "weighted_demo":
+            assert [r.weight for r in grammar.rules] == frozen["weighted_demo rule weights"]
+        configs = [
+            GenerationConfig(seed=seed, point_strategy=p, rule_strategy=r)
+            for p in POINT_STRATEGIES for r in RULE_STRATEGIES for seed in frozen["seeds"]
+        ]
+        items = run_batch(grammar, GridConfig(n_half), configs, workers=1)
+        got = {
+            f"{n_half}/{c.point_strategy}/{c.rule_strategy}/{c.seed}": {
+                "design": item.design_hash, "log": sha256_hex(item.log_text),
+            }
+            for c, item in zip(configs, items)
+        }
+        want = {
+            k: v for k, v in frozen["grammars"][grammar_name].items()
+            if k.startswith(f"{n_half}/")
+        }
+        assert len(want) == 27
+        assert got == want
