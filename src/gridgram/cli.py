@@ -2,8 +2,7 @@
 
 Exit codes: 0 success; 1 a requested check said no (lint errors, failed
 validation, failed replay, no assignment to compute); 2 usage or file-access
-problems; 3 unparseable input content; 4 an internal invariant broke or a
-batch worker process died.
+problems; 3 unparseable input content; 4 a batch worker process died.
 
 Machine-readable results go to standard output (JSON, one object per line
 where a command reports per-item results); progress and error text goes to
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from gridgram.canon import canonical_json
 from gridgram.constraint_matcher import EmptyGrammarError, optimal_assignment
-from gridgram.core import MAX_N_HALF, GridConfig, InternalInvariantError
+from gridgram.core import MAX_N_HALF, GridConfig
 from gridgram.generator import (
     Design,
     DesignFormatError,
@@ -365,9 +364,6 @@ def main(argv: list[str] | None = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except InternalInvariantError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
     except BrokenExecutor as e:
         print(f"internal error: a worker process died: {e}", file=sys.stderr)
         return EXIT_INTERNAL

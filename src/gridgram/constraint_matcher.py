@@ -259,16 +259,6 @@ def rule_to_contract_union(
     return ContractUnion(assignment, members)
 
 
-def abstract_contract(
-    member: ConjunctiveContract, present_symbols: set[Symbol] | frozenset[Symbol]
-) -> ConjunctiveContract:
-    """Drop assumptions about symbols the other side does not mention at all."""
-    kept = tuple(c for c in member.assumptions if c.symbol in present_symbols)
-    return ConjunctiveContract(
-        assumptions=kept, guarantees=member.guarantees, production=member.production
-    )
-
-
 def compose_matches(state_u: ContractUnion, rule_u: ContractUnion) -> bool:
     """True when every state member composes with some rule member.
 
@@ -289,8 +279,8 @@ def compose_matches(state_u: ContractUnion, rule_u: ContractUnion) -> bool:
         held = {c.symbol: c.dirs.ints for c in s_member.guarantees}
         composes = False
         for r_member in rule_u.members:
-            # Inline abstraction: constraints on absent symbols drop out of
-            # both the containment and the coverage side.
+            # Abstraction: constraints on symbols the state never holds
+            # drop out of both the containment and the coverage side.
             covered = 0
             ok = True
             for c in r_member.assumptions:
@@ -308,27 +298,6 @@ def compose_matches(state_u: ContractUnion, rule_u: ContractUnion) -> bool:
         if not composes:
             return False
     return True
-
-
-def member_key(member: ConjunctiveContract) -> int:
-    """Pack a full-context member's assumption slots into a 21-bit code."""
-    code = 0
-    covered = 0
-    for c in member.assumptions:
-        for slot in c.dirs.to_ints():
-            code |= c.symbol << (3 * slot)
-            covered += 1
-    if covered != 7:
-        raise MatcherError("member does not constrain every slot")
-    return code
-
-
-def encode_state_key(key: int, assignment: DirectionAssignment) -> int:
-    """Reorder a packed direction-order state key into slot order."""
-    code = 0
-    for d in _DIRECTIONS:
-        code |= ((key >> (3 * d)) & 7) << (3 * assignment.slot_of[d])
-    return code
 
 
 def contract_match_fn(grammar: Grammar, assignment: DirectionAssignment | None = None):

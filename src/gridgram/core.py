@@ -1,4 +1,4 @@
-"""Bounded 3D symbol grid: directions, symbols, point states, and grid mutations.
+"""Bounded 3D symbol grid: directions, symbols, point states, and a read-only grid view.
 
 The grid is a cube of side ``2 * n_half + 1`` centered on the origin. Every
 in-grid point holds exactly one symbol; points outside the cube are reported
@@ -19,36 +19,8 @@ Point = tuple[int, int, int]
 MAX_N_HALF = 16
 
 
-class GridError(Exception):
-    """Base class for grid-level failures (caller bugs, not data states)."""
-
-
-class InternalInvariantError(Exception):
-    """An invariant the engine itself guarantees was found broken (a bug)."""
-
-
-class OutOfGridError(GridError):
+class OutOfGridError(Exception):
     """A point outside the configured cube was used where in-grid is required."""
-
-
-class BoundaryWriteError(GridError):
-    """Attempt to store the Boundary sentinel at a grid point."""
-
-
-class EdgeDirectionError(GridError):
-    """add_edge called with the ego direction."""
-
-
-class EdgeEndpointError(GridError):
-    """add_edge would reach outside the grid."""
-
-
-class EdgeSymbolError(GridError):
-    """An edge endpoint does not hold a component symbol."""
-
-
-class EdgeConsistencyError(GridError):
-    """A symbol write would orphan existing edges at that point."""
 
 
 class Direction(IntEnum):
@@ -140,10 +112,6 @@ class Symbol(IntEnum):
     @property
     def is_terminal(self) -> bool:
         return self in TERMINALS
-
-    @property
-    def is_nonterminal(self) -> bool:
-        return self in NONTERMINALS
 
     @property
     def is_component(self) -> bool:
@@ -263,15 +231,12 @@ def _index_of(config: GridConfig, p: Point) -> int:
     return ((p[0] + n) * side + (p[1] + n)) * side + (p[2] + n)
 
 
-def _normalize_edge(p: Point, q: Point) -> tuple[Point, Point]:
-    return (p, q) if p <= q else (q, p)
-
-
 class Grid:
-    """Mutable bounded symbol grid plus an undirected physical edge set.
+    """Read-only view of a bounded symbol grid plus an undirected edge set.
 
-    Cells are stored in a flat bytearray; edges as normalized point pairs.
-    Plain value semantics: copy() gives an independent grid.
+    Cells are a flat bytearray of symbol codes in lexicographic point order;
+    edges are lexicographically normalized point pairs. The view holds the
+    cells and edges it is given and never writes to them.
     """
 
     __slots__ = ("config", "_cells", "_edges")
@@ -286,9 +251,6 @@ class Grid:
         """A fresh grid: every point Unoccupied, no edges."""
         return cls(config, bytearray([Symbol.UNOCCUPIED]) * config.point_count, set())
 
-    def copy(self) -> Grid:
-        return Grid(self.config, bytearray(self._cells), set(self._edges))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
@@ -298,30 +260,10 @@ class Grid:
             and self._edges == other._edges
         )
 
-    def __hash__(self):  # mutable container
-        raise TypeError("Grid is not hashable")
-
     def symbol_at(self, p: Point) -> Symbol:
         if not self.config.contains(p):
             raise OutOfGridError(f"point {p} is outside the grid")
         return Symbol(self._cells[_index_of(self.config, p)])
-
-    def set_symbol(self, p: Point, s: Symbol) -> None:
-        """Store ``s`` at ``p``. Last write wins.
-
-        Rewriting an edge endpoint to a non-component symbol is rejected: it
-        would break the edge invariant without touching the edge set.
-        """
-        if s is Symbol.BOUNDARY:
-            raise BoundaryWriteError(f"cannot store Boundary at {p}")
-        if not self.config.contains(p):
-            raise OutOfGridError(f"point {p} is outside the grid")
-        if s not in COMPONENTS and self._touches_edge(p):
-            raise EdgeConsistencyError(f"point {p} has edges; only component symbols allowed")
-        self._cells[_index_of(self.config, p)] = s
-
-    def _touches_edge(self, p: Point) -> bool:
-        return any(p in e for e in self._edges)
 
     def state_of(self, p: Point) -> State:
         """The state at ``p``: Boundary fills directions that leave the grid."""
@@ -333,28 +275,6 @@ class Grid:
             syms.append(self.symbol_at(q) if self.config.contains(q) else Symbol.BOUNDARY)
         return State(tuple(syms))
 
-    def add_edge(self, p: Point, d: Direction) -> None:
-        """Create the undirected edge between ``p`` and its ``d`` neighbor.
-
-        Both endpoints must be in-grid component symbols. Idempotent.
-        """
-        if d is Direction.EGO:
-            raise EdgeDirectionError("an edge needs a non-ego direction")
-        if not self.config.contains(p):
-            raise OutOfGridError(f"point {p} is outside the grid")
-        q = neighbor(p, d)
-        if not self.config.contains(q):
-            raise EdgeEndpointError(f"edge target {q} is outside the grid")
-        for end in (p, q):
-            if not self.symbol_at(end).is_component:
-                raise EdgeSymbolError(
-                    f"edge endpoint {end} holds {self.symbol_at(end).label}, not a component"
-                )
-        self._edges.add(_normalize_edge(p, q))
-
-    def has_edge(self, p: Point, q: Point) -> bool:
-        return _normalize_edge(p, q) in self._edges
-
     def cell_codes(self) -> bytes:
         """Every point's symbol code, lexicographic point order."""
         return bytes(self._cells)
@@ -362,9 +282,6 @@ class Grid:
     def edges(self) -> list[tuple[Point, Point]]:
         """All edges, sorted, each as a lexicographically normalized pair."""
         return sorted(self._edges)
-
-    def edge_count(self) -> int:
-        return len(self._edges)
 
     def points(self) -> Iterator[Point]:
         return self.config.points()
@@ -375,9 +292,6 @@ class Grid:
         for c in self._cells:
             out[Symbol(c)] += 1
         return out
-
-    def nonterminal_count(self) -> int:
-        return sum(1 for c in self._cells if Symbol(c) in NONTERMINALS)
 
     def component_points(self) -> list[tuple[Point, Symbol]]:
         """Points holding component symbols, lexicographic order."""

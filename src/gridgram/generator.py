@@ -838,12 +838,12 @@ class BatchItem:
     """One derivation of a batch, encoded where it ran.
 
     ``design_text`` and ``log_text`` are the canonical file contents without
-    the trailing newline; ``log_text`` is None when logs were not asked for.
+    the trailing newline (``Design.parse(design_text)`` rebuilds the design);
+    ``log_text`` is None when logs were not asked for.
     ``counts`` maps each storable symbol's label to its count.
     """
 
     seed: int
-    design: Design
     design_text: str
     design_hash: str
     log_text: str | None
@@ -859,7 +859,6 @@ def _batch_item(engine: Engine, cfg: GenerationConfig, want_logs: bool) -> Batch
     log_text = engine.log_text(cfg, raw_steps, outcome, design_hash)[0] if want_logs else None
     return BatchItem(
         seed=cfg.seed,
-        design=engine.to_design(cells, edges),
         design_text=design_text,
         design_hash=design_hash,
         log_text=log_text,

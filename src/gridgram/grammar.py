@@ -1,4 +1,4 @@
-"""Rules, rule files, wildcard patterns, direct matching, and production application.
+"""Rules, rule files, wildcard patterns, direct matching, and lint.
 
 A rule file is JSON: ``{"name": ..., "version": ..., "rules": [...]}``. Each
 rule gives a list of context patterns (one entry per direction: a symbol
@@ -20,18 +20,7 @@ from math import prod
 from typing import Iterator
 
 from gridgram.canon import canonical_hash, canonical_json
-from gridgram.core import (
-    COMPONENTS,
-    Direction,
-    Grid,
-    InternalInvariantError,
-    NONTERMINALS,
-    Point,
-    State,
-    Symbol,
-    TERMINALS,
-    neighbor,
-)
+from gridgram.core import COMPONENTS, NONTERMINALS, TERMINALS, Direction, State, Symbol
 
 #: What "*" means per direction: ego never admits Boundary.
 WILDCARD_EGO = frozenset(s for s in Symbol if s is not Symbol.BOUNDARY)
@@ -72,10 +61,6 @@ class GrammarParseError(GrammarError):
         if line is not None:
             where += f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
         super().__init__(f"{kind} at {where}: {message}")
-
-
-class RuleApplicationError(GrammarError):
-    """apply_production called at a point whose state the rule does not match."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,11 +109,6 @@ class ContextPattern:
             yield k
 
 
-def expand(pattern: ContextPattern) -> frozenset[State]:
-    """All concrete contexts a pattern stands for."""
-    return frozenset(State.from_key(k) for k in pattern.context_keys())
-
-
 @dataclass(frozen=True, slots=True)
 class Production:
     """What a matched rule writes: a terminal at ego, plus an edge when
@@ -163,7 +143,9 @@ class Rule:
             if not pat.sets[Direction.EGO] <= NONTERMINALS:
                 bad = sorted(s.label for s in pat.sets[Direction.EGO] - NONTERMINALS)
                 raise ValueError(f"rule {self.name}: ego admits non-nonterminal {bad}")
-        if self.weight < 1 or isinstance(self.weight, bool):
+        if type(self.weight) is not int:
+            raise TypeError(f"rule {self.name}: weight must be an integer, got {self.weight!r}")
+        if self.weight < 1:
             raise ValueError(f"rule {self.name}: weight must be a positive integer")
 
     def matches(self, state: State) -> bool:
@@ -493,40 +475,6 @@ def grammar_to_obj(grammar: Grammar) -> dict:
 def serialize_grammar(grammar: Grammar) -> str:
     """Canonical rule-file text; parse_grammar(serialize_grammar(g)) == g."""
     return canonical_json(grammar_to_obj(grammar))
-
-
-def applicable_rules(grammar: Grammar, grid: Grid, p: Point) -> list[Rule]:
-    """Rules matching the state at p, in grammar order."""
-    state = grid.state_of(p)
-    return [r for r in grammar.rules if r.matches(state)]
-
-
-def apply_production(grid: Grid, p: Point, rule: Rule) -> Grid:
-    """Rewrite p per the rule's production; mutates and returns ``grid``.
-
-    The rule must match the current state at p (checked; the grid is left
-    untouched on failure). For linted grammars the edge precondition cannot
-    fail; if it does anyway, that is an engine bug surfaced as
-    InternalInvariantError before any mutation.
-    """
-    state = grid.state_of(p)
-    if not rule.matches(state):
-        raise RuleApplicationError(f"rule {rule.name} does not match state at {p}")
-    prod = rule.production
-    if prod.direction is not Direction.EGO:
-        q = neighbor(p, prod.direction)
-        if not grid.config.contains(q):
-            raise InternalInvariantError(
-                f"rule {rule.name}: edge target {q} is outside the grid"
-            )
-        if not grid.symbol_at(q).is_component:
-            raise InternalInvariantError(
-                f"rule {rule.name}: edge target {q} holds {grid.symbol_at(q).label}"
-            )
-    grid.set_symbol(p, prod.symbol)
-    if prod.direction is not Direction.EGO:
-        grid.add_edge(p, prod.direction)
-    return grid
 
 
 @dataclass(frozen=True, slots=True)

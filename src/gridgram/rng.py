@@ -43,19 +43,3 @@ class SplitMix64:
             v = self.next_u64()
             if v < limit:
                 return v % n
-
-    def choice_index(self, weights: list[int]) -> int:
-        """Index into ``weights`` with probability proportional to each weight.
-
-        Weights are positive integers so the draw stays exact.
-        """
-        total = sum(weights)
-        if total <= 0 or any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive integers")
-        v = self.below(total)
-        acc = 0
-        for i, w in enumerate(weights):
-            acc += w
-            if v < acc:
-                return i
-        raise AssertionError("unreachable: weight accumulation fell through")

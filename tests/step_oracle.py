@@ -1,25 +1,102 @@
-"""Reference derivation step: the rewrite semantics written plainly over core.Grid.
+"""Reference derivation step: the rewrite semantics written plainly.
 
 Tests fold ``step`` and check that ``Engine.run`` derives exactly the same
-steps and grid. It rescans the whole grid every step, so it stays out of the
-package.
+steps and grid. The oracle keeps its own cells and edge set in a ``Canvas``
+and reads states through a ``core.Grid`` view of them. It rescans the whole
+grid every step and selects rules with ``Rule.matches``, never the
+engine's ``MatchTable``, so it stays out of the package. ``Canvas`` also
+builds the grids of read-side tests.
 """
 
 from __future__ import annotations
 
-from gridgram.core import Grid, NONTERMINALS, Point
+from gridgram.core import NONTERMINALS, Direction, Grid, GridConfig, Point, State, Symbol, neighbor
 from gridgram.generator import DerivationStep, GenerationConfig
-from gridgram.grammar import Grammar, Rule, applicable_rules, apply_production
+from gridgram.grammar import Grammar, Rule
 from gridgram.rng import SplitMix64
+
+
+class Canvas:
+    """Cells and an edge set owned by the caller, and the Grid view of them.
+
+    Starts Unoccupied except for ``symbols``; ``edges`` are point pairs in
+    either order. Only ``rewrite`` changes it afterwards.
+    """
+
+    def __init__(
+        self,
+        config: GridConfig,
+        symbols: dict[Point, Symbol] | None = None,
+        edges: tuple[tuple[Point, Point], ...] = (),
+    ):
+        self._index = {p: i for i, p in enumerate(config.points())}
+        self.cells = bytearray([Symbol.UNOCCUPIED]) * config.point_count
+        for p, s in (symbols or {}).items():
+            self.cells[self._index[p]] = s
+        self.edges = {(p, q) if p <= q else (q, p) for p, q in edges}
+        self.grid = Grid(config, self.cells, self.edges)
+
+    def rewrite(self, p: Point, rule: Rule) -> None:
+        """Write ``rule``'s production at ``p``, checking its preconditions first.
+
+        The rule must match the state at ``p``, and an edge target must lie
+        inside the grid and hold a component; the canvas is untouched when a
+        check fails. The ego side needs no check: ``p`` holds a nonterminal,
+        so no edge touches it, and a production with an edge writes a
+        component (``Production`` refuses Empty with a connection).
+        """
+        grid = self.grid
+        assert rule.matches(grid.state_of(p)), f"rule {rule.name} does not match at {p}"
+        prod = rule.production
+        if prod.direction is not Direction.EGO:
+            q = neighbor(p, prod.direction)
+            assert grid.config.contains(q), f"rule {rule.name}: edge target {q} is outside"
+            target = grid.symbol_at(q)
+            assert target.is_component, f"rule {rule.name}: edge target {q} holds {target.label}"
+            self.edges.add((p, q) if p <= q else (q, p))
+        self.cells[self._index[p]] = prod.symbol
+
+
+# id(grammar) -> (grammar, {state: matching rules}); the grammar is kept so
+# its id cannot be reused while the entry lives.
+_MATCHING: dict[int, tuple[Grammar, dict[State, list[Rule]]]] = {}
+
+
+def matching_rules(grammar: Grammar, state: State) -> list[Rule]:
+    """Rules matching ``state``, in grammar order, memoized per grammar and state."""
+    entry = _MATCHING.get(id(grammar))
+    if entry is None:
+        entry = _MATCHING[id(grammar)] = (grammar, {})
+    memo = entry[1]
+    rules = memo.get(state)
+    if rules is None:
+        rules = memo[state] = [r for r in grammar.rules if r.matches(state)]
+    return rules
 
 
 def frontier(grammar: Grammar, grid: Grid) -> list[Point]:
     """Rewritable points with at least one matching rule, lexicographic order."""
-    out = []
-    for p in grid.points():
-        if grid.symbol_at(p) in NONTERMINALS and applicable_rules(grammar, grid, p):
-            out.append(p)
-    return out
+    return [
+        p for p in grid.points()
+        if grid.symbol_at(p) in NONTERMINALS and matching_rules(grammar, grid.state_of(p))
+    ]
+
+
+def choice_index(rng: SplitMix64, weights: list[int]) -> int:
+    """Index into ``weights`` with probability proportional to each weight.
+
+    Weights are positive integers so the draw stays exact.
+    """
+    total = sum(weights)
+    if total <= 0 or any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive integers")
+    v = rng.below(total)
+    acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if v < acc:
+            return i
+    raise AssertionError("unreachable: weight accumulation fell through")
 
 
 def _choose_point(points: list[Point], strategy: str, rng: SplitMix64) -> Point:
@@ -34,28 +111,27 @@ def _choose_rule(rules: list[Rule], strategy: str, rng: SplitMix64) -> Rule:
     if strategy == "uniform-random":
         return rules[rng.below(len(rules))]
     if strategy == "weighted":
-        return rules[rng.choice_index([r.weight for r in rules])]
+        return rules[choice_index(rng, [r.weight for r in rules])]
     return rules[0]
 
 
 def step(
     grammar: Grammar,
-    grid: Grid,
+    canvas: Canvas,
     gen_config: GenerationConfig,
     rng: SplitMix64,
     index: int = 0,
 ) -> DerivationStep | None:
-    """One derivation step, mutating ``grid``; None when the frontier is empty.
+    """One derivation step, rewriting ``canvas``; None when the frontier is empty.
 
     generate() is exactly a loop over this selection semantics (the batch
     engine is an optimized equivalent; tests hold them to the same outputs).
     """
-    points = frontier(grammar, grid)
+    points = frontier(grammar, canvas.grid)
     if not points:
         return None
     p = _choose_point(points, gen_config.point_strategy, rng)
-    pre = grid.state_of(p)
-    rules = [r for r in grammar.rules if r.matches(pre)]
-    rule = _choose_rule(rules, gen_config.rule_strategy, rng)
-    apply_production(grid, p, rule)
+    pre = canvas.grid.state_of(p)
+    rule = _choose_rule(matching_rules(grammar, pre), gen_config.rule_strategy, rng)
+    canvas.rewrite(p, rule)
     return DerivationStep(index=index, point=p, rule_name=rule.name, pre_state=pre)

@@ -29,6 +29,7 @@ from gridgram.constraint_matcher import (
 )
 from gridgram.core import Direction, Grid, GridConfig, State, Symbol
 from gridgram.generator import (
+    Design,
     GenerationConfig,
     LogFormatError,
     ReplayError,
@@ -125,6 +126,12 @@ def bench_run(demo):
 
 
 @pytest.fixture(scope="module")
+def bench_designs(bench_run):
+    """The designs of ``bench_run``, parsed back from their canonical text."""
+    return [Design.parse(item.design_text) for item in bench_run[0]]
+
+
+@pytest.fixture(scope="module")
 def replay_runs(demo):
     """100 randomly seeded demo derivations at n_half=2, logs kept."""
     rnd = random.Random(20260815)
@@ -168,7 +175,7 @@ EQUIV_RULES = (
 EQUIV_GRAMMAR = Grammar("equiv10", "1", EQUIV_RULES)
 
 
-def test_criterion_1_throughput(bench_run, demo_path, capsys):
+def test_criterion_1_throughput(bench_run, bench_designs, demo_path, capsys):
     items, batch_s = bench_run
     started = time.perf_counter()
     rc = cli_main(["bench", demo_path, "--n-half", "3", "--count", "1000",
@@ -179,8 +186,8 @@ def test_criterion_1_throughput(bench_run, demo_path, capsys):
     profile = demo_profile_obj()
     valid = sum(
         1
-        for item in items
-        if item.outcome == "complete" and validate_design(item.design, profile).passed
+        for item, design in zip(items, bench_designs)
+        if item.outcome == "complete" and validate_design(design, profile).passed
     )
     ok = rc == 0 and cli_s < 10.0 and batch_s < 10.0 and valid >= 950
     with capsys.disabled():
@@ -365,8 +372,8 @@ def test_criterion_6_termination_and_monotonicity(demo):
            f"strictly decreasing" if not violations else f"violations: {violations[:3]}")
 
 
-def test_criterion_7_edge_soundness(bench_run, replay_runs):
-    designs = [item.design for item in bench_run[0]]
+def test_criterion_7_edge_soundness(bench_designs, replay_runs):
+    designs = list(bench_designs)
     designs += [design for _, design, _ in replay_runs]
     bad_edges = 0
     edges_seen = 0

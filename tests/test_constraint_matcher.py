@@ -23,16 +23,13 @@ from gridgram.constraint_matcher import (
     MatcherError,
     ProductionGuarantee,
     SymbolConstraint,
-    abstract_contract,
     compose_matches,
     constraint_count,
     contract_match_fn,
     contract_text,
     decode_context,
     encode_context,
-    encode_state_key,
     interval_total,
-    member_key,
     optimal_assignment,
     rule_to_contract_union,
     state_to_contract_union,
@@ -126,21 +123,48 @@ def random_overlapping_grammar(rng: Random, rules: int) -> object:
     return grammar_of(out)
 
 
-def naive_interval_total(grammar, assignment: DirectionAssignment) -> int:
-    """Independent recount: expand every rule, walk slots, count runs."""
+def expanded_contexts(grammar) -> list[tuple[Symbol, ...]]:
+    """Every concrete context of every rule, as direction-indexed symbols."""
+    return [
+        State.from_key(key).symbols
+        for rule in grammar.rules
+        for key in rule.context_key_set()
+    ]
+
+
+def naive_runs(contexts, assignment: DirectionAssignment) -> int:
+    """Independent recount: walk each context's slots, count runs."""
+    order = [assignment.direction_at(s) for s in range(7)]
     total = 0
-    for rule in grammar.rules:
-        for key in rule.context_key_set():
-            ctx_state = State.from_key(key)
-            labels = [None] * 7
-            for d in Direction:
-                labels[assignment.slot(d)] = ctx_state.at(d)
-            runs = 1
-            for i in range(1, 7):
-                if labels[i] != labels[i - 1]:
-                    runs += 1
-            total += runs
+    for symbols in contexts:
+        labels = [symbols[d] for d in order]
+        total += 1 + sum(labels[i] != labels[i - 1] for i in range(1, 7))
     return total
+
+
+def naive_interval_total(grammar, assignment: DirectionAssignment) -> int:
+    return naive_runs(expanded_contexts(grammar), assignment)
+
+
+def member_key(member: ConjunctiveContract) -> int:
+    """Pack a full-context member's assumption slots into a 21-bit code."""
+    code = 0
+    covered = 0
+    for c in member.assumptions:
+        for slot in c.dirs.to_ints():
+            code |= c.symbol << (3 * slot)
+            covered += 1
+    if covered != 7:
+        raise MatcherError("member does not constrain every slot")
+    return code
+
+
+def encode_state_key(key: int, assignment: DirectionAssignment) -> int:
+    """Reorder a packed direction-order state key into slot order."""
+    code = 0
+    for d in Direction:
+        code |= ((key >> (3 * d)) & 7) << (3 * assignment.slot_of[d])
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -367,28 +391,42 @@ class TestRuleUnion:
 
 
 class TestAbstract:
-    def _member(self):
-        a = DirectionAssignment.identity()
-        return ConjunctiveContract(
-            assumptions=encode_context(state_with(front=Symbol.FUSELAGE), a),
+    """compose_matches drops a rule member's assumptions on symbols the state never holds."""
+
+    def _union(self, *assumptions):
+        member = ConjunctiveContract(
+            assumptions=assumptions,
             guarantees=(),
             production=ProductionGuarantee(Symbol.CONNECTOR, 1),
         )
+        return ContractUnion(DirectionAssignment.identity(), (member,))
+
+    def _state(self, state):
+        return state_to_contract_union(state, DirectionAssignment.identity())
 
     def test_identity_when_all_symbols_present(self):
-        m = self._member()
-        assert abstract_contract(m, {Symbol.FUSELAGE, Symbol.UNOCCUPIED}) == m
+        # Nothing is dropped, so the slots alone decide.
+        a = DirectionAssignment.identity()
+        u = self._union(*encode_context(state_with(front=Symbol.FUSELAGE), a))
+        assert compose_matches(self._state(state_with(front=Symbol.FUSELAGE)), u)
+        assert not compose_matches(self._state(state_with(rear=Symbol.FUSELAGE)), u)
 
     def test_empty_when_no_symbols_present(self):
-        m = self._member()
-        out = abstract_contract(m, set())
-        assert out.assumptions == ()
-        assert out.production == m.production
+        # Every assumption drops out, and no assumption covers no slot.
+        a = DirectionAssignment.identity()
+        u = self._union(*encode_context(state_with(front=Symbol.FUSELAGE), a))
+        assert not compose_matches(self._state(State((Symbol.ROTOR,) * 7)), u)
+        assert not compose_matches(self._state(State((Symbol.ROTOR,) * 7)), self._union())
 
     def test_partial_filter(self):
-        m = self._member()
-        out = abstract_contract(m, {Symbol.UNOCCUPIED})
-        assert [c.symbol for c in out.assumptions] == [Symbol.UNOCCUPIED]
+        # Only the Fuselage assumption drops; the kept Unoccupied one still
+        # covers every slot and is still checked.
+        u = self._union(
+            SymbolConstraint(Symbol.UNOCCUPIED, IntervalSet.from_ints(range(7))),
+            SymbolConstraint(Symbol.FUSELAGE, IntervalSet.from_ints([1])),
+        )
+        assert compose_matches(self._state(State((Symbol.UNOCCUPIED,) * 7)), u)
+        assert not compose_matches(self._state(state_with(front=Symbol.FUSELAGE)), u)
 
 
 class TestCompose:
@@ -701,8 +739,9 @@ class TestOptimalAssignment:
                 )
             g = grammar_of(rules)
             a, total = optimal_assignment(g)
+            contexts = expanded_contexts(g)
             naive = min(
-                naive_interval_total(g, DirectionAssignment(p))
+                naive_runs(contexts, DirectionAssignment(p))
                 for p in permutations(range(7))
             )
             assert total == naive

@@ -10,13 +10,9 @@ from gridgram.canon import canonical_hash, canonical_json
 from gridgram.core import (
     COMPONENTS,
     NEIGHBOR_DIRECTIONS,
+    NONTERMINALS,
     STORABLE,
-    BoundaryWriteError,
     Direction,
-    EdgeConsistencyError,
-    EdgeDirectionError,
-    EdgeEndpointError,
-    EdgeSymbolError,
     Grid,
     GridConfig,
     MAX_N_HALF,
@@ -25,7 +21,16 @@ from gridgram.core import (
     Symbol,
     neighbor,
 )
+from gridgram.grammar import ContextPattern, Production, Rule
 from gridgram.rng import SplitMix64
+from step_oracle import Canvas, choice_index
+
+
+def anywhere(symbol: Symbol, direction: Direction = Direction.EGO) -> Rule:
+    """A rule writing ``symbol`` at any Unoccupied point, whatever surrounds it."""
+    around = ContextPattern((frozenset({Symbol.UNOCCUPIED}),) + (frozenset(Symbol),) * 6)
+    return Rule("anywhere", (around,), Production(symbol, direction))
+
 
 points_in = lambda n: st.tuples(
     st.integers(-n, n), st.integers(-n, n), st.integers(-n, n)
@@ -70,13 +75,13 @@ class TestDirection:
 
 class TestSymbol:
     def test_partition(self):
-        assert Symbol.UNOCCUPIED.is_nonterminal
+        assert Symbol.UNOCCUPIED in NONTERMINALS
         assert not Symbol.UNOCCUPIED.is_terminal
         for s in (Symbol.FUSELAGE, Symbol.ROTOR, Symbol.WING, Symbol.CONNECTOR):
             assert s.is_terminal and s.is_component
         assert Symbol.EMPTY.is_terminal and not Symbol.EMPTY.is_component
         assert not Symbol.BOUNDARY.is_terminal
-        assert not Symbol.BOUNDARY.is_nonterminal
+        assert Symbol.BOUNDARY not in NONTERMINALS
         assert Symbol.BOUNDARY not in STORABLE
 
     def test_labels_round_trip(self):
@@ -162,38 +167,35 @@ class TestGrid:
     def test_starts_all_unoccupied(self):
         g = Grid.empty(GridConfig(1))
         assert all(g.symbol_at(p) is Symbol.UNOCCUPIED for p in g.points())
-        assert g.nonterminal_count() == 27
+        assert g.counts()[Symbol.UNOCCUPIED] == 27
         assert g.edges() == []
         assert g.audit() == []
 
     def test_set_and_read_back(self):
-        g = Grid.empty(GridConfig(1))
-        g.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-        g.set_symbol((1, 0, 0), Symbol.ROTOR)
+        canvas = Canvas(GridConfig(1), {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.ROTOR})
+        g = canvas.grid
         assert g.symbol_at((0, 0, 0)) is Symbol.FUSELAGE
         assert g.symbol_at((1, 0, 0)) is Symbol.ROTOR
         assert g.symbol_at((0, 1, 0)) is Symbol.UNOCCUPIED
-        g.set_symbol((0, 0, 0), Symbol.WING)  # last write wins
-        assert g.symbol_at((0, 0, 0)) is Symbol.WING
+        canvas.rewrite((0, 1, 0), anywhere(Symbol.WING))  # the view sees the write
+        assert g.symbol_at((0, 1, 0)) is Symbol.WING
 
     def test_rejects_out_of_grid(self):
         g = Grid.empty(GridConfig(1))
         with pytest.raises(OutOfGridError):
             g.symbol_at((2, 0, 0))
         with pytest.raises(OutOfGridError):
-            g.set_symbol((0, 0, 2), Symbol.EMPTY)
-        with pytest.raises(OutOfGridError):
             g.state_of((-2, 0, 0))
 
     def test_rejects_boundary_write(self):
-        g = Grid.empty(GridConfig(1))
-        with pytest.raises(BoundaryWriteError):
-            g.set_symbol((0, 0, 0), Symbol.BOUNDARY)
+        # No production writes Boundary, and audit flags a stored one.
+        with pytest.raises(ValueError):
+            Production(Symbol.BOUNDARY, Direction.EGO)
+        g = Canvas(GridConfig(1), {(0, 0, 0): Symbol.BOUNDARY}).grid
+        assert g.audit() == ["stored non-storable symbol Boundary"]
 
     def test_state_interior(self):
-        g = Grid.empty(GridConfig(2))
-        g.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-        g.set_symbol((1, 0, 0), Symbol.ROTOR)
+        g = Canvas(GridConfig(2), {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.ROTOR}).grid
         s = g.state_of((0, 0, 0))
         assert s.ego is Symbol.FUSELAGE
         assert s.at(Direction.FRONT) is Symbol.ROTOR
@@ -217,67 +219,87 @@ class TestGrid:
         assert all(s.at(d) is Symbol.BOUNDARY for d in NEIGHBOR_DIRECTIONS)
 
     def test_add_edge_and_idempotence(self):
-        g = Grid.empty(GridConfig(1))
-        g.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-        g.set_symbol((1, 0, 0), Symbol.CONNECTOR)
-        g.add_edge((0, 0, 0), Direction.FRONT)
-        g.add_edge((0, 0, 0), Direction.FRONT)
-        g.add_edge((1, 0, 0), Direction.REAR)  # same edge from the other end
-        assert g.edge_count() == 1
-        assert g.edges() == [((0, 0, 0), (1, 0, 0))]
-        assert g.has_edge((1, 0, 0), (0, 0, 0))
+        symbols = {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.CONNECTOR}
+        a, b = (0, 0, 0), (1, 0, 0)
+        g = Canvas(GridConfig(1), symbols, ((a, b), (a, b), (b, a))).grid  # one edge, three times
+        assert g.edges() == [(a, b)]
         assert g.audit() == []
 
     def test_add_edge_errors(self):
-        g = Grid.empty(GridConfig(1))
-        g.set_symbol((1, 0, 0), Symbol.FUSELAGE)
-        with pytest.raises(EdgeDirectionError):
-            g.add_edge((1, 0, 0), Direction.EGO)
-        with pytest.raises(EdgeEndpointError):
-            g.add_edge((1, 0, 0), Direction.FRONT)  # (2,0,0) is outside
-        with pytest.raises(EdgeSymbolError):
-            g.add_edge((1, 0, 0), Direction.REAR)  # (0,0,0) is Unoccupied
-        g.set_symbol((0, 0, 0), Symbol.EMPTY)
-        with pytest.raises(EdgeSymbolError):
-            g.add_edge((1, 0, 0), Direction.REAR)  # Empty is not a component
-        with pytest.raises(OutOfGridError):
-            g.add_edge((2, 0, 0), Direction.REAR)
-        assert g.edge_count() == 0
+        rotor_front = anywhere(Symbol.ROTOR, Direction.FRONT)
+        symbols = {(1, 0, 0): Symbol.FUSELAGE, (1, 1, 0): Symbol.EMPTY}
+        canvas = Canvas(GridConfig(1), symbols)
+        for p in (
+            (1, 0, 1),  # (2,0,1) is outside
+            (0, 0, 1),  # (1,0,1) is Unoccupied
+            (0, 1, 0),  # (1,1,0) is Empty, not a component
+        ):
+            with pytest.raises(AssertionError):
+                canvas.rewrite(p, rotor_front)
+        assert canvas.grid == Canvas(GridConfig(1), symbols).grid
+        assert canvas.grid.edges() == []
+        canvas.rewrite((0, 0, 0), rotor_front)
+        assert canvas.grid.edges() == [((0, 0, 0), (1, 0, 0))]
 
     def test_rewrite_edged_point_guard(self):
-        g = Grid.empty(GridConfig(1))
-        g.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-        g.set_symbol((1, 0, 0), Symbol.ROTOR)
-        g.add_edge((0, 0, 0), Direction.FRONT)
-        with pytest.raises(EdgeConsistencyError):
-            g.set_symbol((0, 0, 0), Symbol.EMPTY)
-        g.set_symbol((0, 0, 0), Symbol.WING)  # component-to-component is fine
-        assert g.audit() == []
+        # An edge joins two components, and no rule rewrites a component:
+        # Rule refuses a terminal ego, and a rewrite there does not match.
+        with pytest.raises(ValueError):
+            Rule("r", (ContextPattern((frozenset({Symbol.FUSELAGE}),) + (frozenset(Symbol),) * 6),),
+                 Production(Symbol.EMPTY, Direction.EGO))
+        symbols = {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.ROTOR}
+        canvas = Canvas(GridConfig(1), symbols, (((0, 0, 0), (1, 0, 0)),))
+        with pytest.raises(AssertionError):
+            canvas.rewrite((0, 0, 0), anywhere(Symbol.EMPTY))
+        assert canvas.grid.symbol_at((0, 0, 0)) is Symbol.FUSELAGE
+        assert canvas.grid.audit() == []
 
     def test_copy_is_independent(self):
-        g = Grid.empty(GridConfig(1))
-        g.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-        h = g.copy()
-        assert g == h
-        h.set_symbol((0, 0, 0), Symbol.ROTOR)
-        h.set_symbol((0, 0, 1), Symbol.ROTOR)
-        h.add_edge((0, 0, 0), Direction.TOP)
-        assert g.symbol_at((0, 0, 0)) is Symbol.FUSELAGE
-        assert g.edge_count() == 0 and h.edge_count() == 1
-        assert g != h
+        symbols = {(0, 0, 0): Symbol.FUSELAGE}
+        g = Canvas(GridConfig(1), symbols)
+        h = Canvas(GridConfig(1), symbols)
+        assert g.grid == h.grid
+        h.rewrite((0, 0, 1), anywhere(Symbol.ROTOR, Direction.BOTTOM))
+        assert symbols == {(0, 0, 0): Symbol.FUSELAGE}
+        assert g.grid.symbol_at((0, 0, 1)) is Symbol.UNOCCUPIED
+        assert g.grid.edges() == [] and h.grid.edges() == [((0, 0, 0), (0, 0, 1))]
+        assert g.grid != h.grid
+
+    def test_equality_compares_cells_and_edges(self):
+        symbols = {(0, 0, 0): Symbol.FUSELAGE, (0, 0, 1): Symbol.ROTOR}
+        edge = (((0, 0, 1), (0, 0, 0)),)
+        g = Canvas(GridConfig(1), symbols, edge).grid
+        assert g == Canvas(GridConfig(1), symbols, edge).grid
+        assert g != Canvas(GridConfig(1), symbols).grid
+        assert g != Canvas(GridConfig(1), {**symbols, (0, 0, 0): Symbol.ROTOR}, edge).grid
+        assert g != Canvas(GridConfig(1, "1m"), symbols, edge).grid
+        assert g.edges() == [((0, 0, 0), (0, 0, 1))]
+        with pytest.raises(TypeError):
+            hash(g)
+
+    def test_audit_reports_broken_edges(self):
+        symbols = {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.EMPTY, (1, 1, 0): Symbol.WING}
+        for edge, problem in [
+            (((0, 0, 0), (0, 0, 0)), "self-loop at (0, 0, 0)"),
+            (((0, 0, 0), (0, 0, 2)), "leaves the grid"),
+            (((0, 0, 0), (1, 1, 0)), "joins non-adjacent points"),
+            (((0, 0, 0), (1, 0, 0)), "edge endpoint (1, 0, 0) holds Empty"),
+        ]:
+            problems = Canvas(GridConfig(1), symbols, (edge,)).grid.audit()
+            assert len(problems) == 1 and problem in problems[0]
 
     def test_counts(self):
-        g = Grid.empty(GridConfig(1))
-        g.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-        g.set_symbol((1, 0, 0), Symbol.ROTOR)
-        g.set_symbol((0, 1, 0), Symbol.ROTOR)
+        g = Canvas(
+            GridConfig(1),
+            {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.ROTOR, (0, 1, 0): Symbol.ROTOR},
+        ).grid
         c = g.counts()
         assert c[Symbol.FUSELAGE] == 1
         assert c[Symbol.ROTOR] == 2
         assert c[Symbol.WING] == 0
         assert c[Symbol.UNOCCUPIED] == 24
         assert sum(c.values()) == 27
-        assert g.nonterminal_count() == 24
+        assert sum(c[s] for s in NONTERMINALS) == 24
         assert g.component_points() == [
             ((0, 0, 0), Symbol.FUSELAGE),
             ((0, 1, 0), Symbol.ROTOR),
@@ -290,19 +312,15 @@ class TestGrid:
         )
     )
     def test_writes_read_back_and_audit_clean(self, writes):
-        g = Grid.empty(GridConfig(2))
-        latest: dict = {}
-        for p, s in writes:
-            g.set_symbol(p, s)
-            latest[p] = s
+        latest = dict(writes)
+        g = Canvas(GridConfig(2), latest).grid
         for p, s in latest.items():
             assert g.symbol_at(p) is s
         assert g.audit() == []
 
     @given(points_in(2), st.sampled_from(list(NEIGHBOR_DIRECTIONS)))
     def test_state_matches_pointwise_reads(self, p, d):
-        g = Grid.empty(GridConfig(2))
-        g.set_symbol((0, 0, 0), Symbol.FUSELAGE)
+        g = Canvas(GridConfig(2), {(0, 0, 0): Symbol.FUSELAGE}).grid
         s = g.state_of(p)
         q = neighbor(p, d)
         if g.config.contains(q):
@@ -361,11 +379,11 @@ class TestSplitMix64:
         r = SplitMix64(5)
         hits = [0, 0, 0]
         for _ in range(3000):
-            hits[r.choice_index([1, 2, 7])] += 1
+            hits[choice_index(r, [1, 2, 7])] += 1
         assert hits[0] < hits[1] < hits[2]
         assert sum(hits) == 3000
         with pytest.raises(ValueError):
-            r.choice_index([1, 0, 2])
+            choice_index(r, [1, 0, 2])
 
 
 class TestCanonicalJson:

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgram.canon import canonical_hash, sha256_hex
-from gridgram.core import Direction, Grid, GridConfig, State, Symbol
+from gridgram.core import Grid, GridConfig, State, Symbol
 from gridgram.generator import (
     MAX_WORKERS,
     POINT_STRATEGIES,
     RULE_STRATEGIES,
-    BatchItem,
     Design,
     DesignFormatError,
     DerivationLog,
@@ -40,7 +39,7 @@ from gridgram.grammar import parse_grammar
 from gridgram.rng import SplitMix64
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
 import encode_oracle
-from step_oracle import frontier, step
+from step_oracle import Canvas, frontier, step
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,8 +212,7 @@ class TestFrontier:
 
     def test_terminal_points_leave_the_frontier(self, fill):
         cfg = GridConfig(1)
-        grid = Grid.empty(cfg)
-        grid.set_symbol((0, 0, 0), Symbol.EMPTY)
+        grid = Canvas(cfg, {(0, 0, 0): Symbol.EMPTY}).grid
         pts = frontier(fill, grid)
         assert (0, 0, 0) not in pts
         assert len(pts) == cfg.point_count - 1
@@ -223,38 +221,38 @@ class TestFrontier:
 class TestStep:
     def test_none_on_empty_frontier(self):
         g = parse_grammar(EMPTY_GRAMMAR)
-        grid = Grid.empty(GridConfig(1))
-        assert step(g, grid, GenerationConfig(seed=0), SplitMix64(0)) is None
+        canvas = Canvas(GridConfig(1))
+        assert step(g, canvas, GenerationConfig(seed=0), SplitMix64(0)) is None
 
     def test_forced_choice_is_seed_independent(self):
         g = parse_grammar(CORNER_ONLY_GRAMMAR)
         for seed in (0, 1, 999):
-            grid = Grid.empty(GridConfig(1))
-            s = step(g, grid, GenerationConfig(seed=seed), SplitMix64(seed))
+            canvas = Canvas(GridConfig(1))
+            s = step(g, canvas, GenerationConfig(seed=seed), SplitMix64(seed))
             assert s is not None
             assert s.point == (-1, -1, -1)
             assert s.rule_name == "mark_corner"
-            assert grid.symbol_at((-1, -1, -1)) is Symbol.FUSELAGE
-            assert step(g, grid, GenerationConfig(seed=seed), SplitMix64(seed)) is None
+            assert canvas.grid.symbol_at((-1, -1, -1)) is Symbol.FUSELAGE
+            assert step(g, canvas, GenerationConfig(seed=seed), SplitMix64(seed)) is None
 
     def test_scanline_first_match_visits_lexicographic_order(self, fill):
         cfg = GridConfig(1)
-        grid = Grid.empty(cfg)
+        canvas = Canvas(cfg)
         gcfg = GenerationConfig(
             seed=5, point_strategy="scanline", rule_strategy="first-match"
         )
         rng = SplitMix64(5)
         visited = []
         i = 0
-        while (s := step(fill, grid, gcfg, rng, index=i)) is not None:
+        while (s := step(fill, canvas, gcfg, rng, index=i)) is not None:
             visited.append(s.point)
             i += 1
         assert visited == list(cfg.points())
 
     def test_nearest_to_origin_starts_at_center(self, fill):
-        grid = Grid.empty(GridConfig(1))
+        canvas = Canvas(GridConfig(1))
         gcfg = GenerationConfig(seed=0, point_strategy="nearest-to-origin")
-        s = step(fill, grid, gcfg, SplitMix64(0))
+        s = step(fill, canvas, gcfg, SplitMix64(0))
         assert s.point == (0, 0, 0)
 
 
@@ -364,15 +362,15 @@ class TestEngineMatchesStepLoop:
     """generate() must be observably identical to folding the public step()."""
 
     def _run_with_step(self, grammar, grid_config, gen_config):
-        grid = Grid.empty(grid_config)
+        canvas = Canvas(grid_config)
         rng = SplitMix64(gen_config.seed)
         steps = []
         while gen_config.max_steps is None or len(steps) < gen_config.max_steps:
-            s = step(grammar, grid, gen_config, rng, index=len(steps))
+            s = step(grammar, canvas, gen_config, rng, index=len(steps))
             if s is None:
                 break
             steps.append(s)
-        return grid, steps
+        return canvas.grid, steps
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 42, 10**12])
     def test_demo_engine_equals_step_loop(self, demo, seed):
@@ -606,8 +604,7 @@ class TestDesignSerialization:
         assert again.hash == seed13_design.hash
 
     def test_cells_text_letters(self):
-        grid = Grid.empty(GridConfig(1))
-        grid.set_symbol((0, 0, 0), Symbol.FUSELAGE)
+        grid = Canvas(GridConfig(1), {(0, 0, 0): Symbol.FUSELAGE}).grid
         text = Design(grid).cells_text()
         assert len(text) == 27
         assert text[13] == "F"
@@ -672,12 +669,16 @@ class TestDesignSerialization:
             Design.from_obj(obj)
 
 
+# A fuselage at the origin joined to a connector in front of it.
+LINKED_PAIR = (
+    {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.CONNECTOR},
+    (((0, 0, 0), (1, 0, 0)),),
+)
+
+
 class TestValidateDesign:
-    def _design(self, builder=None, n_half=1):
-        grid = Grid.empty(GridConfig(n_half))
-        if builder:
-            builder(grid)
-        return Design(grid)
+    def _design(self, symbols=None, edges=()):
+        return Design(Canvas(GridConfig(1), symbols, edges).grid)
 
     def test_empty_profile_always_passes(self):
         report = validate_design(self._design(), {})
@@ -689,45 +690,28 @@ class TestValidateDesign:
         assert [c.check for c in report.failures()] == ["complete"]
 
     def test_disconnected_components_fail(self):
-        def build(grid):
-            grid.set_symbol((-1, -1, -1), Symbol.FUSELAGE)
-            grid.set_symbol((1, 1, 1), Symbol.ROTOR)
-
         report = validate_design(
-            self._design(build),
+            self._design({(-1, -1, -1): Symbol.FUSELAGE, (1, 1, 1): Symbol.ROTOR}),
             {"require_connected": True, "forbid_isolated": True},
         )
         assert {c.check for c in report.failures()} == {"connected", "no-isolated"}
 
     def test_single_node_is_connected_and_not_isolated(self):
-        def build(grid):
-            grid.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-
         report = validate_design(
-            self._design(build),
+            self._design({(0, 0, 0): Symbol.FUSELAGE}),
             {"require_connected": True, "forbid_isolated": True},
         )
         assert report.passed
 
     def test_linked_pair_passes(self):
-        def build(grid):
-            grid.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-            grid.set_symbol((1, 0, 0), Symbol.CONNECTOR)
-            grid.add_edge((0, 0, 0), Direction.FRONT)
-
         report = validate_design(
-            self._design(build),
+            self._design(*LINKED_PAIR),
             {"require_connected": True, "forbid_isolated": True},
         )
         assert report.passed
 
     def test_count_bounds(self):
-        def build(grid):
-            grid.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-            grid.set_symbol((1, 0, 0), Symbol.CONNECTOR)
-            grid.add_edge((0, 0, 0), Direction.FRONT)
-
-        d = self._design(build)
+        d = self._design(*LINKED_PAIR)
         ok = validate_design(
             d, {"counts": {"Fuselage": [1, 1], "Rotor": [None, 0]}}
         )
@@ -785,14 +769,14 @@ class TestRunBatch:
         for a, b in zip(inline, parallel):
             assert a.seed == b.seed
             assert a.outcome == b.outcome
-            assert a.design == b.design
+            assert a.design_text == b.design_text
             assert a.log_text == b.log_text
 
     def test_duplicate_seeds_keep_input_order(self, demo):
         configs = [GenerationConfig(seed=s) for s in (5, 5, 3)]
         items = run_batch(demo, GridConfig(1), configs, workers=2)
         assert [i.seed for i in items] == [5, 5, 3]
-        assert items[0].design == items[1].design
+        assert items[0].design_text == items[1].design_text
 
     def test_want_logs_false(self, demo):
         items = run_batch(
@@ -849,7 +833,7 @@ class TestEncodersMatchOracle:
             assert design.hash == encode_oracle.design_hash(design)
             assert serialize_log(log) == expected_log
             for item in (a, b):
-                assert item.design == design
+                assert Design.parse(item.design_text) == design
                 assert item.design_text == expected_design
                 assert item.design_hash == log.design_hash
                 assert item.log_text == expected_log

@@ -10,14 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgram.core import (
-    Direction,
-    Grid,
-    GridConfig,
-    InternalInvariantError,
-    State,
-    Symbol,
-)
+from gridgram.core import Direction, GridConfig, State, Symbol
 from gridgram.grammar import (
     ContextPattern,
     Grammar,
@@ -25,11 +18,7 @@ from gridgram.grammar import (
     LintDiagnostic,
     Production,
     Rule,
-    RuleApplicationError,
     WILDCARD_NON_EGO,
-    applicable_rules,
-    apply_production,
-    expand,
     grammar_to_obj,
     lint_errors,
     lint_grammar,
@@ -37,6 +26,7 @@ from gridgram.grammar import (
     serialize_grammar,
 )
 from gridgram.rulesets import demo_uav_text
+from step_oracle import Canvas, matching_rules
 
 U = Symbol.UNOCCUPIED
 B = Symbol.BOUNDARY
@@ -48,6 +38,11 @@ def pattern(ego=frozenset({U}), **overrides) -> ContextPattern:
         v = overrides.get(d.label, WILDCARD_NON_EGO)
         sets.append(frozenset(v if isinstance(v, (set, frozenset)) else {v}))
     return ContextPattern(tuple(sets))
+
+
+def expand(p: ContextPattern) -> frozenset[State]:
+    """All concrete contexts a pattern stands for."""
+    return frozenset(State.from_key(k) for k in p.context_keys())
 
 
 def one_rule_text(**kw) -> str:
@@ -177,6 +172,9 @@ class TestRoundTrip:
         assert obj["rules"][0]["weight"] == 3
         g1 = parse_grammar(one_rule_text())
         assert "weight" not in grammar_to_obj(g1)["rules"][0]
+        for weight in (2.0, True, "2"):
+            with pytest.raises(TypeError):
+                replace(g.rules[0], weight=weight)
 
 
 # Strategy for whole grammars built directly as objects.
@@ -310,77 +308,77 @@ class TestMatches:
 class TestApplicableRules:
     def test_order_preserved_and_filtering(self):
         g = parse_grammar(demo_uav_text())
-        grid = Grid.empty(GridConfig(2))
-        assert applicable_rules(g, grid, (0, 0, 0)) == []
-        assert [r.name for r in applicable_rules(g, grid, (-2, -2, -2))] == ["seed_fuselage"]
-        grid.set_symbol((1, 0, 0), Symbol.CONNECTOR)
-        names = [r.name for r in applicable_rules(g, grid, (0, 0, 0))]
+        grid = Canvas(GridConfig(2)).grid
+        assert matching_rules(g, grid.state_of((0, 0, 0))) == []
+        assert [r.name for r in matching_rules(g, grid.state_of((-2, -2, -2)))] == ["seed_fuselage"]
+        grid = Canvas(GridConfig(2), {(1, 0, 0): Symbol.CONNECTOR}).grid
+        names = [r.name for r in matching_rules(g, grid.state_of((0, 0, 0)))]
         assert names == ["attach_connector_front", "extend_connector_front"]
 
     def test_vertical_contact_offers_rotor(self):
         g = parse_grammar(demo_uav_text())
-        grid = Grid.empty(GridConfig(2))
-        grid.set_symbol((0, 0, 1), Symbol.CONNECTOR)
-        names = [r.name for r in applicable_rules(g, grid, (0, 0, 0))]
+        grid = Canvas(GridConfig(2), {(0, 0, 1): Symbol.CONNECTOR}).grid
+        names = [r.name for r in matching_rules(g, grid.state_of((0, 0, 0)))]
         assert names == ["attach_connector_top", "extend_connector_top", "attach_rotor_top"]
 
     def test_terminal_ego_yields_nothing(self):
         g = parse_grammar(demo_uav_text())
-        grid = Grid.empty(GridConfig(1))
-        grid.set_symbol((0, 0, 0), Symbol.FUSELAGE)
-        assert applicable_rules(g, grid, (0, 0, 0)) == []
+        grid = Canvas(GridConfig(1), {(0, 0, 0): Symbol.FUSELAGE}).grid
+        assert matching_rules(g, grid.state_of((0, 0, 0))) == []
 
 
 class TestApplyProduction:
+    """Production application, as the reference oracle's ``Canvas.rewrite`` performs it."""
+
     def test_connector_with_edge(self):
-        grid = Grid.empty(GridConfig(1))
-        grid.set_symbol((1, 0, 0), Symbol.FUSELAGE)
+        canvas = Canvas(GridConfig(1), {(1, 0, 0): Symbol.FUSELAGE})
         r = Rule("r", (pattern(front={Symbol.FUSELAGE}),),
                  Production(Symbol.CONNECTOR, Direction.FRONT))
-        apply_production(grid, (0, 0, 0), r)
+        canvas.rewrite((0, 0, 0), r)
+        grid = canvas.grid
         assert grid.symbol_at((0, 0, 0)) is Symbol.CONNECTOR
         assert grid.edges() == [((0, 0, 0), (1, 0, 0))]
         assert grid.audit() == []
 
     def test_empty_without_edge(self):
-        grid = Grid.empty(GridConfig(1))
+        canvas = Canvas(GridConfig(1))
         r = Rule("r", (pattern(),), Production(Symbol.EMPTY, Direction.EGO))
-        apply_production(grid, (0, 0, 0), r)
-        assert grid.symbol_at((0, 0, 0)) is Symbol.EMPTY
-        assert grid.edge_count() == 0
+        canvas.rewrite((0, 0, 0), r)
+        assert canvas.grid.symbol_at((0, 0, 0)) is Symbol.EMPTY
+        assert canvas.grid.edges() == []
 
     def test_non_matching_leaves_grid_unchanged(self):
-        grid = Grid.empty(GridConfig(1))
+        canvas = Canvas(GridConfig(1))
         r = Rule("r", (pattern(front={Symbol.FUSELAGE}),),
                  Production(Symbol.CONNECTOR, Direction.FRONT))
-        before = grid.copy()
-        with pytest.raises(RuleApplicationError):
-            apply_production(grid, (0, 0, 0), r)
-        assert grid == before
+        with pytest.raises(AssertionError):
+            canvas.rewrite((0, 0, 0), r)
+        assert canvas.grid == Canvas(GridConfig(1)).grid
 
     def test_changes_exactly_one_point(self):
         g = parse_grammar(demo_uav_text())
-        grid = Grid.empty(GridConfig(1))
-        r = g.rule_named("seed_fuselage")
-        before = grid.copy()
-        apply_production(grid, (-1, -1, -1), r)
+        canvas = Canvas(GridConfig(1))
+        before = Canvas(GridConfig(1)).grid
+        canvas.rewrite((-1, -1, -1), g.rule_named("seed_fuselage"))
+        grid = canvas.grid
         diff = [p for p in grid.points() if grid.symbol_at(p) != before.symbol_at(p)]
         assert diff == [(-1, -1, -1)]
 
     def test_unlinted_edge_target_raises_internal_error(self):
-        grid = Grid.empty(GridConfig(1))
-        grid.set_symbol((1, 0, 0), Symbol.EMPTY)
+        # Lint rejects these rules; the rewrite still refuses to write them.
+        symbols = {(1, 0, 0): Symbol.EMPTY}
+        canvas = Canvas(GridConfig(1), symbols)
         r = Rule("r", (pattern(front={Symbol.EMPTY, Symbol.CONNECTOR}),),
                  Production(Symbol.ROTOR, Direction.FRONT))
-        before = grid.copy()
-        with pytest.raises(InternalInvariantError):
-            apply_production(grid, (0, 0, 0), r)
-        assert grid == before
-        grid2 = Grid.empty(GridConfig(1))
+        with pytest.raises(AssertionError):
+            canvas.rewrite((0, 0, 0), r)
+        assert canvas.grid == Canvas(GridConfig(1), symbols).grid
+        canvas2 = Canvas(GridConfig(1))
         r2 = Rule("r2", (pattern(front=WILDCARD_NON_EGO),),
                   Production(Symbol.ROTOR, Direction.FRONT))
-        with pytest.raises(InternalInvariantError):
-            apply_production(grid2, (1, 0, 0), r2)  # edge target out of grid
+        with pytest.raises(AssertionError):
+            canvas2.rewrite((1, 0, 0), r2)  # edge target out of grid
+        assert canvas2.grid == Canvas(GridConfig(1)).grid
 
 
 class TestLint:
