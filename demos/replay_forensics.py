@@ -2,7 +2,9 @@
 
 Generates a design, re-derives it from the log alone, and shows that the
 verifier pins down the exact step at which a doctored log diverges, even
-when the forger recomputes the log hash.
+when the forger recomputes the log hash. A log file verifies only if its
+text is byte for byte the log its configs derive, so even an honest log
+that was merely re-indented is refused.
 
     python3 demos/replay_forensics.py --seed 99
 """
@@ -22,6 +24,7 @@ from gridgram.generator import (
     parse_log,
     serialize_log,
     verify_log,
+    verify_log_text,
 )
 from gridgram.grammar import parse_grammar
 from gridgram.rulesets import demo_uav_text
@@ -74,6 +77,13 @@ def main() -> None:
         print(f"  {label}: NOT DETECTED")
     except ReplayError as e:
         print(f"  {label}:\n      caught ({e.kind} at step {e.step})")
+
+    label = "re-indent the honest log (same content, other bytes)"
+    try:
+        verify_log_text(json.dumps(json.loads(serialize_log(log)), indent=1), grammar)
+        print(f"  {label}: NOT DETECTED")
+    except ReplayError as e:
+        print(f"  {label}:\n      caught ({e.kind})")
 
     wrong = dataclasses.replace(log, grammar_fingerprint="0" * 64)
     try:

@@ -4,10 +4,16 @@ Every hashed artifact (grammars, designs, derivation logs) is serialized the
 same way: sorted keys, no whitespace, ASCII. Floats are rejected outright so
 hashes can never depend on float formatting.
 
-``canonical_json`` checks every value it is given for floats, so it is used
-where outside data enters: grammars, the grid and generation configs in a log
-header, validation reports and other CLI output. Designs and logs have one
-encoder each, ``encode_design`` and ``encode_log``. They write the bytes
+``canonical_json`` walks every value it is given for floats. It still does
+so for a log header (``encode_log``), a design's grid config, and the CLI's
+JSON output (result lines, validation reports, lint findings). Where the
+constructors already refuse floats the walk is skipped and ``compact_json``
+writes the same bytes: ``serialize_grammar`` and so ``Grammar.fingerprint``
+(``Grammar`` and ``Rule`` admit only string names and integer weights), and
+the comparison in ``Design.from_obj``, where the document read from disk is
+dumped and compared with the design's own encoding, so that a float there
+shows up as a difference. Designs and logs have one encoder each,
+``encode_design`` and ``encode_log``. They write the bytes
 ``canonical_json`` would write for the artifact's plain-data form, but from
 cached fragments: coordinates per point, labels per packed pre-state key,
 JSON per rule name. Their cells, steps, nodes and edges are integers and
@@ -49,10 +55,15 @@ def _reject_floats(obj: Any, path: str = "$") -> None:
             _reject_floats(v, f"{path}[{i}]")
 
 
+def compact_json(obj: Any) -> str:
+    """``canonical_json`` without the float check, for data that cannot hold floats."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, minimal separators, no floats."""
     _reject_floats(obj)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return compact_json(obj)
 
 
 def sha256_hex(text: str) -> str:

@@ -29,11 +29,10 @@ from gridgram.generator import (
     LogFormatError,
     ProfileFormatError,
     ReplayError,
-    parse_log,
     resolve_workers,
     run_batch,
     validate_design,
-    verify_log,
+    verify_log_text,
 )
 from gridgram.grammar import (
     GrammarParseError,
@@ -130,19 +129,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    log = parse_log(_read_text(args.log, "log file"))
+    text = _read_text(args.log, "log file")
     grammar = parse_grammar(_read_text(args.grammar, "grammar file"))
     try:
-        verify_log(log, grammar)
+        _, (_, _, steps, outcome), design_hash = verify_log_text(text, grammar)
     except ReplayError as e:
         print(f"replay failed: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     _emit(
         {
             "verified": True,
-            "steps": len(log.steps),
-            "outcome": log.outcome,
-            "design_hash": log.design_hash,
+            "steps": len(steps),
+            "outcome": outcome,
+            "design_hash": design_hash,
         }
     )
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import product
 from typing import Iterator
 
 Point = tuple[int, int, int]
@@ -127,6 +128,8 @@ COMPONENTS = frozenset({Symbol.FUSELAGE, Symbol.ROTOR, Symbol.WING, Symbol.CONNE
 STORABLE = TERMINALS | NONTERMINALS
 
 _SYMBOLS_BY_LABEL = {s.label: s for s in Symbol}
+_SYMBOLS = list(Symbol)  # indexed by code
+_COMPONENT_CODES = frozenset(int(s) for s in COMPONENTS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,11 +167,7 @@ class GridConfig:
     def points(self) -> Iterator[Point]:
         """All in-grid points in lexicographic (x, y, z) order."""
         n = self.n_half
-        rng = range(-n, n + 1)
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    yield (x, y, z)
+        return product(range(-n, n + 1), repeat=3)
 
 
 def neighbor(p: Point, d: Direction) -> Point:
@@ -288,14 +287,16 @@ class Grid:
 
     def counts(self) -> dict[Symbol, int]:
         """Occurrences of every storable symbol (zeros included)."""
-        out = {s: 0 for s in sorted(STORABLE)}
-        for c in self._cells:
-            out[Symbol(c)] += 1
-        return out
+        cells = self._cells
+        return {s: cells.count(s) for s in sorted(STORABLE)}
 
     def component_points(self) -> list[tuple[Point, Symbol]]:
         """Points holding component symbols, lexicographic order."""
-        return [(p, self.symbol_at(p)) for p in self.points() if self.symbol_at(p).is_component]
+        return [
+            (p, _SYMBOLS[c])
+            for p, c in zip(self.points(), self._cells)
+            if c in _COMPONENT_CODES
+        ]
 
     def audit(self) -> list[str]:
         """Check every grid invariant; returns problem descriptions (empty = clean)."""
@@ -307,20 +308,19 @@ class Grid:
         for c in set(self._cells):
             if Symbol(c) not in STORABLE:
                 problems.append(f"stored non-storable symbol {Symbol(c).label}")
+        cells, config = self._cells, self.config
         for p, q in self._edges:
             if p == q:
                 problems.append(f"self-loop at {p}")
                 continue
-            if not (self.config.contains(p) and self.config.contains(q)):
+            if not (config.contains(p) and config.contains(q)):
                 problems.append(f"edge {p}-{q} leaves the grid")
                 continue
-            dist = sum(abs(a - b) for a, b in zip(p, q))
-            if dist != 1:
+            if abs(p[0] - q[0]) + abs(p[1] - q[1]) + abs(p[2] - q[2]) != 1:
                 problems.append(f"edge {p}-{q} joins non-adjacent points")
             for end in (p, q):
-                if not self.symbol_at(end).is_component:
-                    problems.append(
-                        f"edge endpoint {end} holds {self.symbol_at(end).label}"
-                    )
+                c = cells[_index_of(config, end)]
+                if c not in _COMPONENT_CODES:
+                    problems.append(f"edge endpoint {end} holds {_SYMBOLS[c].label}")
         return problems
 

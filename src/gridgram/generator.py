@@ -25,9 +25,11 @@ Among the rules matching that point's state, in grammar order:
 - first-match takes the first.
 
 Logs carry hashes of their own content and of the produced design.
-Verification re-runs the engine on the log's recorded configs and requires
-exactly the recorded steps, then checks the design, the outcome and both
-hashes.
+Verification (``verify_log_text``) re-runs the engine on the log's recorded
+configs, encodes the log that run writes, and requires the log's text to be
+that same string (one trailing newline allowed). Only a log that fails is
+parsed into objects, so that the first fault can be named; one with no
+fault but other bytes (whitespace, key order) is refused as non-canonical.
 
 Designs and logs are written by the one encoder each in ``gridgram.canon``,
 fed from the engine's arrays (``Engine.design_text``, ``Engine.log_text``)
@@ -50,8 +52,8 @@ from gridgram.canon import (
     DESIGN_FORMAT,
     LOG_FORMAT,
     STEP_JSON,
-    canonical_json,
     cells_text,
+    compact_json,
     encode_design,
     encode_log,
     grid_config_obj,
@@ -71,13 +73,11 @@ from gridgram.core import (
     Point,
     State,
     Symbol,
-    neighbor,
 )
 from gridgram.grammar import (
     Grammar,
     MatchTable,
-    lint_errors,
-    lint_grammar,
+    lint_grammar_errors,
     parse_grammar,
     serialize_grammar,
 )
@@ -87,7 +87,12 @@ POINT_STRATEGIES = ("uniform-random-frontier", "scanline", "nearest-to-origin")
 RULE_STRATEGIES = ("uniform-random", "weighted", "first-match")
 OUTCOMES = ("complete", "stuck", "step-limit")
 
-_LETTER_TO_CODE = {c: i for i, c in enumerate(CELL_LETTERS)}
+# Cell letters to symbol codes; every other byte becomes _NOT_A_LETTER.
+_NOT_A_LETTER = 255
+_LETTER_TABLE = bytes(
+    CELL_LETTERS.find(chr(b)) if chr(b) in CELL_LETTERS else _NOT_A_LETTER
+    for b in range(256)
+)
 _STORABLE_ORDER = sorted(STORABLE)
 
 
@@ -108,11 +113,13 @@ class ReplayError(GeneratorError):
     """Log verification failed.
 
     ``kind``: fingerprint, index, point, pre-state, rule-missing, no-match,
-    divergence, design-hash, outcome, or log-hash. The per-step kinds describe
-    the first step at which the log departs from what its configs derive:
-    index through no-match name an illegal step, and divergence a legal step
-    the seed would not take, or a log that stops early or runs on. ``step`` is
-    that step's index for the per-step kinds, else None.
+    divergence, design-hash, outcome, log-hash, or non-canonical. The
+    per-step kinds describe the first step at which the log departs from what
+    its configs derive: index through no-match name an illegal step, and
+    divergence a legal step the seed would not take, or a log that stops
+    early or runs on. non-canonical is a log text that passes every other
+    check but is not the canonical rendering of its content. ``step`` is that
+    step's index for the per-step kinds, else None.
     """
 
     def __init__(self, kind: str, step: int | None, message: str):
@@ -304,20 +311,24 @@ class Design:
                 raise DesignFormatError(
                     f"cells must be a string of {cfg.point_count} symbol letters"
                 )
-            try:
-                cells = bytearray(_LETTER_TO_CODE[c] for c in cells_text)
-            except KeyError as e:
-                raise DesignFormatError(f"unknown cell letter {e.args[0]!r}") from None
+            cells = bytearray(cells_text.encode("utf-8").translate(_LETTER_TABLE))
+            if _NOT_A_LETTER in cells:
+                bad = next(c for c in cells_text if c not in CELL_LETTERS)
+                raise DesignFormatError(f"unknown cell letter {bad!r}")
             edges = set()
-            for pair in obj["components"]["edges"]:
-                a, b = (tuple(_int(v) for v in end) for end in pair)
+            for end_a, end_b in obj["components"]["edges"]:
+                a, b = tuple(end_a), tuple(end_b)
+                if set(map(type, a + b)) != {int}:
+                    raise TypeError(f"edge ends must be integer points, got {[end_a, end_b]!r}")
                 edges.add((a, b) if a <= b else (b, a))
             grid = Grid(cfg, cells, edges)
             problems = grid.audit()
             if problems:
                 raise DesignFormatError("; ".join(problems))
             design = cls(grid)
-            if canonical_json(obj) != design.serialize():
+            # The encoder writes integers only, so a float, NaN or boolean
+            # anywhere in ``obj`` makes the two texts differ.
+            if compact_json(obj) != design.serialize():
                 raise DesignFormatError(
                     "components or counts do not match the cell contents"
                 )
@@ -340,23 +351,45 @@ def serialize_log(log: DerivationLog) -> str:
     return with_log_hash(_log_parts_of(log), log.log_hash)
 
 
-def parse_log(text: str) -> DerivationLog:
-    """Structural parse only; hash and replay verification is verify_log's job."""
+_LOG_KEYS = frozenset({
+    "format", "grammar_fingerprint", "grid_config", "generation_config",
+    "steps", "outcome", "design_hash", "log_hash",
+})
+
+
+def _load_log(text: str) -> object:
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise LogFormatError(f"not valid JSON: {e.msg} (line {e.lineno})") from None
+
+
+def _log_header(obj: object) -> tuple[str, GridConfig, GenerationConfig]:
+    """The fingerprint and both configs of a loaded log; the steps are not read."""
     try:
         if not isinstance(obj, dict) or obj.get("format") != LOG_FORMAT:
             raise LogFormatError(f"not a {LOG_FORMAT} document")
-        expected = {
-            "format", "grammar_fingerprint", "grid_config", "generation_config",
-            "steps", "outcome", "design_hash", "log_hash",
-        }
-        if obj.keys() != expected:
+        if obj.keys() != _LOG_KEYS:
             raise LogFormatError("unexpected or missing top-level keys")
         if obj["outcome"] not in OUTCOMES:
             raise LogFormatError(f"unknown outcome {obj['outcome']!r}")
+        for h in (obj["design_hash"], obj["log_hash"]):
+            if not (isinstance(h, str) and len(h) == 64):
+                raise LogFormatError("hashes must be 64-char hex strings")
+        return (
+            obj["grammar_fingerprint"],
+            _grid_config_from_obj(obj["grid_config"]),
+            GenerationConfig.from_obj(obj["generation_config"]),
+        )
+    except LogFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise LogFormatError(f"malformed log: {e}") from None
+
+
+def _log_from_obj(obj: object) -> DerivationLog:
+    fingerprint, grid_config, gen_config = _log_header(obj)
+    try:
         steps = []
         for s in obj["steps"]:
             if not isinstance(s, dict) or s.keys() != {"index", "point", "rule", "pre_state"}:
@@ -369,22 +402,24 @@ def parse_log(text: str) -> DerivationLog:
                     pre_state=State.from_labels(s["pre_state"]),
                 )
             )
-        for h in (obj["design_hash"], obj["log_hash"]):
-            if not (isinstance(h, str) and len(h) == 64):
-                raise LogFormatError("hashes must be 64-char hex strings")
-        return DerivationLog(
-            grammar_fingerprint=obj["grammar_fingerprint"],
-            grid_config=_grid_config_from_obj(obj["grid_config"]),
-            gen_config=GenerationConfig.from_obj(obj["generation_config"]),
-            steps=tuple(steps),
-            outcome=obj["outcome"],
-            design_hash=obj["design_hash"],
-            log_hash=obj["log_hash"],
-        )
     except LogFormatError:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise LogFormatError(f"malformed log: {e}") from None
+    return DerivationLog(
+        grammar_fingerprint=fingerprint,
+        grid_config=grid_config,
+        gen_config=gen_config,
+        steps=tuple(steps),
+        outcome=obj["outcome"],
+        design_hash=obj["design_hash"],
+        log_hash=obj["log_hash"],
+    )
+
+
+def parse_log(text: str) -> DerivationLog:
+    """Structural parse only; hash and replay verification is verify_log's job."""
+    return _log_from_obj(_load_log(text))
 
 
 class Engine:
@@ -400,12 +435,12 @@ class Engine:
     """
 
     def __init__(self, grammar: Grammar, grid_config: GridConfig, match_fn=None):
-        errs = lint_errors(lint_grammar(grammar))
+        errs = lint_grammar_errors(grammar)
         if errs:
             raise LintFailedError(errs)
         self.grammar = grammar
         self.grid_config = grid_config
-        n, side = grid_config.n_half, grid_config.side
+        side = grid_config.side
         count = grid_config.point_count
         self._points: list[Point] = list(grid_config.points())
         self._rules = grammar.rules
@@ -421,32 +456,46 @@ class Engine:
         self._rule_json = [json.dumps(r.name) for r in grammar.rules]
         self._state_text: dict[int, str] = {}  # pre-state JSON by key, filled by log_text
 
-        # Per point: packed neighbor indices, -1 where out of grid; the
-        # initial all-Unoccupied key.
-        U = Symbol.UNOCCUPIED
-        B = Symbol.BOUNDARY
-        self._nbr = nbr = [[-1] * 7 for _ in range(count)]
-        self._base_keys = base = [0] * count
-        for i, p in enumerate(self._points):
-            key = int(U)
-            for d in NEIGHBOR_DIRECTIONS:
-                q = neighbor(p, d)
-                if grid_config.contains(q):
-                    nbr[i][d] = ((q[0] + n) * side + (q[1] + n)) * side + (q[2] + n)
-                    key |= U << (3 * d)
-                else:
-                    key |= B << (3 * d)
-            base[i] = key
+        # Per point: the flat indices of its neighbors in Direction order,
+        # -1 where out of grid (ego is -1 too); the initial all-Unoccupied
+        # key. Point i is (a, b, c) = (x, y, z) + n_half with
+        # i = (a * side + b) * side + c, so the neighbors sit at i + side**2
+        # (front), i - side**2 (rear), i - side (left), i + side (right),
+        # i + 1 (top) and i - 1 (bottom) when that coordinate stays in range.
         # Rewriting point i changes, for each in-grid neighbor q, the entry
-        # of q's state that looks back at i.
-        self._updates = [
-            tuple(
-                (nbr[i][d], 3 * d.opposite, ~(7 << (3 * d.opposite)))
-                for d in NEIGHBOR_DIRECTIONS
-                if nbr[i][d] >= 0
-            )
-            for i in range(count)
-        ]
+        # of q's state that looks back at i: ``_updates[i]`` lists
+        # (q, shift, clear mask) in Direction order.
+        U, B = int(Symbol.UNOCCUPIED), int(Symbol.BOUNDARY)
+        last, plane = side - 1, side * side
+        back = [(3 * d.opposite, ~(7 << (3 * d.opposite))) for d in Direction]
+        self._nbr = nbr = []
+        self._base_keys = base = []
+        self._updates = updates = []
+        for a in range(side):
+            for b in range(side):
+                for c in range(side):
+                    i = len(nbr)
+                    row = (
+                        -1,
+                        i + plane if a < last else -1,
+                        i - plane if a else -1,
+                        i - side if b else -1,
+                        i + side if b < last else -1,
+                        i + 1 if c < last else -1,
+                        i - 1 if c else -1,
+                    )
+                    nbr.append(row)
+                    key = U
+                    update = []
+                    for d in NEIGHBOR_DIRECTIONS:
+                        q = row[d]
+                        if q < 0:
+                            key |= B << (3 * d)
+                        else:
+                            key |= U << (3 * d)
+                            update.append((q, *back[d]))
+                    base.append(key)
+                    updates.append(tuple(update))
         self._memo: dict[int, tuple[int, ...]] = {}
         # nearest-to-origin visits points by (x*x + y*y + z*z, index) (the
         # sort is stable); rank inverts that order.
@@ -636,15 +685,40 @@ def _matcher_fn(grammar: Grammar, matcher: str):
     raise ValueError(f"unknown matcher {matcher!r}")
 
 
-def _rederive(log: DerivationLog, grammar: Grammar) -> tuple[Design, str]:
-    """Re-run the kernel on the log's configs; the log must record exactly its steps."""
+def verify_log_text(text: str, grammar: Grammar) -> tuple[Engine, tuple, str]:
+    """Verify a log file's text; returns (engine, ``engine.run`` result, design hash).
+
+    The log verifies only if ``text``, less at most one trailing newline, is
+    exactly the canonical log its recorded configs derive: the fingerprint
+    is checked, the engine re-runs the configs, and the log it would write
+    is compared with ``text`` as one string. That comparison covers the
+    steps, the design hash, the outcome and the log hash together.
+
+    Only when it fails is the log parsed into objects, and the first fault
+    is named by the ordered checks: fingerprint, the steps in order (see
+    ``_diagnose``), design hash, outcome, log hash. The fallback reuses the
+    engine and the run already made. A log that passes all of them differs
+    from the canonical text only in its rendering (whitespace, key order),
+    and is refused as ``non-canonical``.
+    """
+    obj = _load_log(text)
+    fingerprint, grid_config, gen_config = _log_header(obj)
+    if fingerprint == grammar.fingerprint:
+        engine = Engine(grammar, grid_config)
+        run = engine.run(gen_config)
+        cells, edges, raw_steps, outcome = run
+        design_hash = sha256_hex(engine.design_text(cells, edges))
+        expected = engine.log_text(gen_config, raw_steps, outcome, design_hash)[0]
+        if text.removesuffix("\n") == expected:
+            return engine, run, design_hash
+
+    log = _log_from_obj(obj)
     if grammar.fingerprint != log.grammar_fingerprint:
         raise ReplayError(
             "fingerprint", None,
             "log was produced by a different grammar",
         )
-    engine = Engine(grammar, log.grid_config)
-    cells, edges, raw_steps, outcome = engine.run(log.gen_config)
+    # The fingerprints matched, so the engine and its run above exist.
     pts, rules = engine._points, grammar.rules
     for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
         if (
@@ -654,7 +728,20 @@ def _rederive(log: DerivationLog, grammar: Grammar) -> tuple[Design, str]:
             _diagnose(engine, log, i)
     if len(log.steps) != len(raw_steps):
         _diagnose(engine, log, min(len(log.steps), len(raw_steps)))
-    return engine.to_design(cells, edges), outcome
+    if design_hash != log.design_hash:
+        raise ReplayError(
+            "design-hash", None, "replayed design does not hash to the recorded value"
+        )
+    if log.outcome != outcome:
+        raise ReplayError(
+            "outcome", None, f"recorded {log.outcome!r}, replay implies {outcome!r}"
+        )
+    if sha256_hex("".join(_log_parts_of(log))) != log.log_hash:
+        raise ReplayError("log-hash", None, "log content does not hash to log_hash")
+    raise ReplayError(
+        "non-canonical", None,
+        "the log verifies, but its text is not the canonical rendering",
+    )
 
 
 def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
@@ -687,25 +774,15 @@ def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
     )
 
 
-def replay(log: DerivationLog, grammar: Grammar) -> Design:
-    """Re-derive a log's design, requiring every recorded step to be the derived one."""
-    return _rederive(log, grammar)[0]
-
-
 def verify_log(log: DerivationLog, grammar: Grammar) -> Design:
-    """Full verification: re-derivation, then design hash, outcome, and log hash."""
-    design, outcome = _rederive(log, grammar)
-    if design.hash != log.design_hash:
-        raise ReplayError(
-            "design-hash", None, "replayed design does not hash to the recorded value"
-        )
-    if log.outcome != outcome:
-        raise ReplayError(
-            "outcome", None, f"recorded {log.outcome!r}, replay implies {outcome!r}"
-        )
-    if sha256_hex("".join(_log_parts_of(log))) != log.log_hash:
-        raise ReplayError("log-hash", None, "log content does not hash to log_hash")
-    return design
+    """Full verification of a log object (``verify_log_text`` of its text); the design."""
+    engine, (cells, edges, _, _), _ = verify_log_text(serialize_log(log), grammar)
+    return engine.to_design(cells, edges)
+
+
+def replay(log: DerivationLog, grammar: Grammar) -> Design:
+    """Re-derive a log's design; the log must verify (``verify_log``)."""
+    return verify_log(log, grammar)
 
 
 @dataclass(frozen=True, slots=True)
@@ -748,6 +825,9 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
         raise ProfileFormatError(f"name must be a string, got {profile['name']!r}")
     checks: list[CheckResult] = []
     counts = design.counts()
+    if profile.get("require_connected") or profile.get("forbid_isolated"):
+        nodes = [p for p, _ in design.component_nodes()]
+        edges = design.component_edges()
 
     if profile.get("require_complete"):
         left = counts[Symbol.UNOCCUPIED]
@@ -755,8 +835,7 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
             CheckResult("complete", left == 0, f"{left} nonterminal point(s) remain")
         )
     if profile.get("require_connected"):
-        nodes = [p for p, _ in design.component_nodes()]
-        reached = _connected_component(nodes, design.component_edges())
+        reached = _connected_component(nodes, edges)
         ok = len(reached) == len(nodes)
         checks.append(
             CheckResult(
@@ -765,9 +844,8 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
             )
         )
     if profile.get("forbid_isolated"):
-        nodes = [p for p, _ in design.component_nodes()]
         degree = {p: 0 for p in nodes}
-        for a, b in design.component_edges():
+        for a, b in edges:
             degree[a] += 1
             degree[b] += 1
         isolated = [p for p, d in degree.items() if d == 0] if len(nodes) > 1 else []

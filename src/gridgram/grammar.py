@@ -19,7 +19,7 @@ from itertools import product
 from math import prod
 from typing import Iterator
 
-from gridgram.canon import canonical_hash, canonical_json
+from gridgram.canon import compact_json, sha256_hex
 from gridgram.core import COMPONENTS, NONTERMINALS, TERMINALS, Direction, State, Symbol
 
 #: What "*" means per direction: ego never admits Boundary.
@@ -27,6 +27,8 @@ WILDCARD_EGO = frozenset(s for s in Symbol if s is not Symbol.BOUNDARY)
 WILDCARD_NON_EGO = frozenset(Symbol)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_DIRECTION_LABELS = tuple((d, d.label) for d in Direction)
+_LABEL_SET = frozenset(label for _, label in _DIRECTION_LABELS)
 
 
 class GrammarError(Exception):
@@ -139,6 +141,8 @@ class Rule:
     weight: int = 1
 
     def __post_init__(self) -> None:
+        if type(self.name) is not str:
+            raise TypeError(f"rule name must be a string, got {self.name!r}")
         for pat in self.omega:
             if not pat.sets[Direction.EGO] <= NONTERMINALS:
                 bad = sorted(s.label for s in pat.sets[Direction.EGO] - NONTERMINALS)
@@ -243,7 +247,12 @@ class MatchTable:
 
 @dataclass(frozen=True, slots=True)
 class Grammar:
-    """An ordered list of uniquely named rules plus file metadata."""
+    """An ordered list of uniquely named rules plus file metadata.
+
+    The constructors of ``Grammar`` and ``Rule`` admit only strings for names
+    and the version and only integers for weights, so the plain-data form
+    holds no floats and is serialized without walking it.
+    """
 
     name: str
     version: str
@@ -251,8 +260,14 @@ class Grammar:
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for what in ("name", "version"):
+            value = getattr(self, what)
+            if type(value) is not str:
+                raise TypeError(f"grammar {what} must be a string, got {value!r}")
         seen: set[str] = set()
         for r in self.rules:
+            if not isinstance(r, Rule):
+                raise TypeError(f"grammar rules must be Rule objects, got {r!r}")
             if r.name in seen:
                 raise ValueError(f"duplicate rule name {r.name!r}")
             seen.add(r.name)
@@ -268,7 +283,7 @@ class Grammar:
         """Content hash of the canonical serialization, computed on first use."""
         fp = self._fingerprint
         if fp is None:
-            fp = canonical_hash(grammar_to_obj(self))
+            fp = sha256_hex(serialize_grammar(self))
             object.__setattr__(self, "_fingerprint", fp)
         return fp
 
@@ -371,19 +386,19 @@ def parse_grammar(text: str) -> Grammar:
             cpath = f"{rpath}.contexts[{j}]"
             if not isinstance(cobj, dict):
                 raise GrammarParseError("format", "context must be an object", cpath, line)
-            dir_labels = {d.label for d in Direction}
-            unknown = cobj.keys() - dir_labels
+            unknown = cobj.keys() - _LABEL_SET
             if unknown:
                 raise GrammarParseError(
                     "unknown-direction", f"{sorted(unknown)}", cpath, line
                 )
-            missing = dir_labels - cobj.keys()
+            missing = _LABEL_SET - cobj.keys()
             if missing:
                 raise GrammarParseError(
                     "format", f"context missing direction(s) {sorted(missing)}", cpath, line
                 )
             sets = tuple(
-                _entry_to_set(cobj[d.label], d, f"{cpath}.{d.label}", line) for d in Direction
+                _entry_to_set(cobj[label], d, f"{cpath}.{label}", line)
+                for d, label in _DIRECTION_LABELS
             )
             if not sets[Direction.EGO] <= NONTERMINALS:
                 bad = sorted(s.label for s in sets[Direction.EGO] - NONTERMINALS)
@@ -458,7 +473,7 @@ def grammar_to_obj(grammar: Grammar) -> dict:
         robj: dict = {
             "name": r.name,
             "contexts": [
-                {d.label: _entry_to_obj(pat.sets[d], d) for d in Direction}
+                {label: _entry_to_obj(pat.sets[d], d) for d, label in _DIRECTION_LABELS}
                 for pat in r.omega
             ],
             "produce": {
@@ -474,7 +489,7 @@ def grammar_to_obj(grammar: Grammar) -> dict:
 
 def serialize_grammar(grammar: Grammar) -> str:
     """Canonical rule-file text; parse_grammar(serialize_grammar(g)) == g."""
-    return canonical_json(grammar_to_obj(grammar))
+    return compact_json(grammar_to_obj(grammar))
 
 
 @dataclass(frozen=True, slots=True)
@@ -500,37 +515,13 @@ def _patterns_overlap(a: ContextPattern, b: ContextPattern) -> bool:
 
 
 def lint_grammar(grammar: Grammar) -> list[LintDiagnostic]:
-    """Static rule checks.
+    """Static rule checks: ``lint_grammar_errors``, then the info findings.
 
-    Errors: a production edge can point at a non-component; a rule has no
-    contexts at all. Info: two rules share a concrete context (legal, the
-    generator picks one); a terminal appears in some context but no rule
-    produces it, so those contexts can never see it.
+    Info: two rules share a concrete context (legal, the generator picks
+    one); a terminal appears in some context but no rule produces it, so
+    those contexts can never see it.
     """
-    out: list[LintDiagnostic] = []
-    for r in grammar.rules:
-        if not r.omega:
-            out.append(
-                LintDiagnostic(
-                    "error", "unreachable-rule", r.name, "rule has no contexts; it can never match"
-                )
-            )
-        d = r.production.direction
-        if d is not Direction.EGO:
-            for pat in r.omega:
-                bad = pat.sets[d] - COMPONENTS
-                if bad:
-                    names = sorted(s.label for s in bad)
-                    out.append(
-                        LintDiagnostic(
-                            "error",
-                            "edge-target-not-component",
-                            r.name,
-                            f"production connects {d.label} but the {d.label} entry admits {names}",
-                        )
-                    )
-                    break
-
+    out = lint_grammar_errors(grammar)
     for i, a in enumerate(grammar.rules):
         for b in grammar.rules[i + 1 :]:
             if any(_patterns_overlap(pa, pb) for pa in a.omega for pb in b.omega):
@@ -561,6 +552,38 @@ def lint_grammar(grammar: Grammar) -> list[LintDiagnostic]:
                 f"{s.label} appears in contexts but no rule produces it",
             )
         )
+    return out
+
+
+def lint_grammar_errors(grammar: Grammar) -> list[LintDiagnostic]:
+    """The error-level checks alone, which ``Engine`` refuses a grammar for.
+
+    A rule has no contexts at all; a production edge can point at a
+    non-component.
+    """
+    out: list[LintDiagnostic] = []
+    for r in grammar.rules:
+        if not r.omega:
+            out.append(
+                LintDiagnostic(
+                    "error", "unreachable-rule", r.name, "rule has no contexts; it can never match"
+                )
+            )
+        d = r.production.direction
+        if d is not Direction.EGO:
+            for pat in r.omega:
+                bad = pat.sets[d] - COMPONENTS
+                if bad:
+                    names = sorted(s.label for s in bad)
+                    out.append(
+                        LintDiagnostic(
+                            "error",
+                            "edge-target-not-component",
+                            r.name,
+                            f"production connects {d.label} but the {d.label} entry admits {names}",
+                        )
+                    )
+                    break
     return out
 
 

@@ -17,9 +17,10 @@ import pytest
 from gridgram import generator
 from gridgram.cli import EXIT_INTERNAL, main
 from gridgram.core import MAX_N_HALF
-from gridgram.generator import Design, parse_log, verify_log
+from gridgram.generator import Design, parse_log, serialize_log, verify_log
 from gridgram.grammar import parse_grammar
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
+import log_edits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -247,6 +248,65 @@ class TestReplay:
 
     def test_missing_log_is_usage_error(self, demo_path, tmp_path):
         assert main(["replay", str(tmp_path / "none.json"), demo_path]) == 2
+
+
+class TestReplayVerdicts:
+    """Each doctored seed-7 log exits 1 naming its kind and step, stdout empty."""
+
+    @pytest.fixture(scope="class")
+    def seed7(self):
+        grammar = parse_grammar(demo_uav_text())
+        return grammar, log_edits.seed7_log(grammar)
+
+    @staticmethod
+    def _replay(demo_path, tmp_path, text):
+        path = tmp_path / "log.json"
+        path.write_text(text + "\n")
+        return main(["replay", str(path), demo_path])
+
+    @pytest.mark.parametrize(
+        "edit, verdict",
+        [e[1:] for e in log_edits.EDITS],
+        ids=[e[0] for e in log_edits.EDITS],
+    )
+    def test_each_edit_exits_1_with_its_kind_and_step(
+        self, demo_path, seed7, tmp_path, capsys, edit, verdict
+    ):
+        grammar, log = seed7
+        rc = self._replay(demo_path, tmp_path, edit(log, grammar))
+        out, err = capsys.readouterr()
+        kind, step = verdict
+        at = f" at step {step}" if step is not None else ""
+        assert (rc, out) == (1, "")
+        assert f"replay failed: {kind}{at}: " in err
+
+    @pytest.mark.parametrize(
+        "render",
+        [r for _, r in log_edits.NON_CANONICAL],
+        ids=[name for name, _ in log_edits.NON_CANONICAL],
+    )
+    def test_non_canonical_text_exits_1(self, demo_path, seed7, tmp_path, capsys, render):
+        text = render(serialize_log(seed7[1])).removesuffix("\n")
+        rc = self._replay(demo_path, tmp_path, text)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert "replay failed: non-canonical: " in err
+
+    def test_malformed_steps_exit_3(self, demo_path, seed7, tmp_path, capsys):
+        obj = json.loads(serialize_log(seed7[1]))
+        obj["steps"][3]["pre_state"] = ["Unoccupied"] * 6
+        rc = self._replay(demo_path, tmp_path, json.dumps(obj))
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert "malformed log" in err
+
+    def test_verified_stdout_is_unchanged(self, demo_path, capsys):
+        rc = main(["replay", str(GOLDEN / "demo_seed42_log.json"), demo_path])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            '{"design_hash":"b8c41e54f097d8b3577649aee08d1e7b3b996275795d8493abc3e9fb99d11566",'
+            '"outcome":"complete","steps":125,"verified":true}\n'
+        )
 
 
 class TestValidate:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgram.canon import canonical_hash, sha256_hex
+from gridgram.canon import canonical_hash, canonical_json, sha256_hex
 from gridgram.core import Grid, GridConfig, State, Symbol
 from gridgram.generator import (
     MAX_WORKERS,
@@ -34,12 +34,14 @@ from gridgram.generator import (
     serialize_log,
     validate_design,
     verify_log,
+    verify_log_text,
 )
-from gridgram.grammar import parse_grammar
+from gridgram.grammar import lint_errors, lint_grammar, parse_grammar
 from gridgram.rng import SplitMix64
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
 import encode_oracle
-from step_oracle import Canvas, frontier, step
+import log_edits
+from step_oracle import Canvas, engine_tables, frontier, step
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -358,6 +360,46 @@ class TestGenerate:
         assert design.counts()[Symbol.UNOCCUPIED] == cfg.point_count - len(log.steps)
 
 
+# sha256 of `gridgram lint` on the demo grammar: 170 lines, no errors.
+DEMO_LINT_SHA256 = "2b7d824f0fd67a0af3202fd07ab4d694000649d8872efe8220ecda8d76d4441a"
+
+
+class TestEngineTables:
+    @pytest.mark.parametrize("n_half", [0, 1, 2, 3, 4])
+    def test_tables_equal_the_point_by_point_reference(self, fill, n_half):
+        engine = Engine(fill, GridConfig(n_half))
+        nbr, base, updates = engine_tables(GridConfig(n_half))
+        assert engine._nbr == nbr
+        assert engine._base_keys == base
+        assert engine._updates == updates
+
+    @pytest.mark.parametrize(
+        "rule, code",
+        [
+            ({"contexts": [], "produce": {"symbol": "Empty", "connect": "ego"}},
+             "unreachable-rule"),
+            ({"contexts": [{"ego": "Unoccupied", "front": ["Connector", "Empty"],
+                            "rear": "*", "left": "*", "right": "*", "top": "*",
+                            "bottom": "*"}],
+              "produce": {"symbol": "Rotor", "connect": "front"}},
+             "edge-target-not-component"),
+        ],
+        ids=["unreachable-rule", "edge-target-not-component"],
+    )
+    def test_engine_refuses_each_error_finding(self, rule, code):
+        g = parse_grammar(json.dumps(
+            {"name": "bad", "version": "1", "rules": [{"name": "r", **rule}]}
+        ))
+        with pytest.raises(LintFailedError) as e:
+            Engine(g, GridConfig(1))
+        assert [d.code for d in e.value.diagnostics] == [code]
+        assert lint_errors(lint_grammar(g)) == e.value.diagnostics
+
+    def test_demo_lint_findings_are_unchanged(self, demo):
+        text = "".join(canonical_json(d.to_obj()) + "\n" for d in lint_grammar(demo))
+        assert sha256_hex(text) == DEMO_LINT_SHA256
+
+
 class TestEngineMatchesStepLoop:
     """generate() must be observably identical to folding the public step()."""
 
@@ -522,6 +564,76 @@ class TestReplayAndVerify:
         with pytest.raises(ReplayError) as e:
             verify_log(forged, demo)
         assert e.value.kind == "divergence"
+
+
+class TestLogTextVerification:
+    """``verify_log_text``: one comparison with the canonical re-derivation."""
+
+    @pytest.fixture(scope="class")
+    def genuine(self, demo):
+        log = log_edits.seed7_log(demo)
+        return log, serialize_log(log)
+
+    def test_genuine_text_verifies_with_or_without_a_newline(self, demo, genuine):
+        log, text = genuine
+        for candidate in (text, text + "\n"):
+            engine, (cells, edges, steps, outcome), design_hash = verify_log_text(
+                candidate, demo
+            )
+            assert (len(steps), outcome, design_hash) == (
+                len(log.steps), log.outcome, log.design_hash
+            )
+            assert engine.to_design(cells, edges).hash == design_hash
+
+    @pytest.mark.parametrize(
+        "edit, verdict",
+        [e[1:] for e in log_edits.EDITS],
+        ids=[e[0] for e in log_edits.EDITS],
+    )
+    def test_each_edit_gets_its_kind_and_step(self, demo, genuine, edit, verdict):
+        text = edit(genuine[0], demo)
+        with pytest.raises(ReplayError) as e:
+            verify_log_text(text, demo)
+        assert (e.value.kind, e.value.step) == verdict
+        with pytest.raises(ReplayError) as e:
+            verify_log(parse_log(text), demo)
+        assert (e.value.kind, e.value.step) == verdict
+
+    @pytest.mark.parametrize(
+        "render",
+        [r for _, r in log_edits.NON_CANONICAL],
+        ids=[name for name, _ in log_edits.NON_CANONICAL],
+    )
+    def test_a_valid_but_non_canonical_text_is_refused(self, demo, genuine, render):
+        other = render(genuine[1])
+        verify_log(parse_log(other), demo)  # the content is the genuine log's
+        with pytest.raises(ReplayError) as e:
+            verify_log_text(other, demo)
+        assert (e.value.kind, e.value.step) == ("non-canonical", None)
+
+    @pytest.mark.parametrize("name", ["rule", "log_hash"])
+    def test_a_rejected_log_builds_one_engine(self, demo, genuine, monkeypatch, name):
+        text = {n: edit for n, edit, _ in log_edits.EDITS}[name](genuine[0], demo)
+        built = []
+        init = Engine.__init__
+        monkeypatch.setattr(
+            Engine, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+        )
+        with pytest.raises(ReplayError):
+            verify_log_text(text, demo)
+        assert built == [1]
+
+    def test_a_foreign_grammar_builds_no_engine(self, genuine, fill, monkeypatch):
+        monkeypatch.setattr(Engine, "__init__", None)
+        with pytest.raises(ReplayError) as e:
+            verify_log_text(genuine[1], fill)
+        assert e.value.kind == "fingerprint"
+
+    def test_malformed_steps_are_a_format_error(self, demo, genuine):
+        obj = json.loads(genuine[1])
+        obj["steps"][0].pop("rule")
+        with pytest.raises(LogFormatError):
+            verify_log_text(json.dumps(obj), demo)
 
 
 class TestLogParsing:

@@ -217,9 +217,25 @@ class TestFingerprint:
 
         g = parse_grammar(demo_uav_text())
         first = g.fingerprint
-        monkeypatch.setattr(grammar_module, "canonical_hash", None)
+        monkeypatch.setattr(grammar_module, "sha256_hex", None)
         assert g.fingerprint == first
         assert g == parse_grammar(demo_uav_text())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r: Grammar(1.5, "1", (r,)),
+            lambda r: Grammar("g", 2.0, (r,)),
+            lambda r: Grammar("g", None, (r,)),
+            lambda r: Grammar("g", "1", (replace(r, name=1.5),)),
+            lambda r: Grammar("g", "1", ({"name": "r"},)),
+        ],
+        ids=["float-name", "float-version", "null-version", "float-rule-name", "rule-not-a-rule"],
+    )
+    def test_constructors_refuse_what_could_reach_the_hash(self, build):
+        r = Rule("r", (pattern(),), Production(Symbol.EMPTY, Direction.EGO))
+        with pytest.raises(TypeError):
+            build(r).fingerprint
 
     def test_a_replaced_grammar_hashes_its_own_content(self):
         g = parse_grammar(demo_uav_text())
