@@ -12,6 +12,7 @@ standard error. Output files are byte-identical across identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,7 +30,6 @@ from gridgram.generator import (
     LogFormatError,
     ProfileFormatError,
     ReplayError,
-    resolve_workers,
     run_batch,
     validate_design,
     verify_log_text,
@@ -52,12 +52,20 @@ class FileAccessError(Exception):
     """A named input file could not be read (usage-level problem)."""
 
 
+class FileDecodeError(Exception):
+    """A named input file is not UTF-8 text (unparseable content)."""
+
+
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         reason = e.strerror or str(e)
         raise FileAccessError(f"cannot read {what} {path!r}: {reason}") from None
+    except UnicodeDecodeError as e:
+        raise FileDecodeError(
+            f"{what} {path!r} is not UTF-8 text: {e.reason} at byte {e.start}"
+        ) from None
 
 
 def _positive_int(text: str) -> int:
@@ -99,13 +107,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         for i in range(args.count)
     ]
     started = time.perf_counter()
-    items = run_batch(
-        grammar,
-        GridConfig(args.n_half),
-        configs,
-        matcher=args.matcher,
-        workers=resolve_workers(),
-    )
+    items = run_batch(grammar, GridConfig(args.n_half), configs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for item in items:
@@ -237,16 +239,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     configs = [GenerationConfig(seed=args.seed + i) for i in range(args.count)]
     results: dict[str, dict] = {}
     hashes: dict[str, list[str]] = {}
+    # Both matcher names derive through the one compiled table, so "both"
+    # times two identical batches and checks that they agree.
     for matcher in matchers:
         started = time.perf_counter()
-        items = run_batch(
-            grammar,
-            GridConfig(args.n_half),
-            configs,
-            matcher=matcher,
-            workers=resolve_workers(),
-            want_logs=False,
-        )
+        items = run_batch(grammar, GridConfig(args.n_half), configs, want_logs=False)
         elapsed = time.perf_counter() - started
         outcomes: dict[str, int] = {}
         for item in items:
@@ -276,7 +273,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gridgram",
         description="Grid-rewriting topology generator.",
@@ -342,9 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
@@ -360,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         LogFormatError,
         DesignFormatError,
         ProfileFormatError,
+        FileDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

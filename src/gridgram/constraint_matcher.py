@@ -11,9 +11,11 @@ backends are held to identical answers by the test suite.
 Derivations do not run this backend. A contract union and a rule's
 patterns denote the same set of contexts (the tests hold
 ``compose_matches`` to ``Rule.matches``), and the slot order only changes
-how a context is written, not whether it matches. So ``contract_match_fn``,
-behind ``--matcher contract``, hands the engine the grammar's
-``MatchTable``, the same one the direct matcher uses.
+how a context is written, not whether it matches. So ``--matcher contract``
+derives through the grammar's ``MatchTable``, the same one the direct
+matcher uses, and the package never calls ``contract_match_fn``: it stays
+for callers that time the contract compile apart from the engine build and
+hand its result to ``Engine(match_fn=...)``.
 
 The slot assignment is a degree of freedom: interval shapes (and so the
 number of constraints) depend on which direction lands on which slot.
@@ -25,6 +27,7 @@ context of every rule in closed form, and ``optimal_assignment`` scans all
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from math import prod
 
@@ -79,7 +82,10 @@ class DirectionAssignment:
         want = {d.label for d in _DIRECTIONS}
         if obj.keys() != want:
             raise ValueError(f"assignment keys must be exactly {sorted(want)}")
-        return cls(tuple(int(obj[d.label]) for d in _DIRECTIONS))
+        slots = tuple(obj[d.label] for d in _DIRECTIONS)
+        if any(type(v) is not int for v in slots):
+            raise ValueError(f"assignment slots must be integers, got {slots!r}")
+        return cls(slots)
 
     def __str__(self) -> str:
         return " ".join(f"{d.label}={self.slot_of[d]}" for d in _DIRECTIONS)
@@ -187,17 +193,24 @@ class ContractUnion:
             raise ValueError("a contract union needs at least one member")
 
 
+@cache
+def _constraint(symbol: Symbol, mask: int) -> SymbolConstraint:
+    """``symbol`` pinned to the slots whose bits are set in ``mask``.
+
+    Only 7 x 128 exist, and contract unions repeat them by the thousand.
+    """
+    return SymbolConstraint(symbol, IntervalSet.from_ints(s for s in range(7) if mask >> s & 1))
+
+
 def encode_context(
     ctx: State, assignment: DirectionAssignment
 ) -> tuple[SymbolConstraint, ...]:
     """Per-symbol slot intervals for a concrete context, symbol-code order."""
-    by_symbol: dict[Symbol, list[int]] = {}
+    masks: dict[Symbol, int] = {}
     for d in _DIRECTIONS:
-        by_symbol.setdefault(ctx.at(d), []).append(assignment.slot(d))
-    return tuple(
-        SymbolConstraint(s, IntervalSet.from_ints(slots))
-        for s, slots in sorted(by_symbol.items())
-    )
+        s = ctx.at(d)
+        masks[s] = masks.get(s, 0) | 1 << assignment.slot(d)
+    return tuple(_constraint(s, m) for s, m in sorted(masks.items()))
 
 
 def decode_context(
@@ -301,13 +314,15 @@ def compose_matches(state_u: ContractUnion, rule_u: ContractUnion) -> bool:
 
 
 def contract_match_fn(grammar: Grammar, assignment: DirectionAssignment | None = None):
-    """Matching backend behind ``--matcher contract``: (rule index, key) -> bool.
+    """The contract backend compiled for a caller: (rule index, key) -> bool.
 
     Returns a predicate carrying the grammar's ``MatchTable`` as
     ``match.table``; ``Engine(match_fn=...)`` reads that table and never
     calls the predicate. ``assignment`` is accepted for callers that hold
     one, but the table does not depend on it, and none is computed here.
-    No concrete context is enumerated.
+    No concrete context is enumerated. The package never calls this (both
+    ``--matcher`` names build ``Engine(grammar, grid_config)``); it stays
+    for callers that measure or hold the compile step on its own.
     """
     table = MatchTable.from_grammar(grammar)
 

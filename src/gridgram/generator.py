@@ -78,8 +78,6 @@ from gridgram.grammar import (
     Grammar,
     MatchTable,
     lint_grammar_errors,
-    parse_grammar,
-    serialize_grammar,
 )
 from gridgram.rng import SplitMix64
 
@@ -432,6 +430,11 @@ class Engine:
     from the grammar's patterns; otherwise ``match_fn`` is a predicate that
     carries one as its ``table`` attribute (``contract_match_fn`` returns
     such a predicate), and the engine reads that table and never calls it.
+
+    The package itself never passes ``match_fn``: every engine it builds,
+    for either ``--matcher`` name, is ``Engine(grammar, grid_config)``. The
+    parameter stays for callers that compile the contract backend
+    themselves and time that compile apart from the engine build.
     """
 
     def __init__(self, grammar: Grammar, grid_config: GridConfig, match_fn=None):
@@ -443,7 +446,6 @@ class Engine:
         side = grid_config.side
         count = grid_config.point_count
         self._points: list[Point] = list(grid_config.points())
-        self._rules = grammar.rules
         table = MatchTable.from_grammar(grammar) if match_fn is None else match_fn.table
         # Packed state key -> ascending indices of the rules matching it.
         self._match_list = table.rules_matching
@@ -639,50 +641,18 @@ class Engine:
         outcome: str,
         design: Design,
     ) -> DerivationLog:
-        pts = self._points
-        rules = self._rules
-        steps = tuple(
-            DerivationStep(
-                index=i,
-                point=pts[pi],
-                rule_name=rules[ri].name,
-                pre_state=State.from_key(key),
-            )
-            for i, (pi, ri, key) in enumerate(raw_steps)
-        )
-        design_hash = design.hash
-        return DerivationLog(
-            grammar_fingerprint=self.grammar.fingerprint,
-            grid_config=self.grid_config,
-            gen_config=gen_config,
-            steps=steps,
-            outcome=outcome,
-            design_hash=design_hash,
-            log_hash=self.log_text(gen_config, raw_steps, outcome, design_hash)[1],
-        )
+        """The parse of the log text ``log_text`` writes for this run."""
+        return parse_log(self.log_text(gen_config, raw_steps, outcome, design.hash)[0])
 
 
 def generate(
-    grammar: Grammar,
-    grid_config: GridConfig,
-    gen_config: GenerationConfig,
-    matcher: str = "direct",
+    grammar: Grammar, grid_config: GridConfig, gen_config: GenerationConfig
 ) -> tuple[Design, DerivationLog]:
     """Run one full derivation; the grammar must be lint-clean."""
-    engine = Engine(grammar, grid_config, match_fn=_matcher_fn(grammar, matcher))
+    engine = Engine(grammar, grid_config)
     cells, edges, raw_steps, outcome = engine.run(gen_config)
     design = engine.to_design(cells, edges)
     return design, engine.to_log(gen_config, raw_steps, outcome, design)
-
-
-def _matcher_fn(grammar: Grammar, matcher: str):
-    if matcher == "direct":
-        return None
-    if matcher == "contract":
-        from gridgram.constraint_matcher import contract_match_fn
-
-        return contract_match_fn(grammar)
-    raise ValueError(f"unknown matcher {matcher!r}")
 
 
 def verify_log_text(text: str, grammar: Grammar) -> tuple[Engine, tuple, str]:
@@ -947,21 +917,15 @@ def _batch_item(engine: Engine, cfg: GenerationConfig, want_logs: bool) -> Batch
 
 
 def _batch_worker(args) -> list[tuple[int, BatchItem]]:
-    grammar_text, grid_obj, indexed_configs, matcher, want_logs = args
-    grammar = parse_grammar(grammar_text)
-    grid_config = _grid_config_from_obj(grid_obj)
-    engine = Engine(grammar, grid_config, match_fn=_matcher_fn(grammar, matcher))
-    return [
-        (pos, _batch_item(engine, GenerationConfig.from_obj(cobj), want_logs))
-        for pos, cobj in indexed_configs
-    ]
+    grammar, grid_config, indexed_configs, want_logs = args
+    engine = Engine(grammar, grid_config)
+    return [(pos, _batch_item(engine, cfg, want_logs)) for pos, cfg in indexed_configs]
 
 
 def run_batch(
     grammar: Grammar,
     grid_config: GridConfig,
     configs: list[GenerationConfig],
-    matcher: str = "direct",
     workers: int | None = None,
     want_logs: bool = True,
 ) -> list[BatchItem]:
@@ -973,14 +937,12 @@ def run_batch(
     """
     nworkers = min(resolve_workers(workers), len(configs)) if configs else 1
     if nworkers <= 1:
-        engine = Engine(grammar, grid_config, match_fn=_matcher_fn(grammar, matcher))
+        engine = Engine(grammar, grid_config)
         return [_batch_item(engine, cfg, want_logs) for cfg in configs]
 
-    text = serialize_grammar(grammar)
-    grid_obj = grid_config_obj(grid_config)
-    indexed = [(i, c.to_obj()) for i, c in enumerate(configs)]
+    indexed = list(enumerate(configs))
     chunks = [indexed[i::nworkers] for i in range(nworkers)]
-    jobs = [(text, grid_obj, chunk, matcher, want_logs) for chunk in chunks if chunk]
+    jobs = [(grammar, grid_config, chunk, want_logs) for chunk in chunks if chunk]
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
         parts = list(pool.map(_batch_worker, jobs))
     ordered: list[BatchItem | None] = [None] * len(configs)

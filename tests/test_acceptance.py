@@ -120,7 +120,7 @@ def bench_run(demo):
     """1000 seeded derivations at n_half=3 with the direct matcher, timed."""
     configs = [GenerationConfig(seed=s) for s in range(1000)]
     started = time.perf_counter()
-    items = run_batch(demo, GridConfig(3), configs, matcher="direct", want_logs=False)
+    items = run_batch(demo, GridConfig(3), configs, want_logs=False)
     elapsed = time.perf_counter() - started
     return items, elapsed
 

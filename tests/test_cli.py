@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from gridgram import generator
-from gridgram.cli import EXIT_INTERNAL, main
+from gridgram import cli, constraint_matcher, generator
+from gridgram.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from gridgram.core import MAX_N_HALF
 from gridgram.generator import Design, parse_log, serialize_log, verify_log
 from gridgram.grammar import parse_grammar
@@ -159,14 +159,22 @@ class TestGenerate:
         for name in ("design_11.json", "log_11.json", "design_12.json", "log_12.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_contract_matcher_produces_same_design(self, demo_path, tmp_path):
-        base = ["generate", demo_path, "--n-half", "1", "--seed", "3", "--count", "1"]
-        assert main(base + ["--out-dir", str(tmp_path / "d")]) == 0
-        assert main(base + ["--matcher", "contract", "--out-dir", str(tmp_path / "c")]) == 0
-        assert (
-            (tmp_path / "d" / "design_3.json").read_bytes()
-            == (tmp_path / "c" / "design_3.json").read_bytes()
-        )
+    def test_contract_matcher_produces_same_design(self, demo_path, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI compiled the contract backend")
+
+        monkeypatch.setattr(constraint_matcher, "contract_match_fn", refuse)
+        base = ["generate", demo_path, "--n-half", "1", "--seed", "3", "--count", "2"]
+        for workers in ("1", "2"):
+            monkeypatch.setenv("GRIDGRAM_THREADS", workers)
+            for matcher in ("direct", "contract"):
+                out = str(tmp_path / workers / matcher)
+                assert main(base + ["--matcher", matcher, "--out-dir", out]) == 0
+            for name in ("design_3.json", "log_3.json", "design_4.json", "log_4.json"):
+                assert (
+                    (tmp_path / workers / "direct" / name).read_bytes()
+                    == (tmp_path / workers / "contract" / name).read_bytes()
+                )
 
     def test_missing_grammar_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["generate", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
@@ -492,7 +500,11 @@ class TestBench:
         assert sum(direct["outcomes"].values()) == 3
         assert "direct: 3 designs" in captured.err
 
-    def test_both_matchers_agree(self, demo_path, capsys):
+    def test_both_matchers_agree(self, demo_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bench compiled the contract backend")
+
+        monkeypatch.setattr(constraint_matcher, "contract_match_fn", refuse)
         rc = main([
             "bench", demo_path, "--n-half", "1", "--count", "2", "--matcher", "both",
         ])
@@ -530,9 +542,67 @@ class TestGridBound:
         assert "n_half must be in" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 is unparseable content: exit 3."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, demo_path, run42) -> dict[str, str]:
+        bad = tmp_path_factory.mktemp("non_utf8") / "bad.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        return {
+            "bad": str(bad),
+            "grammar": demo_path,
+            "log": str(run42 / "log_42.json"),
+            "design": str(run42 / "design_42.json"),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["generate", "bad", "--out-dir", "{tmp}"], id="generate-grammar"),
+            pytest.param(["replay", "bad", "grammar"], id="replay-log"),
+            pytest.param(["replay", "log", "bad"], id="replay-grammar"),
+            pytest.param(["validate", "bad"], id="validate-design"),
+            pytest.param(["validate", "design", "--profile", "bad"], id="validate-profile"),
+            pytest.param(["lint", "bad"], id="lint-grammar"),
+            pytest.param(["assign-dirs", "bad"], id="assign-dirs-grammar"),
+            pytest.param(["export", "bad"], id="export-design"),
+            pytest.param(["bench", "bad", "--count", "1"], id="bench-grammar"),
+        ],
+    )
+    def test_is_a_parse_error(self, argv, files, tmp_path, capsys):
+        rc = main([files.get(a, a).replace("{tmp}", str(tmp_path)) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:") and "not UTF-8" in captured.err
+
+    def test_grammar_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        grammar = json.loads(demo_uav_text())
+        grammar["name"] = "dr\u00f6hne"
+        path = tmp_path / "grammar.json"
+        path.write_text(json.dumps(grammar, ensure_ascii=False), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridgram", "lint", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestUsage:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_parser_is_built_once_and_answers_alike(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        answers = []
+        for _ in range(2):
+            rcs = (main(["generate", "--help"]), main(["bench", "--matcher", "x"]))
+            answers.append((rcs, capsys.readouterr()))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == (0, 2)
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -200,7 +200,10 @@ class TestDirectionAssignment:
         del missing["top"]
         extra = dict(good, up=3)
         squashed = dict(good, top=good["bottom"])
-        for bad in ([1, 2, 3], missing, extra, squashed):
+        # Values that int() would coerce into the identity assignment.
+        coerced = {"ego": "0", "front": True, "rear": 2.0, "left": 3.9}
+        mistyped = [dict(good, **{label: value}) for label, value in coerced.items()]
+        for bad in ([1, 2, 3], missing, extra, squashed, dict(good, **coerced), *mistyped):
             with pytest.raises(ValueError):
                 DirectionAssignment.from_obj(bad)
 
