@@ -51,8 +51,8 @@ def main() -> None:
     print("\ncell map (x rows, y columns, one block per z layer):")
     show_layers(design, cfg)
 
-    nodes = design.component_nodes()
-    edges = design.component_edges()
+    nodes = design.component_points()
+    edges = design.edges()
     print(f"\ncomponent graph: {len(nodes)} nodes, {len(edges)} edges")
     counts = {s.label: n for s, n in design.counts().items() if n}
     print(f"symbol counts: {counts}")

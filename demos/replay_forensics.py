@@ -70,7 +70,9 @@ def main() -> None:
     reseeded = dataclasses.replace(
         log, gen_config=dataclasses.replace(log.gen_config, seed=args.seed + 1)
     )
-    reseeded = dataclasses.replace(reseeded, log_hash=canonical_hash(reseeded.core_obj()))
+    content = json.loads(serialize_log(reseeded))
+    del content["log_hash"]
+    reseeded = dataclasses.replace(reseeded, log_hash=canonical_hash(content))
     label = "claim another seed and recompute the log hash"
     try:
         verify_log(reseeded, grammar)

@@ -23,6 +23,8 @@ from gridgram.canon import canonical_json
 from gridgram.constraint_matcher import EmptyGrammarError, optimal_assignment
 from gridgram.core import MAX_N_HALF, GridConfig
 from gridgram.generator import (
+    POINT_STRATEGIES,
+    RULE_STRATEGIES,
     Design,
     DesignFormatError,
     GenerationConfig,
@@ -49,7 +51,7 @@ EXIT_INTERNAL = 4
 
 
 class FileAccessError(Exception):
-    """A named input file could not be read (usage-level problem)."""
+    """A named file could not be read or written (usage-level problem)."""
 
 
 class FileDecodeError(Exception):
@@ -66,6 +68,14 @@ def _read_text(path: str, what: str) -> str:
         raise FileDecodeError(
             f"{what} {path!r} is not UTF-8 text: {e.reason} at byte {e.start}"
         ) from None
+
+
+def _write_text(path: Path, text: str, what: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        reason = e.strerror or str(e)
+        raise FileAccessError(f"cannot write {what} {str(path)!r}: {reason}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -106,13 +116,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
         )
         for i in range(args.count)
     ]
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        reason = e.strerror or str(e)
+        raise FileAccessError(
+            f"cannot create output directory {args.out_dir!r}: {reason}"
+        ) from None
     started = time.perf_counter()
     items = run_batch(grammar, GridConfig(args.n_half), configs)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for item in items:
-        (out_dir / f"design_{item.seed}.json").write_text(item.design_text + "\n")
-        (out_dir / f"log_{item.seed}.json").write_text(item.log_text + "\n")
+        _write_text(out_dir / f"design_{item.seed}.json", item.design_text + "\n", "design file")
+        _write_text(out_dir / f"log_{item.seed}.json", item.log_text + "\n", "log file")
         _emit(
             {
                 "seed": item.seed,
@@ -134,16 +150,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     text = _read_text(args.log, "log file")
     grammar = parse_grammar(_read_text(args.grammar, "grammar file"))
     try:
-        _, (_, _, steps, outcome), design_hash = verify_log_text(text, grammar)
+        item = verify_log_text(text, grammar)
     except ReplayError as e:
         print(f"replay failed: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     _emit(
         {
             "verified": True,
-            "steps": len(steps),
-            "outcome": outcome,
-            "design_hash": design_hash,
+            "steps": item.step_count,
+            "outcome": item.outcome,
+            "design_hash": item.design_hash,
         }
     )
     return EXIT_OK
@@ -204,9 +220,9 @@ def cmd_assign_dirs(args: argparse.Namespace) -> int:
         "rules": len(grammar.rules),
         "contexts": sum(r.context_count() for r in grammar.rules),
     }
-    _emit(result)
     if args.out is not None:
-        Path(args.out).write_text(canonical_json(result) + "\n")
+        _write_text(Path(args.out), canonical_json(result) + "\n", "output file")
+    _emit(result)
     return EXIT_OK
 
 
@@ -214,11 +230,11 @@ def _dot_text(design: Design) -> str:
     def node(p, s) -> str:
         return f'"{s.label}@({p[0]},{p[1]},{p[2]})"'
 
-    symbol_at = {p: s for p, s in design.component_nodes()}
+    symbol_at = dict(design.component_points())
     lines = ["graph design {"]
-    for p, s in design.component_nodes():
+    for p, s in symbol_at.items():
         lines.append(f"  {node(p, s)};")
-    for a, b in design.component_edges():
+    for a, b in design.edges():
         lines.append(f"  {node(a, symbol_at[a])} -- {node(b, symbol_at[b])};")
     lines.append("}")
     return "\n".join(lines)
@@ -288,15 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument(
-        "--point-strategy",
-        choices=("uniform-random-frontier", "scanline", "nearest-to-origin"),
-        default="uniform-random-frontier",
+        "--point-strategy", choices=POINT_STRATEGIES, default="uniform-random-frontier"
     )
-    p.add_argument(
-        "--rule-strategy",
-        choices=("uniform-random", "weighted", "first-match"),
-        default="uniform-random",
-    )
+    p.add_argument("--rule-strategy", choices=RULE_STRATEGIES, default="uniform-random")
     p.add_argument("--matcher", choices=("direct", "contract"), default="direct")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_generate)

@@ -24,12 +24,20 @@ Among the rules matching that point's state, in grammar order:
   cumulative weight exceeds the draw;
 - first-match takes the first.
 
+A finished derivation has one shape per use. Batches and verification
+return a ``BatchItem``: the canonical texts plus the figures a report needs.
+A ``Design`` is the ``core.Grid`` of the result with its encoder, and a
+``DerivationLog`` is the parsed log, kept for the library calls
+(``generate``, ``parse_log``, ``verify_log``) and for naming the first fault
+of a log that fails.
+
 Logs carry hashes of their own content and of the produced design.
 Verification (``verify_log_text``) re-runs the engine on the log's recorded
-configs, encodes the log that run writes, and requires the log's text to be
-that same string (one trailing newline allowed). Only a log that fails is
-parsed into objects, so that the first fault can be named; one with no
-fault but other bytes (whitespace, key order) is refused as non-canonical.
+configs, encodes that run exactly as ``run_batch`` does, and requires the
+log's text to be the log it writes (one trailing newline allowed). Only a
+log that fails is parsed into objects, so that the first fault can be
+named; one with no fault but other bytes (whitespace, key order) is refused
+as non-canonical.
 
 Designs and logs are written by the one encoder each in ``gridgram.canon``,
 fed from the engine's arrays (``Engine.design_text``, ``Engine.log_text``)
@@ -56,7 +64,6 @@ from gridgram.canon import (
     compact_json,
     encode_design,
     encode_log,
-    grid_config_obj,
     point_coords,
     sha256_hex,
     state_json,
@@ -200,14 +207,6 @@ class DerivationStep:
         if self.pre_state.ego not in NONTERMINALS:
             raise ValueError("recorded pre-state must have a nonterminal ego")
 
-    def to_obj(self) -> dict:
-        return {
-            "index": self.index,
-            "point": list(self.point),
-            "rule": self.rule_name,
-            "pre_state": self.pre_state.labels(),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class DerivationLog:
@@ -220,18 +219,6 @@ class DerivationLog:
     outcome: str
     design_hash: str
     log_hash: str
-
-    def core_obj(self) -> dict:
-        """Plain data of everything except log_hash; log_hash hashes its canonical JSON."""
-        return {
-            "format": LOG_FORMAT,
-            "grammar_fingerprint": self.grammar_fingerprint,
-            "grid_config": grid_config_obj(self.grid_config),
-            "generation_config": self.gen_config.to_obj(),
-            "steps": [s.to_obj() for s in self.steps],
-            "outcome": self.outcome,
-            "design_hash": self.design_hash,
-        }
 
 
 def _int(value: object) -> int:
@@ -261,39 +248,28 @@ def _log_parts_of(log: DerivationLog) -> tuple[str, str]:
     )
 
 
-class Design:
-    """A finished (or abandoned) grid together with its component graph view."""
+class Design(Grid):
+    """The grid a derivation finished (or abandoned) with, and its encoding.
 
-    __slots__ = ("grid",)
+    A ``core.Grid`` in every respect: the component graph is
+    ``component_points()`` and ``edges()``, and a design equals any grid
+    with the same config, cells and edges. It adds only the canonical text
+    (``serialize``), its hash and the checked parse back.
+    """
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Design):
-            return NotImplemented
-        return self.grid == other.grid
-
-    def component_nodes(self) -> list[tuple[Point, Symbol]]:
-        return self.grid.component_points()
-
-    def component_edges(self) -> list[tuple[Point, Point]]:
-        return self.grid.edges()
-
-    def counts(self) -> dict[Symbol, int]:
-        return self.grid.counts()
+    __slots__ = ()
 
     def cells_text(self) -> str:
         """All point symbols as one letter each, lexicographic point order."""
-        return cells_text(self.grid.cell_codes())
+        return cells_text(self._cells)
 
     @property
     def hash(self) -> str:
         return sha256_hex(self.serialize())
 
     def serialize(self) -> str:
-        edges = [(xyz(a), xyz(b)) for a, b in self.grid.edges()]
-        return encode_design(self.grid.config, self.grid.cell_codes(), edges)
+        edges = [(xyz(a), xyz(b)) for a, b in self.edges()]
+        return encode_design(self.config, self._cells, edges)
 
     @classmethod
     def from_obj(cls, obj: object) -> Design:
@@ -319,11 +295,10 @@ class Design:
                 if set(map(type, a + b)) != {int}:
                     raise TypeError(f"edge ends must be integer points, got {[end_a, end_b]!r}")
                 edges.add((a, b) if a <= b else (b, a))
-            grid = Grid(cfg, cells, edges)
-            problems = grid.audit()
+            design = cls(cfg, cells, edges)
+            problems = design.audit()
             if problems:
                 raise DesignFormatError("; ".join(problems))
-            design = cls(grid)
             # The encoder writes integers only, so a float, NaN or boolean
             # anywhere in ``obj`` makes the two texts differ.
             if compact_json(obj) != design.serialize():
@@ -601,11 +576,16 @@ class Engine:
         return cells, edges, steps, outcome
 
     def to_design(self, cells: bytearray, edges: set[tuple[int, int]]) -> Design:
+        """The design of one ``run`` result; it takes ``cells`` over without a copy.
+
+        ``run`` returns fresh cells on every call, and a design never writes
+        to the cells it holds.
+        """
         pts = self._points
         point_edges = {
             tuple(sorted((pts[a], pts[b]))) for a, b in edges
         }
-        return Design(Grid(self.grid_config, bytearray(cells), point_edges))
+        return Design(self.grid_config, cells, point_edges)
 
     def design_text(self, cells: bytearray, edges: set[tuple[int, int]]) -> str:
         """Canonical text of the design ``to_design(cells, edges)`` builds."""
@@ -655,14 +635,15 @@ def generate(
     return design, engine.to_log(gen_config, raw_steps, outcome, design)
 
 
-def verify_log_text(text: str, grammar: Grammar) -> tuple[Engine, tuple, str]:
-    """Verify a log file's text; returns (engine, ``engine.run`` result, design hash).
+def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
+    """Verify a log file's text; returns the ``BatchItem`` of its derivation.
 
     The log verifies only if ``text``, less at most one trailing newline, is
     exactly the canonical log its recorded configs derive: the fingerprint
-    is checked, the engine re-runs the configs, and the log it would write
-    is compared with ``text`` as one string. That comparison covers the
-    steps, the design hash, the outcome and the log hash together.
+    is checked, the engine re-runs the configs into the item ``run_batch``
+    would make for them, and the item's log text is compared with ``text``
+    as one string. That comparison covers the steps, the design hash, the
+    outcome and the log hash together.
 
     Only when it fails is the log parsed into objects, and the first fault
     is named by the ordered checks: fingerprint, the steps in order (see
@@ -676,11 +657,9 @@ def verify_log_text(text: str, grammar: Grammar) -> tuple[Engine, tuple, str]:
     if fingerprint == grammar.fingerprint:
         engine = Engine(grammar, grid_config)
         run = engine.run(gen_config)
-        cells, edges, raw_steps, outcome = run
-        design_hash = sha256_hex(engine.design_text(cells, edges))
-        expected = engine.log_text(gen_config, raw_steps, outcome, design_hash)[0]
-        if text.removesuffix("\n") == expected:
-            return engine, run, design_hash
+        item = _batch_item(engine, gen_config, run, want_logs=True)
+        if text.removesuffix("\n") == item.log_text:
+            return item
 
     log = _log_from_obj(obj)
     if grammar.fingerprint != log.grammar_fingerprint:
@@ -688,7 +667,8 @@ def verify_log_text(text: str, grammar: Grammar) -> tuple[Engine, tuple, str]:
             "fingerprint", None,
             "log was produced by a different grammar",
         )
-    # The fingerprints matched, so the engine and its run above exist.
+    # The fingerprints matched, so the engine, its run and item above exist.
+    _, _, raw_steps, outcome = run
     pts, rules = engine._points, grammar.rules
     for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
         if (
@@ -698,7 +678,7 @@ def verify_log_text(text: str, grammar: Grammar) -> tuple[Engine, tuple, str]:
             _diagnose(engine, log, i)
     if len(log.steps) != len(raw_steps):
         _diagnose(engine, log, min(len(log.steps), len(raw_steps)))
-    if design_hash != log.design_hash:
+    if item.design_hash != log.design_hash:
         raise ReplayError(
             "design-hash", None, "replayed design does not hash to the recorded value"
         )
@@ -727,7 +707,7 @@ def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
         grid = Grid.empty(log.grid_config)
     else:
         cells, edges, _, _ = engine.run(replace(log.gen_config, max_steps=i))
-        grid = engine.to_design(cells, edges).grid
+        grid = engine.to_design(cells, edges)
     if grid.state_of(s.point) != s.pre_state:
         raise ReplayError(
             "pre-state", i,
@@ -746,8 +726,7 @@ def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
 
 def verify_log(log: DerivationLog, grammar: Grammar) -> Design:
     """Full verification of a log object (``verify_log_text`` of its text); the design."""
-    engine, (cells, edges, _, _), _ = verify_log_text(serialize_log(log), grammar)
-    return engine.to_design(cells, edges)
+    return Design.parse(verify_log_text(serialize_log(log), grammar).design_text)
 
 
 def replay(log: DerivationLog, grammar: Grammar) -> Design:
@@ -796,8 +775,8 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
     checks: list[CheckResult] = []
     counts = design.counts()
     if profile.get("require_connected") or profile.get("forbid_isolated"):
-        nodes = [p for p, _ in design.component_nodes()]
-        edges = design.component_edges()
+        nodes = [p for p, _ in design.component_points()]
+        edges = design.edges()
 
     if profile.get("require_complete"):
         left = counts[Symbol.UNOCCUPIED]
@@ -900,8 +879,9 @@ class BatchItem:
     outcome: str
 
 
-def _batch_item(engine: Engine, cfg: GenerationConfig, want_logs: bool) -> BatchItem:
-    cells, edges, raw_steps, outcome = engine.run(cfg)
+def _batch_item(engine: Engine, cfg: GenerationConfig, run: tuple, want_logs: bool) -> BatchItem:
+    """Encode ``run``, the result of ``engine.run(cfg)``, as a batch item."""
+    cells, edges, raw_steps, outcome = run
     design_text = engine.design_text(cells, edges)
     design_hash = sha256_hex(design_text)
     log_text = engine.log_text(cfg, raw_steps, outcome, design_hash)[0] if want_logs else None
@@ -919,7 +899,10 @@ def _batch_item(engine: Engine, cfg: GenerationConfig, want_logs: bool) -> Batch
 def _batch_worker(args) -> list[tuple[int, BatchItem]]:
     grammar, grid_config, indexed_configs, want_logs = args
     engine = Engine(grammar, grid_config)
-    return [(pos, _batch_item(engine, cfg, want_logs)) for pos, cfg in indexed_configs]
+    return [
+        (pos, _batch_item(engine, cfg, engine.run(cfg), want_logs))
+        for pos, cfg in indexed_configs
+    ]
 
 
 def run_batch(
@@ -938,8 +921,11 @@ def run_batch(
     nworkers = min(resolve_workers(workers), len(configs)) if configs else 1
     if nworkers <= 1:
         engine = Engine(grammar, grid_config)
-        return [_batch_item(engine, cfg, want_logs) for cfg in configs]
+        return [_batch_item(engine, cfg, engine.run(cfg), want_logs) for cfg in configs]
 
+    if want_logs:
+        # Hash the grammar here, once: the pickled copies carry the fingerprint.
+        grammar.fingerprint
     indexed = list(enumerate(configs))
     chunks = [indexed[i::nworkers] for i in range(nworkers)]
     jobs = [(grammar, grid_config, chunk, want_logs) for chunk in chunks if chunk]

@@ -288,36 +288,33 @@ class Grammar:
         return fp
 
 
-def _entry_to_set(value: object, d: Direction, path: str, line: int | None) -> frozenset[Symbol]:
+def _entry_to_set(value: object, d: Direction, path: str) -> frozenset[Symbol]:
     if value == "*":
         return WILDCARD_EGO if d is Direction.EGO else WILDCARD_NON_EGO
     if isinstance(value, str):
         names: list[str] = [value]
     elif isinstance(value, list):
         if not value:
-            raise GrammarParseError("format", "symbol list may not be empty", path, line)
+            raise GrammarParseError("format", "symbol list may not be empty", path)
         names = []
         for v in value:
             if not isinstance(v, str) or v == "*":
-                raise GrammarParseError(
-                    "unknown-symbol", f"{v!r} is not a symbol name", path, line
-                )
+                raise GrammarParseError("unknown-symbol", f"{v!r} is not a symbol name", path)
             names.append(v)
     else:
         raise GrammarParseError(
-            "format", f"expected symbol name, list, or \"*\", got {type(value).__name__}",
-            path, line,
+            "format", f"expected symbol name, list, or \"*\", got {type(value).__name__}", path
         )
     out: set[Symbol] = set()
     for n in names:
         try:
             out.add(Symbol.from_label(n))
         except KeyError:
-            raise GrammarParseError("unknown-symbol", f"{n!r}", path, line) from None
+            raise GrammarParseError("unknown-symbol", f"{n!r}", path) from None
     return frozenset(out)
 
 
-def _line_of(text: str, needle: str, occurrence: int = 1) -> int | None:
+def _line_of(text: str, needle: str, occurrence: int) -> int | None:
     """Best-effort line lookup: the Nth occurrence of a quoted literal."""
     start = 0
     for _ in range(occurrence):
@@ -328,30 +325,31 @@ def _line_of(text: str, needle: str, occurrence: int = 1) -> int | None:
     return text.count("\n", 0, start) + 1
 
 
-def _require_keys(
-    obj: dict, required: set[str], optional: set[str], path: str, line: int | None
-) -> None:
+def _require_keys(obj: dict, required: set[str], optional: set[str], path: str) -> None:
     missing = required - obj.keys()
     if missing:
-        raise GrammarParseError(
-            "format", f"missing key(s) {sorted(missing)}", path, line
-        )
+        raise GrammarParseError("format", f"missing key(s) {sorted(missing)}", path)
     unknown = obj.keys() - required - optional
     if unknown:
-        raise GrammarParseError(
-            "format", f"unknown key(s) {sorted(unknown)}", path, line
-        )
+        raise GrammarParseError("format", f"unknown key(s) {sorted(unknown)}", path)
 
 
 def parse_grammar(text: str) -> Grammar:
-    """Parse and fully validate a rule file; raises GrammarParseError."""
+    """Parse and fully validate a rule file; raises GrammarParseError.
+
+    An error inside a rule reports the line of the rule's name (of its
+    second occurrence for a duplicate name), looked up only once raised.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GrammarParseError("syntax", e.msg, "$", e.lineno, e.colno) from None
     if not isinstance(doc, dict):
         raise GrammarParseError("format", "top level must be an object", "$", 1)
-    _require_keys(doc, {"name", "version", "rules"}, set(), "$", 1)
+    try:
+        _require_keys(doc, {"name", "version", "rules"}, set(), "$")
+    except GrammarParseError as e:
+        raise GrammarParseError(e.kind, e.message, e.path, 1) from None
     if not isinstance(doc["name"], str) or not isinstance(doc["version"], str):
         raise GrammarParseError("format", "name and version must be strings", "$", 1)
     if not isinstance(doc["rules"], list):
@@ -362,99 +360,96 @@ def parse_grammar(text: str) -> Grammar:
     for i, robj in enumerate(doc["rules"]):
         rpath = f"$.rules[{i}]"
         if not isinstance(robj, dict):
-            raise GrammarParseError("format", "rule must be an object", rpath, None)
+            raise GrammarParseError("format", "rule must be an object", rpath)
         rname = robj.get("name")
         if not isinstance(rname, str) or not _NAME_RE.fullmatch(rname):
             raise GrammarParseError(
-                "format", f"rule name must be an identifier, got {rname!r}", rpath, None
+                "format", f"rule name must be an identifier, got {rname!r}", rpath
             )
-        line = _line_of(text, rname)
-        _require_keys(robj, {"name", "contexts", "produce"}, {"weight"}, rpath, line)
-        if rname in seen:
-            raise GrammarParseError(
-                "duplicate-rule-name",
-                f"{rname!r} already defined as rule {seen[rname]}",
-                rpath,
-                _line_of(text, rname, occurrence=2),
-            )
-        seen[rname] = i
-
-        if not isinstance(robj["contexts"], list):
-            raise GrammarParseError("format", "contexts must be a list", f"{rpath}.contexts", line)
-        patterns: list[ContextPattern] = []
-        for j, cobj in enumerate(robj["contexts"]):
-            cpath = f"{rpath}.contexts[{j}]"
-            if not isinstance(cobj, dict):
-                raise GrammarParseError("format", "context must be an object", cpath, line)
-            unknown = cobj.keys() - _LABEL_SET
-            if unknown:
-                raise GrammarParseError(
-                    "unknown-direction", f"{sorted(unknown)}", cpath, line
-                )
-            missing = _LABEL_SET - cobj.keys()
-            if missing:
-                raise GrammarParseError(
-                    "format", f"context missing direction(s) {sorted(missing)}", cpath, line
-                )
-            sets = tuple(
-                _entry_to_set(cobj[label], d, f"{cpath}.{label}", line)
-                for d, label in _DIRECTION_LABELS
-            )
-            if not sets[Direction.EGO] <= NONTERMINALS:
-                bad = sorted(s.label for s in sets[Direction.EGO] - NONTERMINALS)
-                raise GrammarParseError(
-                    "ego-not-nonterminal",
-                    f"ego admits {bad}; only nonterminals are rewritten",
-                    f"{cpath}.ego",
-                    line,
-                )
-            patterns.append(ContextPattern(sets))
-
-        pobj = robj["produce"]
-        ppath = f"{rpath}.produce"
-        if not isinstance(pobj, dict):
-            raise GrammarParseError("format", "produce must be an object", ppath, line)
-        _require_keys(pobj, {"symbol", "connect"}, set(), ppath, line)
-        if not isinstance(pobj["symbol"], str):
-            raise GrammarParseError("format", "produce.symbol must be a string", ppath, line)
         try:
-            psym = Symbol.from_label(pobj["symbol"])
-        except KeyError:
-            raise GrammarParseError(
-                "unknown-symbol", f"{pobj['symbol']!r}", f"{ppath}.symbol", line
-            ) from None
-        if psym not in TERMINALS:
-            raise GrammarParseError(
-                "production-not-terminal",
-                f"{psym.label} is not a terminal",
-                f"{ppath}.symbol",
-                line,
-            )
-        if not isinstance(pobj["connect"], str):
-            raise GrammarParseError("format", "produce.connect must be a string", ppath, line)
-        try:
-            pdir = Direction.from_label(pobj["connect"])
-        except KeyError:
-            raise GrammarParseError(
-                "unknown-direction", f"{pobj['connect']!r}", f"{ppath}.connect", line
-            ) from None
-        if psym is Symbol.EMPTY and pdir is not Direction.EGO:
-            raise GrammarParseError(
-                "empty-with-connection",
-                "Empty carries no physical connection; connect must be ego",
-                f"{ppath}.connect",
-                line,
-            )
-
-        weight = robj.get("weight", 1)
-        if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-            raise GrammarParseError(
-                "format", f"weight must be a positive integer, got {weight!r}",
-                f"{rpath}.weight", line,
-            )
-        rules.append(Rule(rname, tuple(patterns), Production(psym, pdir), weight))
+            _require_keys(robj, {"name", "contexts", "produce"}, {"weight"}, rpath)
+            if rname in seen:
+                raise GrammarParseError(
+                    "duplicate-rule-name", f"{rname!r} already defined as rule {seen[rname]}",
+                    rpath,
+                )
+            seen[rname] = i
+            rules.append(_rule_from_obj(robj, rname, rpath))
+        except GrammarParseError as e:
+            nth = 2 if e.kind == "duplicate-rule-name" else 1
+            line = _line_of(text, rname, nth)
+            raise GrammarParseError(e.kind, e.message, e.path, line) from None
 
     return Grammar(doc["name"], doc["version"], tuple(rules))
+
+
+def _rule_from_obj(robj: dict, rname: str, rpath: str) -> Rule:
+    """One rule whose keys are checked; errors carry no line (the caller adds it)."""
+    if not isinstance(robj["contexts"], list):
+        raise GrammarParseError("format", "contexts must be a list", f"{rpath}.contexts")
+    patterns: list[ContextPattern] = []
+    for j, cobj in enumerate(robj["contexts"]):
+        cpath = f"{rpath}.contexts[{j}]"
+        if not isinstance(cobj, dict):
+            raise GrammarParseError("format", "context must be an object", cpath)
+        unknown = cobj.keys() - _LABEL_SET
+        if unknown:
+            raise GrammarParseError("unknown-direction", f"{sorted(unknown)}", cpath)
+        missing = _LABEL_SET - cobj.keys()
+        if missing:
+            raise GrammarParseError(
+                "format", f"context missing direction(s) {sorted(missing)}", cpath
+            )
+        sets = tuple(
+            _entry_to_set(cobj[label], d, f"{cpath}.{label}") for d, label in _DIRECTION_LABELS
+        )
+        if not sets[Direction.EGO] <= NONTERMINALS:
+            bad = sorted(s.label for s in sets[Direction.EGO] - NONTERMINALS)
+            raise GrammarParseError(
+                "ego-not-nonterminal",
+                f"ego admits {bad}; only nonterminals are rewritten",
+                f"{cpath}.ego",
+            )
+        patterns.append(ContextPattern(sets))
+
+    pobj = robj["produce"]
+    ppath = f"{rpath}.produce"
+    if not isinstance(pobj, dict):
+        raise GrammarParseError("format", "produce must be an object", ppath)
+    _require_keys(pobj, {"symbol", "connect"}, set(), ppath)
+    if not isinstance(pobj["symbol"], str):
+        raise GrammarParseError("format", "produce.symbol must be a string", ppath)
+    try:
+        psym = Symbol.from_label(pobj["symbol"])
+    except KeyError:
+        raise GrammarParseError(
+            "unknown-symbol", f"{pobj['symbol']!r}", f"{ppath}.symbol"
+        ) from None
+    if psym not in TERMINALS:
+        raise GrammarParseError(
+            "production-not-terminal", f"{psym.label} is not a terminal", f"{ppath}.symbol"
+        )
+    if not isinstance(pobj["connect"], str):
+        raise GrammarParseError("format", "produce.connect must be a string", ppath)
+    try:
+        pdir = Direction.from_label(pobj["connect"])
+    except KeyError:
+        raise GrammarParseError(
+            "unknown-direction", f"{pobj['connect']!r}", f"{ppath}.connect"
+        ) from None
+    if psym is Symbol.EMPTY and pdir is not Direction.EGO:
+        raise GrammarParseError(
+            "empty-with-connection",
+            "Empty carries no physical connection; connect must be ego",
+            f"{ppath}.connect",
+        )
+
+    weight = robj.get("weight", 1)
+    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+        raise GrammarParseError(
+            "format", f"weight must be a positive integer, got {weight!r}", f"{rpath}.weight"
+        )
+    return Rule(rname, tuple(patterns), Production(psym, pdir), weight)
 
 
 def _entry_to_obj(ss: frozenset[Symbol], d: Direction) -> object:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
-from gridgram.canon import canonical_hash
 from gridgram.core import GridConfig
 from gridgram.generator import GenerationConfig, generate, serialize_log
+
+import encode_oracle
 
 STEP = 5
 
@@ -46,7 +47,7 @@ def _forgery(forge):
 
     def edit(log, grammar):
         forged = forge(log, grammar)
-        return serialize_log(replace(forged, log_hash=canonical_hash(forged.core_obj())))
+        return serialize_log(replace(forged, log_hash=encode_oracle.log_hash(forged)))
 
     return edit
 

@@ -378,8 +378,8 @@ def test_criterion_7_edge_soundness(bench_designs, replay_runs):
     bad_edges = 0
     edges_seen = 0
     for design in designs:
-        nodes = {p for p, _ in design.component_nodes()}
-        for a, b in design.component_edges():
+        nodes = {p for p, _ in design.component_points()}
+        for a, b in design.edges():
             edges_seen += 1
             gaps = sorted(abs(a[i] - b[i]) for i in range(3))
             if gaps != [0, 0, 1] or a not in nodes or b not in nodes:

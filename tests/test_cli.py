@@ -207,6 +207,33 @@ class TestGenerate:
         rc = main(["generate", demo_path, "--count", "0", "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_out_dir_that_is_a_file_is_usage_error_before_deriving(
+        self, demo_path, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("derived before the output directory existed")
+
+        monkeypatch.setattr(cli, "run_batch", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["generate", demo_path, "--n-half", "1", "--out-dir", str(taken)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot create output directory")
+
+    def test_unwritable_design_file_is_usage_error(self, demo_path, tmp_path, capsys):
+        (tmp_path / "design_7.json").mkdir()
+        rc = main([
+            "generate", demo_path, "--n-half", "1", "--seed", "7", "--out-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write design file")
+
     def test_dead_worker_is_internal_error(self, demo_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(generator, "_batch_worker", _die)
         monkeypatch.setenv("GRIDGRAM_THREADS", "2")
@@ -448,6 +475,14 @@ class TestAssignDirs:
         assert result["bijections_scanned"] == 5040
         assert result["rules"] == 29
         assert out_file.read_text() == out
+
+    def test_unwritable_out_file_is_usage_error(self, demo_path, tmp_path, capsys):
+        rc = main(["assign-dirs", demo_path, "--out", str(tmp_path / "no" / "a.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write output file")
 
     def test_no_rules_means_no_assignment(self, tmp_path, capsys):
         g = tmp_path / "empty.json"

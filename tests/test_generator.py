@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgram.canon import canonical_hash, canonical_json, sha256_hex
+from gridgram import generator
+from gridgram.canon import canonical_json, sha256_hex
 from gridgram.core import Grid, GridConfig, State, Symbol
 from gridgram.generator import (
     MAX_WORKERS,
@@ -136,6 +137,23 @@ def seed13_design(demo):
 
 def _reconfigured(log, **changes):
     return replace(log, gen_config=replace(log.gen_config, **changes))
+
+
+def _count_runs(monkeypatch) -> list:
+    """Wrap ``Engine.run`` so that each call appends its config to the returned list."""
+    runs = []
+    run = Engine.run
+    monkeypatch.setattr(Engine, "run", lambda self, cfg: runs.append(cfg) or run(self, cfg))
+    return runs
+
+
+_batch_worker = generator._batch_worker
+
+
+def _worker_requiring_fingerprint(args):
+    """``run_batch``'s worker, refusing a grammar that would be hashed again."""
+    assert args[0]._fingerprint is not None, "the worker would hash the grammar again"
+    return _batch_worker(args)
 
 
 def _to_float(values, i):
@@ -303,7 +321,7 @@ class TestGenerate:
     def test_different_seeds_differ(self, demo):
         _, l1 = generate(demo, GridConfig(2), GenerationConfig(seed=0))
         _, l2 = generate(demo, GridConfig(2), GenerationConfig(seed=1))
-        assert [s.to_obj() for s in l1.steps] != [s.to_obj() for s in l2.steps]
+        assert l1.steps != l2.steps
 
     def test_deterministic_strategies_ignore_the_seed(self, demo):
         logs = [
@@ -316,7 +334,7 @@ class TestGenerate:
             )[1]
             for seed in (0, 77)
         ]
-        assert [s.to_obj() for s in logs[0].steps] == [s.to_obj() for s in logs[1].steps]
+        assert logs[0].steps == logs[1].steps
         assert logs[0].design_hash == logs[1].design_hash
 
     def test_demo_run_is_complete_valid_and_sound(self, demo):
@@ -324,7 +342,7 @@ class TestGenerate:
         assert log.outcome == "complete"
         assert design.counts()[Symbol.FUSELAGE] == 1
         assert validate_design(design, demo_profile_obj()).passed
-        assert design.grid.audit() == []
+        assert design.audit() == []
         assert log.steps[0].rule_name == "seed_fuselage"
         assert log.steps[0].point == (-2, -2, -2)
 
@@ -419,16 +437,16 @@ class TestEngineMatchesStepLoop:
         gcfg = GenerationConfig(seed=seed)
         design, log = generate(demo, GridConfig(2), gcfg)
         grid, steps = self._run_with_step(demo, GridConfig(2), gcfg)
-        assert Design(grid) == design
-        assert [s.to_obj() for s in steps] == [s.to_obj() for s in log.steps]
+        assert isinstance(design, Grid) and design == grid
+        assert steps == list(log.steps)
 
     @pytest.mark.parametrize("rule_strategy", ["uniform-random", "weighted"])
     def test_strategies_agree_too(self, demo, rule_strategy):
         gcfg = GenerationConfig(seed=9, rule_strategy=rule_strategy, max_steps=40)
         design, log = generate(demo, GridConfig(2), gcfg)
         grid, steps = self._run_with_step(demo, GridConfig(2), gcfg)
-        assert Design(grid) == design
-        assert [s.to_obj() for s in steps] == [s.to_obj() for s in log.steps]
+        assert isinstance(design, Grid) and design == grid
+        assert steps == list(log.steps)
 
     # Rule weights are read only by the weighted strategy, so the weighted
     # copy of the demo grammar is run with that strategy alone.
@@ -449,8 +467,8 @@ class TestEngineMatchesStepLoop:
         )
         design, log = generate(grammar, GridConfig(n_half), gcfg)
         grid, steps = self._run_with_step(grammar, GridConfig(n_half), gcfg)
-        assert Design(grid) == design
-        assert [s.to_obj() for s in steps] == [s.to_obj() for s in log.steps]
+        assert isinstance(design, Grid) and design == grid
+        assert steps == list(log.steps)
 
 
 class TestReplayAndVerify:
@@ -560,7 +578,7 @@ class TestReplayAndVerify:
     def test_forged_and_rehashed_log_diverges(self, seed7_run, forge):
         demo, _, log = seed7_run
         forged = forge(log, demo)
-        forged = replace(forged, log_hash=canonical_hash(forged.core_obj()))
+        forged = replace(forged, log_hash=encode_oracle.log_hash(forged))
         with pytest.raises(ReplayError) as e:
             verify_log(forged, demo)
         assert e.value.kind == "divergence"
@@ -577,24 +595,34 @@ class TestLogTextVerification:
     def test_genuine_text_verifies_with_or_without_a_newline(self, demo, genuine):
         log, text = genuine
         for candidate in (text, text + "\n"):
-            engine, (cells, edges, steps, outcome), design_hash = verify_log_text(
-                candidate, demo
+            item = verify_log_text(candidate, demo)
+            assert (item.step_count, item.outcome, item.design_hash, item.log_text) == (
+                len(log.steps), log.outcome, log.design_hash, text
             )
-            assert (len(steps), outcome, design_hash) == (
-                len(log.steps), log.outcome, log.design_hash
-            )
-            assert engine.to_design(cells, edges).hash == design_hash
+            assert Design.parse(item.design_text).hash == item.design_hash
+
+    def test_genuine_text_gives_the_batch_item(self, demo, genuine):
+        log, text = genuine
+        batch = run_batch(demo, log.grid_config, [log.gen_config], workers=1)
+        assert verify_log_text(text, demo) == batch[0]
+
+    def test_genuine_text_is_derived_once(self, demo, genuine, monkeypatch):
+        runs = _count_runs(monkeypatch)
+        verify_log_text(genuine[1], demo)
+        assert len(runs) == 1
 
     @pytest.mark.parametrize(
         "edit, verdict",
         [e[1:] for e in log_edits.EDITS],
         ids=[e[0] for e in log_edits.EDITS],
     )
-    def test_each_edit_gets_its_kind_and_step(self, demo, genuine, edit, verdict):
+    def test_each_edit_gets_its_kind_and_step(self, demo, genuine, edit, verdict, monkeypatch):
         text = edit(genuine[0], demo)
+        runs = _count_runs(monkeypatch)
         with pytest.raises(ReplayError) as e:
             verify_log_text(text, demo)
         assert (e.value.kind, e.value.step) == verdict
+        assert len(runs) <= 2  # the full run, and one prefix run to name the fault
         with pytest.raises(ReplayError) as e:
             verify_log(parse_log(text), demo)
         assert (e.value.kind, e.value.step) == verdict
@@ -716,8 +744,8 @@ class TestDesignSerialization:
         assert again.hash == seed13_design.hash
 
     def test_cells_text_letters(self):
-        grid = Canvas(GridConfig(1), {(0, 0, 0): Symbol.FUSELAGE}).grid
-        text = Design(grid).cells_text()
+        canvas = Canvas(GridConfig(1), {(0, 0, 0): Symbol.FUSELAGE})
+        text = Design(GridConfig(1), canvas.cells, canvas.edges).cells_text()
         assert len(text) == 27
         assert text[13] == "F"
         assert set(text) == {"F", "U"}
@@ -790,7 +818,8 @@ LINKED_PAIR = (
 
 class TestValidateDesign:
     def _design(self, symbols=None, edges=()):
-        return Design(Canvas(GridConfig(1), symbols, edges).grid)
+        canvas = Canvas(GridConfig(1), symbols, edges)
+        return Design(GridConfig(1), canvas.cells, canvas.edges)
 
     def test_empty_profile_always_passes(self):
         report = validate_design(self._design(), {})
@@ -883,6 +912,13 @@ class TestRunBatch:
             assert a.outcome == b.outcome
             assert a.design_text == b.design_text
             assert a.log_text == b.log_text
+
+    def test_workers_receive_the_grammar_already_hashed(self, monkeypatch):
+        grammar = parse_grammar(demo_uav_text())  # fingerprint not read yet
+        monkeypatch.setattr(generator, "_batch_worker", _worker_requiring_fingerprint)
+        configs = [GenerationConfig(seed=s) for s in range(2)]
+        items = run_batch(grammar, GridConfig(1), configs, workers=2)
+        assert [i.seed for i in items] == [0, 1]
 
     def test_duplicate_seeds_keep_input_order(self, demo):
         configs = [GenerationConfig(seed=s) for s in (5, 5, 3)]

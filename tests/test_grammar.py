@@ -140,16 +140,44 @@ class TestParse:
             parse_grammar(one_rule_text(symbol="Empty", connect="front"))
         assert e.value.kind == "empty-with-connection"
 
-    def test_semantic_error_reports_rule_line(self):
-        text = json.dumps(
-            json.loads(one_rule_text(name="bad_rule", symbol="Wing", connect="ego")),
-            indent=2,
-        ).replace('"Wing"', '"Wingg"')
+    @pytest.mark.parametrize(
+        "mutate, kind, path",
+        [
+            (lambda r: r.update(contexts={}), "format", "$.rules[1].contexts"),
+            (lambda r: r["contexts"][0].update(front="Engine"), "unknown-symbol",
+             "$.rules[1].contexts[0].front"),
+            (lambda r: r["produce"].update(symbol="Wingg"), "unknown-symbol",
+             "$.rules[1].produce.symbol"),
+            (lambda r: r["contexts"][0].update(above="Empty"), "unknown-direction",
+             "$.rules[1].contexts[0]"),
+            (lambda r: r["contexts"][0].update(ego="Fuselage"), "ego-not-nonterminal",
+             "$.rules[1].contexts[0].ego"),
+            (lambda r: r["produce"].update(symbol="Empty", connect="front"),
+             "empty-with-connection", "$.rules[1].produce.connect"),
+            (lambda r: r["produce"].update(symbol="Unoccupied"), "production-not-terminal",
+             "$.rules[1].produce.symbol"),
+            (lambda r: r.update(weight=0), "format", "$.rules[1].weight"),
+            (lambda r: r.update(name="good_rule"), "duplicate-rule-name", "$.rules[1]"),
+        ],
+        ids=[
+            "format", "unknown-symbol", "unknown-production-symbol", "unknown-direction",
+            "ego-not-nonterminal", "empty-with-connection", "production-not-terminal",
+            "weight", "duplicate-rule-name",
+        ],
+    )
+    def test_semantic_error_reports_rule_line(self, mutate, kind, path):
+        doc = json.loads(one_rule_text(name="good_rule"))
+        bad = json.loads(one_rule_text(name="bad_rule", symbol="Wing", connect="ego"))["rules"][0]
+        mutate(bad)
+        doc["rules"].append(bad)
+        text = json.dumps(doc, indent=2)
         with pytest.raises(GrammarParseError) as e:
             parse_grammar(text)
-        assert e.value.kind == "unknown-symbol"
-        assert e.value.line is not None
-        assert text.splitlines()[e.value.line - 1].count("bad_rule")
+        assert (e.value.kind, e.value.path) == (kind, path)
+        # The line of the bad rule's name: for a duplicate, its second occurrence.
+        name = f'"name": "{bad["name"]}"'
+        line = max(n for n, t in enumerate(text.splitlines(), 1) if name in t)
+        assert e.value.line == line > 1
 
 
 class TestRoundTrip:
