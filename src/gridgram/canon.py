@@ -10,7 +10,7 @@ JSON output (result lines, validation reports, lint findings). Where the
 constructors already refuse floats the walk is skipped and ``compact_json``
 writes the same bytes: ``serialize_grammar`` and so ``Grammar.fingerprint``
 (``Grammar`` and ``Rule`` admit only string names and integer weights), and
-the comparison in ``Design.from_obj``, where the document read from disk is
+the comparison in ``Design.parse``, where the document read from disk is
 dumped and compared with the design's own encoding, so that a float there
 shows up as a difference. Designs and logs have one encoder each,
 ``encode_design`` and ``encode_log``. They write the bytes

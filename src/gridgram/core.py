@@ -274,10 +274,6 @@ class Grid:
             syms.append(self.symbol_at(q) if self.config.contains(q) else Symbol.BOUNDARY)
         return State(tuple(syms))
 
-    def cell_codes(self) -> bytes:
-        """Every point's symbol code, lexicographic point order."""
-        return bytes(self._cells)
-
     def edges(self) -> list[tuple[Point, Point]]:
         """All edges, sorted, each as a lexicographically normalized pair."""
         return sorted(self._edges)

@@ -51,7 +51,7 @@ import json
 import os
 from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 from typing import NoReturn
 
@@ -178,13 +178,8 @@ class GenerationConfig:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> GenerationConfig:
-        return cls(
-            seed=obj["seed"],
-            point_strategy=obj["point_strategy"],
-            rule_strategy=obj["rule_strategy"],
-            max_steps=obj["max_steps"],
-        )
+    def from_obj(cls, obj: object) -> GenerationConfig:
+        return _from_fields(cls, obj, "generation_config")
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,8 +223,12 @@ def _int(value: object) -> int:
     return value
 
 
-def _grid_config_from_obj(obj: dict) -> GridConfig:
-    return GridConfig(n_half=obj["n_half"], unit=obj["unit"])
+def _from_fields(cls, obj: object, what: str):
+    """``cls(**obj)`` for an object whose keys are exactly ``cls``'s fields."""
+    names = {f.name for f in fields(cls)}
+    if not isinstance(obj, dict) or obj.keys() != names:
+        raise ValueError(f"{what} must have exactly the keys {sorted(names)}")
+    return cls(**obj)
 
 
 def _log_parts_of(log: DerivationLog) -> tuple[str, str]:
@@ -272,14 +271,15 @@ class Design(Grid):
         return encode_design(self.config, self._cells, edges)
 
     @classmethod
-    def from_obj(cls, obj: object) -> Design:
-        """Rebuild from plain data, verifying internal consistency."""
+    def parse(cls, text: str) -> Design:
+        """Rebuild a design from its text, verifying internal consistency."""
         try:
+            obj = json.loads(text)
             if not isinstance(obj, dict) or obj.get("format") != DESIGN_FORMAT:
                 raise DesignFormatError(f"not a {DESIGN_FORMAT} document")
             if obj.keys() != {"format", "grid_config", "cells", "components", "counts"}:
                 raise DesignFormatError("unexpected or missing top-level keys")
-            cfg = _grid_config_from_obj(obj["grid_config"])
+            cfg = _from_fields(GridConfig, obj["grid_config"], "grid_config")
             cells_text = obj["cells"]
             if not isinstance(cells_text, str) or len(cells_text) != cfg.point_count:
                 raise DesignFormatError(
@@ -308,16 +308,10 @@ class Design(Grid):
             return design
         except DesignFormatError:
             raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise DesignFormatError(f"malformed design: {e}") from None
-
-    @classmethod
-    def parse(cls, text: str) -> Design:
-        try:
-            obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise DesignFormatError(f"not valid JSON: {e.msg} (line {e.lineno})") from None
-        return cls.from_obj(obj)
+        except (KeyError, TypeError, ValueError) as e:
+            raise DesignFormatError(f"malformed design: {e}") from None
 
 
 def serialize_log(log: DerivationLog) -> str:
@@ -346,12 +340,12 @@ def _log_header(obj: object) -> tuple[str, GridConfig, GenerationConfig]:
             raise LogFormatError("unexpected or missing top-level keys")
         if obj["outcome"] not in OUTCOMES:
             raise LogFormatError(f"unknown outcome {obj['outcome']!r}")
-        for h in (obj["design_hash"], obj["log_hash"]):
-            if not (isinstance(h, str) and len(h) == 64):
-                raise LogFormatError("hashes must be 64-char hex strings")
+        for h in (obj["grammar_fingerprint"], obj["design_hash"], obj["log_hash"]):
+            if not (type(h) is str and len(h) == 64 and not h.strip("0123456789abcdef")):
+                raise LogFormatError("the fingerprint and hashes must be 64 lowercase hex digits")
         return (
             obj["grammar_fingerprint"],
-            _grid_config_from_obj(obj["grid_config"]),
+            _from_fields(GridConfig, obj["grid_config"], "grid_config"),
             GenerationConfig.from_obj(obj["generation_config"]),
         )
     except LogFormatError:
@@ -360,8 +354,9 @@ def _log_header(obj: object) -> tuple[str, GridConfig, GenerationConfig]:
         raise LogFormatError(f"malformed log: {e}") from None
 
 
-def _log_from_obj(obj: object) -> DerivationLog:
-    fingerprint, grid_config, gen_config = _log_header(obj)
+def _log_from_obj(obj: dict, header: tuple) -> DerivationLog:
+    """The log of a loaded ``obj`` whose ``_log_header`` is ``header``."""
+    fingerprint, grid_config, gen_config = header
     try:
         steps = []
         for s in obj["steps"]:
@@ -392,7 +387,8 @@ def _log_from_obj(obj: object) -> DerivationLog:
 
 def parse_log(text: str) -> DerivationLog:
     """Structural parse only; hash and replay verification is verify_log's job."""
-    return _log_from_obj(_load_log(text))
+    obj = _load_log(text)
+    return _log_from_obj(obj, _log_header(obj))
 
 
 class Engine:
@@ -645,29 +641,33 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
     as one string. That comparison covers the steps, the design hash, the
     outcome and the log hash together.
 
-    Only when it fails is the log parsed into objects, and the first fault
-    is named by the ordered checks: fingerprint, the steps in order (see
-    ``_diagnose``), design hash, outcome, log hash. The fallback reuses the
-    engine and the run already made. A log that passes all of them differs
-    from the canonical text only in its rendering (whitespace, key order),
-    and is refused as ``non-canonical``.
+    A foreign fingerprint is refused, once the whole log has parsed, before
+    any engine is built. Otherwise the log is parsed into objects only when
+    the comparison fails, and the first fault is named by the ordered checks:
+    the steps in order (see ``_diagnose``), then a log that stops early or
+    runs on (``divergence`` where the shorter one ends), design hash,
+    outcome, log hash. The fallback reuses the engine and the run already
+    made. A log that passes all of them differs from the canonical text only
+    in its rendering (whitespace, key order): ``non-canonical``.
     """
-    obj = _load_log(text)
-    fingerprint, grid_config, gen_config = _log_header(obj)
-    if fingerprint == grammar.fingerprint:
-        engine = Engine(grammar, grid_config)
-        run = engine.run(gen_config)
-        item = _batch_item(engine, gen_config, run, want_logs=True)
-        if text.removesuffix("\n") == item.log_text:
-            return item
+    return _verify(text, grammar)[2]
 
-    log = _log_from_obj(obj)
-    if grammar.fingerprint != log.grammar_fingerprint:
-        raise ReplayError(
-            "fingerprint", None,
-            "log was produced by a different grammar",
-        )
-    # The fingerprints matched, so the engine, its run and item above exist.
+
+def _verify(text: str, grammar: Grammar) -> tuple[Engine, tuple, BatchItem]:
+    """``verify_log_text``; also returns the engine and its ``run`` result."""
+    obj = _load_log(text)
+    header = _log_header(obj)
+    fingerprint, grid_config, gen_config = header
+    if fingerprint != grammar.fingerprint:
+        _log_from_obj(obj, header)  # a malformed log is a format error first
+        raise ReplayError("fingerprint", None, "log was produced by a different grammar")
+    engine = Engine(grammar, grid_config)
+    run = engine.run(gen_config)
+    item = _batch_item(engine, gen_config, run, want_logs=True)
+    if text.removesuffix("\n") == item.log_text:
+        return engine, run, item
+
+    log = _log_from_obj(obj, header)
     _, _, raw_steps, outcome = run
     pts, rules = engine._points, grammar.rules
     for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
@@ -676,8 +676,10 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
             or s.rule_name != rules[ri].name or s.pre_state.key != key
         ):
             _diagnose(engine, log, i)
-    if len(log.steps) != len(raw_steps):
-        _diagnose(engine, log, min(len(log.steps), len(raw_steps)))
+    if len(log.steps) < len(raw_steps):
+        raise ReplayError("divergence", len(log.steps), "the log ends; its configs derive more")
+    if len(log.steps) > len(raw_steps):
+        raise ReplayError("divergence", len(raw_steps), "the log runs on; its configs stop here")
     if item.design_hash != log.design_hash:
         raise ReplayError(
             "design-hash", None, "replayed design does not hash to the recorded value"
@@ -696,8 +698,6 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
 
 def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
     """Raise the ReplayError for step ``i``, the first one the engine did not derive."""
-    if i == len(log.steps):
-        raise ReplayError("divergence", i, "the log ends here; its configs derive more steps")
     s = log.steps[i]
     if s.index != i:
         raise ReplayError("index", i, f"recorded index is {s.index}")
@@ -725,8 +725,9 @@ def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
 
 
 def verify_log(log: DerivationLog, grammar: Grammar) -> Design:
-    """Full verification of a log object (``verify_log_text`` of its text); the design."""
-    return Design.parse(verify_log_text(serialize_log(log), grammar).design_text)
+    """Verify a log object as ``verify_log_text`` verifies its text; the run's design."""
+    engine, (cells, edges, _, _), _ = _verify(serialize_log(log), grammar)
+    return engine.to_design(cells, edges)
 
 
 def replay(log: DerivationLog, grammar: Grammar) -> Design:
@@ -896,13 +897,10 @@ def _batch_item(engine: Engine, cfg: GenerationConfig, run: tuple, want_logs: bo
     )
 
 
-def _batch_worker(args) -> list[tuple[int, BatchItem]]:
-    grammar, grid_config, indexed_configs, want_logs = args
+def _batch_worker(args) -> list[BatchItem]:
+    grammar, grid_config, configs, want_logs = args
     engine = Engine(grammar, grid_config)
-    return [
-        (pos, _batch_item(engine, cfg, engine.run(cfg), want_logs))
-        for pos, cfg in indexed_configs
-    ]
+    return [_batch_item(engine, cfg, engine.run(cfg), want_logs) for cfg in configs]
 
 
 def run_batch(
@@ -914,9 +912,11 @@ def run_batch(
 ) -> list[BatchItem]:
     """Independent derivations, results in input order.
 
-    With more than one worker the derivations run in separate processes;
-    each is a pure function of its config, so scheduling cannot change
-    results.
+    With more than one worker the derivations run in separate processes,
+    one per contiguous slice of ``configs`` of at most
+    ``ceil(len(configs) / workers)`` configs; the slices come back in input
+    order. Each derivation is a pure function of its config, so scheduling
+    cannot change results.
     """
     nworkers = min(resolve_workers(workers), len(configs)) if configs else 1
     if nworkers <= 1:
@@ -926,13 +926,10 @@ def run_batch(
     if want_logs:
         # Hash the grammar here, once: the pickled copies carry the fingerprint.
         grammar.fingerprint
-    indexed = list(enumerate(configs))
-    chunks = [indexed[i::nworkers] for i in range(nworkers)]
-    jobs = [(grammar, grid_config, chunk, want_logs) for chunk in chunks if chunk]
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        parts = list(pool.map(_batch_worker, jobs))
-    ordered: list[BatchItem | None] = [None] * len(configs)
-    for part in parts:
-        for pos, item in part:
-            ordered[pos] = item
-    return ordered  # type: ignore[return-value]
+    size = -(-len(configs) // nworkers)
+    jobs = [
+        (grammar, grid_config, configs[i:i + size], want_logs)
+        for i in range(0, len(configs), size)
+    ]
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        return [item for part in pool.map(_batch_worker, jobs) for item in part]

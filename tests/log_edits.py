@@ -91,6 +91,11 @@ def _reconfigured(log, **changes):
     return replace(log, gen_config=replace(log.gen_config, **changes))
 
 
+def _ran_on(log, _grammar):
+    """The log with its last step repeated as one more step."""
+    return replace(log, steps=log.steps + (replace(log.steps[-1], index=len(log.steps)),))
+
+
 EDITS = [
     ("rule", _field_edit(_other_rule), ("no-match", STEP)),
     ("point", _field_edit(_moved_point), ("pre-state", STEP)),
@@ -100,6 +105,7 @@ EDITS = [
     ("design_hash", _field_edit(_flip_first("design_hash")), ("design-hash", None)),
     ("log_hash", _field_edit(_flip_first("log_hash")), ("log-hash", None)),
     ("truncated", _field_edit(_truncated), ("divergence", 124)),
+    ("runs-on", _forgery(_ran_on), ("divergence", 125)),
     ("forged-seed", _forgery(
         lambda log, g: _reconfigured(log, seed=log.gen_config.seed + 1)
     ), ("divergence", 1)),

@@ -178,8 +178,7 @@ EQUIV_GRAMMAR = Grammar("equiv10", "1", EQUIV_RULES)
 def test_criterion_1_throughput(bench_run, bench_designs, demo_path, capsys):
     items, batch_s = bench_run
     started = time.perf_counter()
-    rc = cli_main(["bench", demo_path, "--n-half", "3", "--count", "1000",
-                   "--matcher", "direct"])
+    rc = cli_main(["bench", demo_path, "--n-half", "3", "--count", "1000"])
     cli_s = time.perf_counter() - started
     capsys.readouterr()
 

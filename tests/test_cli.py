@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from gridgram.rulesets import demo_profile_obj, demo_uav_text
 import log_edits
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 EDGE_TO_EMPTY_GRAMMAR = """
 {
@@ -234,6 +236,29 @@ class TestGenerate:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: cannot write design file")
 
+    def test_failed_rename_leaves_no_file(self, demo_path, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out"
+        rc = main(["generate", demo_path, "--n-half", "1", "--seed", "7", "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write design file")
+        assert list(out.iterdir()) == []
+
+    def test_interrupted_rename_leaves_no_file(self, demo_path, tmp_path, monkeypatch):
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["generate", demo_path, "--n-half", "1", "--seed", "7", "--out-dir", str(out)])
+        assert list(out.iterdir()) == []
+
     def test_dead_worker_is_internal_error(self, demo_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(generator, "_batch_worker", _die)
         monkeypatch.setenv("GRIDGRAM_THREADS", "2")
@@ -280,6 +305,14 @@ class TestReplay:
         bad = tmp_path / "log.json"
         bad.write_text('{"format": "something-else"}')
         assert main(["replay", str(bad), demo_path]) == 3
+
+    def test_non_hex_fingerprint_is_parse_error(self, demo_path, run_n1, tmp_path, capsys):
+        obj = json.loads((run_n1 / "log_2.json").read_text())
+        obj["grammar_fingerprint"] = 5
+        bad = tmp_path / "log.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["replay", str(bad), demo_path]) == 3
+        assert "64 lowercase hex digits" in capsys.readouterr().err
 
     def test_missing_log_is_usage_error(self, demo_path, tmp_path):
         assert main(["replay", str(tmp_path / "none.json"), demo_path]) == 2
@@ -529,25 +562,32 @@ class TestBench:
         captured = capsys.readouterr()
         assert rc == 0
         summary = json.loads(captured.out)
+        assert set(summary) == {
+            "n_half", "count", "seed", "seconds", "designs_per_second", "mean_steps", "outcomes",
+        }
         assert summary["n_half"] == 1 and summary["count"] == 3 and summary["seed"] == 9
-        direct = summary["results"]["direct"]
-        assert set(direct) == {"seconds", "designs_per_second", "mean_steps", "outcomes"}
-        assert sum(direct["outcomes"].values()) == 3
-        assert "direct: 3 designs" in captured.err
+        assert sum(summary["outcomes"].values()) == 3
+        assert "3 designs in " in captured.err
 
-    def test_both_matchers_agree(self, demo_path, monkeypatch, capsys):
+    def test_runs_one_batch_and_has_no_matcher_option(self, demo_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("bench compiled the contract backend")
 
+        batches = []
+        run_batch = cli.run_batch
         monkeypatch.setattr(constraint_matcher, "contract_match_fn", refuse)
-        rc = main([
-            "bench", demo_path, "--n-half", "1", "--count", "2", "--matcher", "both",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        summary = json.loads(out)
-        assert summary["identical_designs"] is True
-        assert set(summary["results"]) == {"direct", "contract"}
+        monkeypatch.setattr(
+            cli, "run_batch", lambda *a, **k: batches.append(1) or run_batch(*a, **k)
+        )
+        base = ["bench", demo_path, "--n-half", "1", "--count", "2"]
+        assert main(base) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert batches == [1]
+        assert sum(summary["outcomes"].values()) == 2
+        for matcher in ("direct", "contract", "both"):
+            assert main(base + ["--matcher", matcher]) == 2
+            assert "unrecognized arguments: --matcher" in capsys.readouterr().err
+        assert batches == [1]
 
 
 class TestGridBound:
@@ -641,6 +681,20 @@ class TestUsage:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_readme_command_lines_parse(self):
+        section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [
+            line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("gridgram ")
+        ]
+        assert len(commands) == 7  # one per subcommand
+        for command in commands:
+            try:
+                cli._build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
 
     def test_module_entry_point(self, demo_path):
         proc = subprocess.run(

@@ -736,6 +736,27 @@ class TestLogParsing:
         with pytest.raises(LogFormatError):
             parse_log(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda o: o.__setitem__("grammar_fingerprint", 5),
+            lambda o: o.__setitem__("grammar_fingerprint", "AB" * 32),
+            lambda o: o.__setitem__("design_hash", "g" * 64),
+            lambda o: o.__setitem__("log_hash", "0123456789ABCDEF" * 4),
+            lambda o: o["grid_config"].__setitem__("spacing", 1),
+            lambda o: o["generation_config"].__setitem__("note", None),
+        ],
+        ids=[
+            "int-fingerprint", "upper-case-fingerprint", "non-hex-design-hash",
+            "upper-case-log-hash", "extra-grid-config-key", "extra-generation-config-key",
+        ],
+    )
+    def test_header_is_read_strictly(self, small_log_text, doctor):
+        obj = json.loads(small_log_text)
+        doctor(obj)
+        with pytest.raises(LogFormatError):
+            parse_log(json.dumps(obj))
+
 
 class TestDesignSerialization:
     def test_parse_back_equals_original(self, seed13_design):
@@ -758,25 +779,25 @@ class TestDesignSerialization:
         obj = json.loads(seed13_design.serialize())
         obj["format"] = "nope"
         with pytest.raises(DesignFormatError):
-            Design.from_obj(obj)
+            Design.parse(json.dumps(obj))
 
     def test_wrong_cells_length(self, seed13_design):
         obj = json.loads(seed13_design.serialize())
         obj["cells"] = obj["cells"][:-1]
         with pytest.raises(DesignFormatError):
-            Design.from_obj(obj)
+            Design.parse(json.dumps(obj))
 
     def test_unknown_cell_letter(self, seed13_design):
         obj = json.loads(seed13_design.serialize())
         obj["cells"] = "X" + obj["cells"][1:]
         with pytest.raises(DesignFormatError):
-            Design.from_obj(obj)
+            Design.parse(json.dumps(obj))
 
     def test_tampered_counts_rejected(self, seed13_design):
         obj = json.loads(seed13_design.serialize())
         obj["counts"]["Rotor"] += 1
         with pytest.raises(DesignFormatError):
-            Design.from_obj(obj)
+            Design.parse(json.dumps(obj))
 
     @pytest.mark.parametrize(
         "doctor",
@@ -791,7 +812,14 @@ class TestDesignSerialization:
         obj = json.loads(seed13_design.serialize())
         doctor(obj)
         with pytest.raises(DesignFormatError):
-            Design.from_obj(obj)
+            Design.parse(json.dumps(obj))
+
+    @pytest.mark.parametrize("extra", [{"spacing": 1}, {"note": None}])
+    def test_grid_config_is_read_strictly(self, seed13_design, extra):
+        obj = json.loads(seed13_design.serialize())
+        obj["grid_config"].update(extra)
+        with pytest.raises(DesignFormatError, match="grid_config must have exactly the keys"):
+            Design.parse(json.dumps(obj))
 
     def test_edge_to_non_component_rejected(self, seed13_design):
         obj = json.loads(seed13_design.serialize())
@@ -806,7 +834,7 @@ class TestDesignSerialization:
         )
         obj["components"]["edges"].append([list(p), list(q)])
         with pytest.raises(DesignFormatError):
-            Design.from_obj(obj)
+            Design.parse(json.dumps(obj))
 
 
 # A fuselage at the origin joined to a connector in front of it.
@@ -919,6 +947,20 @@ class TestRunBatch:
         configs = [GenerationConfig(seed=s) for s in range(2)]
         items = run_batch(grammar, GridConfig(1), configs, workers=2)
         assert [i.seed for i in items] == [0, 1]
+
+    def test_starts_one_process_per_slice(self, demo, monkeypatch):
+        started = []
+        pool = generator.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            started.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(generator, "ProcessPoolExecutor", recording_pool)
+        configs = [GenerationConfig(seed=s) for s in range(5)]
+        items = run_batch(demo, GridConfig(1), configs, workers=4)
+        assert started == [3]  # slices of 2, 2 and 1 config
+        assert [i.seed for i in items] == list(range(5))
 
     def test_duplicate_seeds_keep_input_order(self, demo):
         configs = [GenerationConfig(seed=s) for s in (5, 5, 3)]
