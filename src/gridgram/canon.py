@@ -38,6 +38,7 @@ CELL_LETTERS = "FRWCEU"  # indexed by Symbol code
 STEP_JSON = '{"index":%d,"point":[%s],"pre_state":%s,"rule":%s}'
 
 _CELL_TABLE = bytes.maketrans(bytes(range(len(CELL_LETTERS))), CELL_LETTERS.encode())
+_CODE_TABLE = bytes.maketrans(CELL_LETTERS.encode(), bytes(range(len(CELL_LETTERS))))
 _COMPONENT_LABELS = {int(s): s.label for s in COMPONENTS}
 _COUNT_ORDER = sorted(STORABLE, key=lambda s: s.label)
 _COUNTS_JSON = "{" + ",".join(f'"{s.label}":%d' for s in _COUNT_ORDER) + "}"
@@ -84,13 +85,21 @@ def cells_text(cells: bytes | bytearray) -> str:
     return cells.translate(_CELL_TABLE).decode("ascii")
 
 
+def cells_from_text(text: str) -> bytearray:
+    """The symbol codes of ``cells_text``'s letters; ValueError names the first non-letter."""
+    bad = set(text).difference(CELL_LETTERS)
+    if bad:
+        raise ValueError(f"unknown cell letter {next(c for c in text if c in bad)!r}")
+    return bytearray(text.encode("ascii").translate(_CODE_TABLE))
+
+
 def xyz(p: Point) -> str:
     return f"{p[0]},{p[1]},{p[2]}"
 
 
 @cache
 def point_coords(n_half: int) -> list[str]:
-    """``x,y,z`` for every point of the grid, lexicographic point order.
+    """``x,y,z`` for every point of the grid, indexed like the grid's cells.
 
     Built on first use for each grid size (at most ``core.MAX_N_HALF`` + 1 of them).
     """
@@ -107,20 +116,20 @@ def state_json(key: int, memo: dict[int, str]) -> str:
 
 
 def encode_design(
-    config: GridConfig, cells: bytes | bytearray, edges: list[tuple[str, str]]
+    config: GridConfig, cells: bytes | bytearray, edges: list[tuple[int, int]]
 ) -> str:
     """Canonical design text.
 
     ``cells`` holds symbol codes in lexicographic point order, which is also
     the order of the component nodes; ``edges`` holds the sorted edges as
-    pairs of ``x,y,z`` fragments.
+    ``(i, j)`` cell index pairs, ``i < j``.
     """
     coords = point_coords(config.n_half)
     labels = _COMPONENT_LABELS
     nodes = ",".join(
         f'[{coords[i]},"{labels[c]}"]' for i, c in enumerate(cells) if c in labels
     )
-    edge_text = ",".join(f"[[{a}],[{b}]]" for a, b in edges)
+    edge_text = ",".join(f"[[{coords[a]}],[{coords[b]}]]" for a, b in edges)
     counts = _COUNTS_JSON % tuple(cells.count(s) for s in _COUNT_ORDER)
     return (
         f'{{"cells":"{cells_text(cells)}",'

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cache
 from itertools import product
-from typing import Iterator
 
 Point = tuple[int, int, int]
 
@@ -130,6 +130,7 @@ STORABLE = TERMINALS | NONTERMINALS
 _SYMBOLS_BY_LABEL = {s.label: s for s in Symbol}
 _SYMBOLS = list(Symbol)  # indexed by code
 _COMPONENT_CODES = frozenset(int(s) for s in COMPONENTS)
+_STORABLE_CODES = frozenset(int(s) for s in STORABLE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,10 +165,20 @@ class GridConfig:
         x, y, z = p
         return -n <= x <= n and -n <= y <= n and -n <= z <= n
 
-    def points(self) -> Iterator[Point]:
-        """All in-grid points in lexicographic (x, y, z) order."""
-        n = self.n_half
-        return product(range(-n, n + 1), repeat=3)
+    def points(self) -> tuple[Point, ...]:
+        """All in-grid points in lexicographic (x, y, z) order; point i is cell i."""
+        return _points(self.n_half)
+
+    def index_of(self, p: Point) -> int:
+        """The cell index of the in-grid point ``p``."""
+        n, side = self.n_half, self.side
+        return ((p[0] + n) * side + (p[1] + n)) * side + (p[2] + n)
+
+
+@cache
+def _points(n_half: int) -> tuple[Point, ...]:
+    """``GridConfig.points``, built once per grid size."""
+    return tuple(product(range(-n_half, n_half + 1), repeat=3))
 
 
 def neighbor(p: Point, d: Direction) -> Point:
@@ -225,22 +236,18 @@ class State:
         return cls(tuple(Symbol.from_label(x) for x in labels))
 
 
-def _index_of(config: GridConfig, p: Point) -> int:
-    n, side = config.n_half, config.side
-    return ((p[0] + n) * side + (p[1] + n)) * side + (p[2] + n)
-
-
 class Grid:
     """Read-only view of a bounded symbol grid plus an undirected edge set.
 
-    Cells are a flat bytearray of symbol codes in lexicographic point order;
-    edges are lexicographically normalized point pairs. The view holds the
-    cells and edges it is given and never writes to them.
+    Cells are a flat bytearray of symbol codes in lexicographic point order
+    (cell i is ``config.points()[i]``); edges are ``(i, j)`` pairs of cell
+    indices with ``i < j``, the form ``Engine.run`` makes them in. The view
+    holds the cells and edges it is given and never writes to them.
     """
 
     __slots__ = ("config", "_cells", "_edges")
 
-    def __init__(self, config: GridConfig, cells: bytearray, edges: set[tuple[Point, Point]]):
+    def __init__(self, config: GridConfig, cells: bytearray, edges: set[tuple[int, int]]):
         self.config = config
         self._cells = cells
         self._edges = edges
@@ -262,7 +269,7 @@ class Grid:
     def symbol_at(self, p: Point) -> Symbol:
         if not self.config.contains(p):
             raise OutOfGridError(f"point {p} is outside the grid")
-        return Symbol(self._cells[_index_of(self.config, p)])
+        return Symbol(self._cells[self.config.index_of(p)])
 
     def state_of(self, p: Point) -> State:
         """The state at ``p``: Boundary fills directions that leave the grid."""
@@ -275,10 +282,11 @@ class Grid:
         return State(tuple(syms))
 
     def edges(self) -> list[tuple[Point, Point]]:
-        """All edges, sorted, each as a lexicographically normalized pair."""
-        return sorted(self._edges)
+        """All edges, sorted, each as a lexicographically ordered point pair."""
+        pts = self.config.points()
+        return [(pts[a], pts[b]) for a, b in sorted(self._edges)]
 
-    def points(self) -> Iterator[Point]:
+    def points(self) -> tuple[Point, ...]:
         return self.config.points()
 
     def counts(self) -> dict[Symbol, int]:
@@ -296,27 +304,29 @@ class Grid:
 
     def audit(self) -> list[str]:
         """Check every grid invariant; returns problem descriptions (empty = clean)."""
-        problems: list[str] = []
-        if len(self._cells) != self.config.point_count:
-            problems.append(
-                f"cell store holds {len(self._cells)} entries, expected {self.config.point_count}"
-            )
-        for c in set(self._cells):
-            if Symbol(c) not in STORABLE:
-                problems.append(f"stored non-storable symbol {Symbol(c).label}")
-        cells, config = self._cells, self.config
-        for p, q in self._edges:
-            if p == q:
-                problems.append(f"self-loop at {p}")
-                continue
-            if not (config.contains(p) and config.contains(q)):
-                problems.append(f"edge {p}-{q} leaves the grid")
-                continue
-            if abs(p[0] - q[0]) + abs(p[1] - q[1]) + abs(p[2] - q[2]) != 1:
-                problems.append(f"edge {p}-{q} joins non-adjacent points")
-            for end in (p, q):
-                c = cells[_index_of(config, end)]
-                if c not in _COMPONENT_CODES:
-                    problems.append(f"edge endpoint {end} holds {_SYMBOLS[c].label}")
+        cells, count = self._cells, self.config.point_count
+        if len(cells) != count:
+            return [f"cell store holds {len(cells)} entries, expected {count}"]
+        problems = []
+        for c in sorted(set(cells) - _STORABLE_CODES):
+            kind = "non-storable symbol " if c < len(_SYMBOLS) else ""
+            problems.append(f"stored {kind}{_label(c)}")
+        pts = self.config.points()
+        for a, b in self._edges:
+            if not (0 <= a < count and 0 <= b < count):
+                problems.append(f"edge {a}-{b} leaves the grid")
+            elif a == b:
+                problems.append(f"self-loop at {pts[a]}")
+            else:
+                p, q = pts[a], pts[b]
+                if abs(p[0] - q[0]) + abs(p[1] - q[1]) + abs(p[2] - q[2]) != 1:
+                    problems.append(f"edge {p}-{q} joins non-adjacent points")
+                for end, c in ((p, cells[a]), (q, cells[b])):
+                    if c not in _COMPONENT_CODES:
+                        problems.append(f"edge endpoint {end} holds {_label(c)}")
         return problems
 
+
+def _label(code: int) -> str:
+    """The label of symbol ``code``; a code past the alphabet is named by its number."""
+    return _SYMBOLS[code].label if code < len(_SYMBOLS) else f"unknown symbol code {code}"

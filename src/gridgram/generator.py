@@ -39,10 +39,11 @@ log that fails is parsed into objects, so that the first fault can be
 named; one with no fault but other bytes (whitespace, key order) is refused
 as non-canonical.
 
-Designs and logs are written by the one encoder each in ``gridgram.canon``,
-fed from the engine's arrays (``Engine.design_text``, ``Engine.log_text``)
-or from the objects (``Design.serialize``, ``serialize_log``). Batch workers
-encode where they derive and return text.
+Designs and logs are written by the one encoder each in ``gridgram.canon``.
+A design holds the engine's arrays as they are, so ``Design.serialize`` is
+the one path to the design encoder; a log is encoded from ``run``'s raw
+steps (``Engine.log_text``) or from the parsed object (``serialize_log``).
+Batch workers encode where they derive and return text.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ from itertools import accumulate
 from typing import NoReturn
 
 from gridgram.canon import (
-    CELL_LETTERS,
     DESIGN_FORMAT,
     LOG_FORMAT,
     STEP_JSON,
+    cells_from_text,
     cells_text,
     compact_json,
     encode_design,
@@ -91,14 +92,6 @@ from gridgram.rng import SplitMix64
 POINT_STRATEGIES = ("uniform-random-frontier", "scanline", "nearest-to-origin")
 RULE_STRATEGIES = ("uniform-random", "weighted", "first-match")
 OUTCOMES = ("complete", "stuck", "step-limit")
-
-# Cell letters to symbol codes; every other byte becomes _NOT_A_LETTER.
-_NOT_A_LETTER = 255
-_LETTER_TABLE = bytes(
-    CELL_LETTERS.find(chr(b)) if chr(b) in CELL_LETTERS else _NOT_A_LETTER
-    for b in range(256)
-)
-_STORABLE_ORDER = sorted(STORABLE)
 
 
 class GeneratorError(Exception):
@@ -231,29 +224,14 @@ def _from_fields(cls, obj: object, what: str):
     return cls(**obj)
 
 
-def _log_parts_of(log: DerivationLog) -> tuple[str, str]:
-    rules: dict[str, str] = {}
-    states: dict[int, str] = {}
-    steps = []
-    for s in log.steps:
-        rule = rules.get(s.rule_name)
-        if rule is None:
-            rule = rules[s.rule_name] = json.dumps(s.rule_name)
-        state = state_json(s.pre_state.key, states)
-        steps.append(STEP_JSON % (s.index, xyz(s.point), state, rule))
-    return encode_log(
-        log.grammar_fingerprint, log.grid_config, log.gen_config.to_obj(),
-        log.outcome, log.design_hash, steps,
-    )
-
-
 class Design(Grid):
     """The grid a derivation finished (or abandoned) with, and its encoding.
 
-    A ``core.Grid`` in every respect: the component graph is
-    ``component_points()`` and ``edges()``, and a design equals any grid
-    with the same config, cells and edges. It adds only the canonical text
-    (``serialize``), its hash and the checked parse back.
+    A ``core.Grid`` in every respect: it holds ``run``'s cells and index
+    edges as they are, the component graph is ``component_points()`` and
+    ``edges()``, and a design equals any grid with the same config, cells and
+    edges. It adds only the canonical text (``serialize``, the one caller of
+    ``canon.encode_design``), its hash and the checked parse back.
     """
 
     __slots__ = ()
@@ -267,8 +245,7 @@ class Design(Grid):
         return sha256_hex(self.serialize())
 
     def serialize(self) -> str:
-        edges = [(xyz(a), xyz(b)) for a, b in self.edges()]
-        return encode_design(self.config, self._cells, edges)
+        return encode_design(self.config, self._cells, sorted(self._edges))
 
     @classmethod
     def parse(cls, text: str) -> Design:
@@ -285,16 +262,19 @@ class Design(Grid):
                 raise DesignFormatError(
                     f"cells must be a string of {cfg.point_count} symbol letters"
                 )
-            cells = bytearray(cells_text.encode("utf-8").translate(_LETTER_TABLE))
-            if _NOT_A_LETTER in cells:
-                bad = next(c for c in cells_text if c not in CELL_LETTERS)
-                raise DesignFormatError(f"unknown cell letter {bad!r}")
+            try:
+                cells = cells_from_text(cells_text)
+            except ValueError as e:
+                raise DesignFormatError(str(e)) from None
             edges = set()
             for end_a, end_b in obj["components"]["edges"]:
                 a, b = tuple(end_a), tuple(end_b)
-                if set(map(type, a + b)) != {int}:
+                if len(a) != 3 or len(b) != 3 or set(map(type, a + b)) != {int}:
                     raise TypeError(f"edge ends must be integer points, got {[end_a, end_b]!r}")
-                edges.add((a, b) if a <= b else (b, a))
+                if not (cfg.contains(a) and cfg.contains(b)):
+                    raise DesignFormatError(f"edge {a}-{b} leaves the grid")
+                i, j = cfg.index_of(a), cfg.index_of(b)
+                edges.add((i, j) if i <= j else (j, i))
             design = cls(cfg, cells, edges)
             problems = design.audit()
             if problems:
@@ -315,7 +295,20 @@ class Design(Grid):
 
 
 def serialize_log(log: DerivationLog) -> str:
-    return with_log_hash(_log_parts_of(log), log.log_hash)
+    rules: dict[str, str] = {}
+    states: dict[int, str] = {}
+    steps = []
+    for s in log.steps:
+        rule = rules.get(s.rule_name)
+        if rule is None:
+            rule = rules[s.rule_name] = json.dumps(s.rule_name)
+        state = state_json(s.pre_state.key, states)
+        steps.append(STEP_JSON % (s.index, xyz(s.point), state, rule))
+    parts = encode_log(
+        log.grammar_fingerprint, log.grid_config, log.gen_config.to_obj(),
+        log.outcome, log.design_hash, steps,
+    )
+    return with_log_hash(parts, log.log_hash)
 
 
 _LOG_KEYS = frozenset({
@@ -416,7 +409,6 @@ class Engine:
         self.grid_config = grid_config
         side = grid_config.side
         count = grid_config.point_count
-        self._points: list[Point] = list(grid_config.points())
         table = MatchTable.from_grammar(grammar) if match_fn is None else match_fn.table
         # Packed state key -> ascending indices of the rules matching it.
         self._match_list = table.rules_matching
@@ -472,7 +464,7 @@ class Engine:
         self._memo: dict[int, tuple[int, ...]] = {}
         # nearest-to-origin visits points by (x*x + y*y + z*z, index) (the
         # sort is stable); rank inverts that order.
-        dist2 = [x * x + y * y + z * z for (x, y, z) in self._points]
+        dist2 = [x * x + y * y + z * z for (x, y, z) in grid_config.points()]
         self._near_order = sorted(range(count), key=dist2.__getitem__)
         self._near_rank = [0] * count
         for r, i in enumerate(self._near_order):
@@ -572,22 +564,8 @@ class Engine:
         return cells, edges, steps, outcome
 
     def to_design(self, cells: bytearray, edges: set[tuple[int, int]]) -> Design:
-        """The design of one ``run`` result; it takes ``cells`` over without a copy.
-
-        ``run`` returns fresh cells on every call, and a design never writes
-        to the cells it holds.
-        """
-        pts = self._points
-        point_edges = {
-            tuple(sorted((pts[a], pts[b]))) for a, b in edges
-        }
-        return Design(self.grid_config, cells, point_edges)
-
-    def design_text(self, cells: bytearray, edges: set[tuple[int, int]]) -> str:
-        """Canonical text of the design ``to_design(cells, edges)`` builds."""
-        coords = point_coords(self.grid_config.n_half)
-        pairs = [(coords[a], coords[b]) for a, b in sorted(edges)]
-        return encode_design(self.grid_config, cells, pairs)
+        """The design of one ``run`` result, holding its fresh arrays without a copy."""
+        return Design(self.grid_config, cells, edges)
 
     def log_text(
         self,
@@ -595,8 +573,8 @@ class Engine:
         raw_steps: list[tuple[int, int, int]],
         outcome: str,
         design_hash: str,
-    ) -> tuple[str, str]:
-        """Canonical log text and its log_hash, straight from ``run``'s raw steps."""
+    ) -> str:
+        """Canonical log text, log_hash included, straight from ``run``'s raw steps."""
         coords = point_coords(self.grid_config.n_half)
         rules, states = self._rule_json, self._state_text
         steps = [
@@ -607,8 +585,7 @@ class Engine:
             self.grammar.fingerprint, self.grid_config, gen_config.to_obj(),
             outcome, design_hash, steps,
         )
-        log_hash = sha256_hex(parts[0] + parts[1])
-        return with_log_hash(parts, log_hash), log_hash
+        return with_log_hash(parts, sha256_hex(parts[0] + parts[1]))
 
     def to_log(
         self,
@@ -618,7 +595,7 @@ class Engine:
         design: Design,
     ) -> DerivationLog:
         """The parse of the log text ``log_text`` writes for this run."""
-        return parse_log(self.log_text(gen_config, raw_steps, outcome, design.hash)[0])
+        return parse_log(self.log_text(gen_config, raw_steps, outcome, design.hash))
 
 
 def generate(
@@ -669,7 +646,7 @@ def _verify(text: str, grammar: Grammar) -> tuple[Engine, tuple, BatchItem]:
 
     log = _log_from_obj(obj, header)
     _, _, raw_steps, outcome = run
-    pts, rules = engine._points, grammar.rules
+    pts, rules = grid_config.points(), grammar.rules
     for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
         if (
             s.index != i or s.point != pts[pi]
@@ -688,7 +665,9 @@ def _verify(text: str, grammar: Grammar) -> tuple[Engine, tuple, BatchItem]:
         raise ReplayError(
             "outcome", None, f"recorded {log.outcome!r}, replay implies {outcome!r}"
         )
-    if sha256_hex("".join(_log_parts_of(log))) != log.log_hash:
+    # Everything but log_hash now equals the derived log, so the texts differ
+    # exactly when the recorded log_hash is wrong.
+    if serialize_log(log) != item.log_text:
         raise ReplayError("log-hash", None, "log content does not hash to log_hash")
     raise ReplayError(
         "non-canonical", None,
@@ -883,15 +862,16 @@ class BatchItem:
 def _batch_item(engine: Engine, cfg: GenerationConfig, run: tuple, want_logs: bool) -> BatchItem:
     """Encode ``run``, the result of ``engine.run(cfg)``, as a batch item."""
     cells, edges, raw_steps, outcome = run
-    design_text = engine.design_text(cells, edges)
+    design = engine.to_design(cells, edges)
+    design_text = design.serialize()
     design_hash = sha256_hex(design_text)
-    log_text = engine.log_text(cfg, raw_steps, outcome, design_hash)[0] if want_logs else None
+    log_text = engine.log_text(cfg, raw_steps, outcome, design_hash) if want_logs else None
     return BatchItem(
         seed=cfg.seed,
         design_text=design_text,
         design_hash=design_hash,
         log_text=log_text,
-        counts={s.label: cells.count(s) for s in _STORABLE_ORDER},
+        counts={s.label: n for s, n in design.counts().items()},
         step_count=len(raw_steps),
         outcome=outcome,
     )

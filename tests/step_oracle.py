@@ -21,7 +21,8 @@ class Canvas:
     """Cells and an edge set owned by the caller, and the Grid view of them.
 
     Starts Unoccupied except for ``symbols``; ``edges`` are point pairs in
-    either order. Only ``rewrite`` changes it afterwards.
+    either order, stored as the ``(i, j)`` cell index pairs, ``i < j``, that
+    a ``Grid`` holds. Only ``rewrite`` changes it afterwards.
     """
 
     def __init__(
@@ -34,8 +35,14 @@ class Canvas:
         self.cells = bytearray([Symbol.UNOCCUPIED]) * config.point_count
         for p, s in (symbols or {}).items():
             self.cells[self._index[p]] = s
-        self.edges = {(p, q) if p <= q else (q, p) for p, q in edges}
+        self.edges: set[tuple[int, int]] = set()
+        for p, q in edges:
+            self._add_edge(p, q)
         self.grid = Grid(config, self.cells, self.edges)
+
+    def _add_edge(self, p: Point, q: Point) -> None:
+        i, j = self._index[p], self._index[q]
+        self.edges.add((i, j) if i <= j else (j, i))
 
     def rewrite(self, p: Point, rule: Rule) -> None:
         """Write ``rule``'s production at ``p``, checking its preconditions first.
@@ -54,7 +61,7 @@ class Canvas:
             assert grid.config.contains(q), f"rule {rule.name}: edge target {q} is outside"
             target = grid.symbol_at(q)
             assert target.is_component, f"rule {rule.name}: edge target {q} holds {target.label}"
-            self.edges.add((p, q) if p <= q else (q, p))
+            self._add_edge(p, q)
         self.cells[self._index[p]] = prod.symbol
 
 

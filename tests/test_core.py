@@ -279,14 +279,30 @@ class TestGrid:
 
     def test_audit_reports_broken_edges(self):
         symbols = {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.EMPTY, (1, 1, 0): Symbol.WING}
+        # Cells 14-15 and 16-19 are 1 and ``side`` apart but wrap to the next row or plane.
+        wraps = [(0, 0, 1), (0, 1, -1), (0, 1, 0), (1, -1, 0)]
+        assert [GridConfig(1).index_of(p) for p in wraps] == [14, 15, 16, 19]
+        symbols.update((p, Symbol.ROTOR) for p in wraps)
         for edge, problem in [
             (((0, 0, 0), (0, 0, 0)), "self-loop at (0, 0, 0)"),
-            (((0, 0, 0), (0, 0, 2)), "leaves the grid"),
             (((0, 0, 0), (1, 1, 0)), "joins non-adjacent points"),
             (((0, 0, 0), (1, 0, 0)), "edge endpoint (1, 0, 0) holds Empty"),
+            (((0, 1, -1), (0, 0, 1)), "edge (0, 0, 1)-(0, 1, -1) joins non-adjacent points"),
+            (((0, 1, 0), (1, -1, 0)), "edge (0, 1, 0)-(1, -1, 0) joins non-adjacent points"),
         ]:
             problems = Canvas(GridConfig(1), symbols, (edge,)).grid.audit()
             assert len(problems) == 1 and problem in problems[0]
+
+    def test_audit_reports_unknown_symbol_codes(self):
+        assert Grid(GridConfig(1), bytearray([9]) * 27, set()).audit() == [
+            "stored unknown symbol code 9"
+        ]
+        cells = bytearray([Symbol.UNOCCUPIED]) * 27
+        cells[13], cells[14] = Symbol.FUSELAGE, 7
+        assert Grid(GridConfig(1), cells, {(13, 14)}).audit() == [
+            "stored unknown symbol code 7",
+            "edge endpoint (0, 0, 1) holds unknown symbol code 7",
+        ]
 
     def test_counts(self):
         g = Canvas(

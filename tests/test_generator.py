@@ -790,7 +790,7 @@ class TestDesignSerialization:
     def test_unknown_cell_letter(self, seed13_design):
         obj = json.loads(seed13_design.serialize())
         obj["cells"] = "X" + obj["cells"][1:]
-        with pytest.raises(DesignFormatError):
+        with pytest.raises(DesignFormatError, match="^unknown cell letter 'X'$"):
             Design.parse(json.dumps(obj))
 
     def test_tampered_counts_rejected(self, seed13_design):
@@ -819,6 +819,29 @@ class TestDesignSerialization:
         obj = json.loads(seed13_design.serialize())
         obj["grid_config"].update(extra)
         with pytest.raises(DesignFormatError, match="grid_config must have exactly the keys"):
+            Design.parse(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "end_a, end_b, problem",
+        [
+            ([0, 0, 1], [0, 1, -1], "joins non-adjacent points"),  # cells 14-15, a row wrap
+            ([0, 1, 0], [1, -1, 0], "joins non-adjacent points"),  # cells 16-19, a plane wrap
+            # The index formula maps these ends onto cell 15, (0, 1, -1), and
+            # onto cell 31, past the last; they are refused before any index is taken.
+            ([0, 0, 1], [0, 0, 2], "leaves the grid"),
+            ([0, 0, 1], [2, 0, 0], "leaves the grid"),
+            ([0, 0], [0, 0, 1], "edge ends must be integer points"),
+            ([0, 0, 1], [0, 0, 0, 0], "edge ends must be integer points"),
+        ],
+    )
+    def test_bad_edge_rejected(self, end_a, end_b, problem):
+        symbols = {
+            p: Symbol.ROTOR for p in [(0, 0, 1), (0, 1, -1), (0, 1, 0), (1, -1, 0)]
+        }
+        canvas = Canvas(GridConfig(1), {(0, 0, 0): Symbol.FUSELAGE, **symbols})
+        obj = json.loads(Design(GridConfig(1), canvas.cells, canvas.edges).serialize())
+        obj["components"]["edges"].append([end_a, end_b])
+        with pytest.raises(DesignFormatError, match=problem):
             Design.parse(json.dumps(obj))
 
     def test_edge_to_non_component_rejected(self, seed13_design):
