@@ -44,6 +44,7 @@ from gridgram.generator import (
     verify_log_text,
 )
 from gridgram.grammar import (
+    Grammar,
     GrammarParseError,
     lint_errors,
     lint_grammar,
@@ -119,12 +120,22 @@ def _n_half(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
+def _grammar(text: str) -> Grammar:
+    """``parse_grammar(text)``, kept for the last text read.
+
+    The parsed grammar is frozen and keeps its fingerprint, so commands run
+    in one process on the same grammar text neither reparse nor rehash it.
+    """
+    return parse_grammar(text)
+
+
 def _emit(obj: dict) -> None:
     print(canonical_json(obj))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    grammar = parse_grammar(_read_text(args.grammar, "grammar file"))
+    grammar = _grammar(_read_text(args.grammar, "grammar file"))
     if args.seed + args.count > 1 << 64:
         print("error: seed range exceeds 64 bits", file=sys.stderr)
         return EXIT_USAGE
@@ -168,7 +179,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     text = _read_text(args.log, "log file")
-    grammar = parse_grammar(_read_text(args.grammar, "grammar file"))
+    grammar = _grammar(_read_text(args.grammar, "grammar file"))
     try:
         item = verify_log_text(text, grammar)
     except ReplayError as e:
@@ -214,7 +225,7 @@ _RULE_INVARIANT_KINDS = frozenset(
 def cmd_lint(args: argparse.Namespace) -> int:
     text = _read_text(args.grammar, "grammar file")
     try:
-        grammar = parse_grammar(text)
+        grammar = _grammar(text)
     except GrammarParseError as e:
         if e.kind not in _RULE_INVARIANT_KINDS:
             raise
@@ -227,7 +238,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_assign_dirs(args: argparse.Namespace) -> int:
-    grammar = parse_grammar(_read_text(args.grammar, "grammar file"))
+    grammar = _grammar(_read_text(args.grammar, "grammar file"))
     try:
         assignment, total = optimal_assignment(grammar)
     except EmptyGrammarError as e:
@@ -270,7 +281,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    grammar = parse_grammar(_read_text(args.grammar, "grammar file"))
+    grammar = _grammar(_read_text(args.grammar, "grammar file"))
     configs = [GenerationConfig(seed=args.seed + i) for i in range(args.count)]
     started = time.perf_counter()
     items = run_batch(grammar, GridConfig(args.n_half), configs, want_logs=False)

@@ -321,8 +321,8 @@ def contract_match_fn(grammar: Grammar, assignment: DirectionAssignment | None =
     calls the predicate. ``assignment`` is accepted for callers that hold
     one, but the table does not depend on it, and none is computed here.
     No concrete context is enumerated. The package never calls this (both
-    ``--matcher`` names build ``Engine(grammar, grid_config)``); it stays
-    for callers that measure or hold the compile step on its own.
+    ``--matcher`` names derive on ``shared_engine(grammar, grid_config)``);
+    it stays for callers that measure or hold the compile step on its own.
     """
     table = MatchTable.from_grammar(grammar)
 

@@ -44,6 +44,10 @@ A design holds the engine's arrays as they are, so ``Design.serialize`` is
 the one path to the design encoder; a log is encoded from ``run``'s raw
 steps (``Engine.log_text``) or from the parsed object (``serialize_log``).
 Batch workers encode where they derive and return text.
+
+Every derivation in the package runs on ``shared_engine``: one engine per
+process, kept for the last (grammar fingerprint, grid config) used, so
+repeated derivations and verifications reuse its tables and warm memo.
 """
 
 from __future__ import annotations
@@ -395,10 +399,11 @@ class Engine:
     carries one as its ``table`` attribute (``contract_match_fn`` returns
     such a predicate), and the engine reads that table and never calls it.
 
-    The package itself never passes ``match_fn``: every engine it builds,
-    for either ``--matcher`` name, is ``Engine(grammar, grid_config)``. The
-    parameter stays for callers that compile the contract backend
-    themselves and time that compile apart from the engine build.
+    ``Engine(...)`` always builds a fresh engine with an empty memo. The
+    package itself derives only on the engine ``shared_engine`` keeps, for
+    either ``--matcher`` name, and never passes ``match_fn``. The parameter
+    stays for callers that compile the contract backend themselves and time
+    that compile apart from the engine build.
     """
 
     def __init__(self, grammar: Grammar, grid_config: GridConfig, match_fn=None):
@@ -598,11 +603,35 @@ class Engine:
         return parse_log(self.log_text(gen_config, raw_steps, outcome, design.hash))
 
 
+# The one engine ``shared_engine`` keeps, under its (grammar fingerprint,
+# grid config) key. One slot bounds what a process holds: an engine at
+# ``core.MAX_N_HALF`` takes about 43 MB.
+_shared: dict[tuple[str, GridConfig], Engine] = {}
+
+
+def shared_engine(grammar: Grammar, grid_config: GridConfig) -> Engine:
+    """The process's engine for ``grammar`` and ``grid_config``, built on first use.
+
+    Every derivation in the package runs on it, so one process reparses,
+    relints and rebuilds nothing while the key stays the same, and its memo
+    stays warm. A new key drops the old engine before the new one is built;
+    a build that fails keeps nothing. Output never depends on the slot:
+    every memo, running-sum and pre-state text entry is a pure function of
+    its key, and the key holds everything else the engine reads.
+    """
+    key = (grammar.fingerprint, grid_config)
+    engine = _shared.get(key)
+    if engine is None:
+        _shared.clear()
+        engine = _shared[key] = Engine(grammar, grid_config)
+    return engine
+
+
 def generate(
     grammar: Grammar, grid_config: GridConfig, gen_config: GenerationConfig
 ) -> tuple[Design, DerivationLog]:
     """Run one full derivation; the grammar must be lint-clean."""
-    engine = Engine(grammar, grid_config)
+    engine = shared_engine(grammar, grid_config)
     cells, edges, raw_steps, outcome = engine.run(gen_config)
     design = engine.to_design(cells, edges)
     return design, engine.to_log(gen_config, raw_steps, outcome, design)
@@ -626,6 +655,9 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
     outcome, log hash. The fallback reuses the engine and the run already
     made. A log that passes all of them differs from the canonical text only
     in its rendering (whitespace, key order): ``non-canonical``.
+
+    The engine is ``shared_engine``'s, so verifying many logs of one grammar
+    and grid size builds one engine and keeps its memo warm.
     """
     return _verify(text, grammar)[2]
 
@@ -638,7 +670,7 @@ def _verify(text: str, grammar: Grammar) -> tuple[Engine, tuple, BatchItem]:
     if fingerprint != grammar.fingerprint:
         _log_from_obj(obj, header)  # a malformed log is a format error first
         raise ReplayError("fingerprint", None, "log was produced by a different grammar")
-    engine = Engine(grammar, grid_config)
+    engine = shared_engine(grammar, grid_config)
     run = engine.run(gen_config)
     item = _batch_item(engine, gen_config, run, want_logs=True)
     if text.removesuffix("\n") == item.log_text:
@@ -796,6 +828,10 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
             raise ProfileFormatError(
                 f"bad counts entry {label!r}: never stored at a grid point"
             )
+        if any(b is not None and b < 0 for b in (lo, hi)):
+            raise ProfileFormatError(f"bad counts entry {label!r}: bounds must be >= 0")
+        if lo is not None and hi is not None and lo > hi:
+            raise ProfileFormatError(f"bad counts entry {label!r}: min {lo} exceeds max {hi}")
         have = counts[sym]
         ok = (lo is None or have >= lo) and (hi is None or have <= hi)
         checks.append(
@@ -879,7 +915,7 @@ def _batch_item(engine: Engine, cfg: GenerationConfig, run: tuple, want_logs: bo
 
 def _batch_worker(args) -> list[BatchItem]:
     grammar, grid_config, configs, want_logs = args
-    engine = Engine(grammar, grid_config)
+    engine = shared_engine(grammar, grid_config)
     return [_batch_item(engine, cfg, engine.run(cfg), want_logs) for cfg in configs]
 
 
@@ -897,15 +933,19 @@ def run_batch(
     ``ceil(len(configs) / workers)`` configs; the slices come back in input
     order. Each derivation is a pure function of its config, so scheduling
     cannot change results.
+
+    Every process derives on its ``shared_engine``: the inline path on this
+    process's, and each worker on the one it forked with when the key
+    matches, else on one it builds.
     """
     nworkers = min(resolve_workers(workers), len(configs)) if configs else 1
     if nworkers <= 1:
-        engine = Engine(grammar, grid_config)
+        engine = shared_engine(grammar, grid_config)
         return [_batch_item(engine, cfg, engine.run(cfg), want_logs) for cfg in configs]
 
-    if want_logs:
-        # Hash the grammar here, once: the pickled copies carry the fingerprint.
-        grammar.fingerprint
+    # Hash the grammar here, once: the pickled copies carry the fingerprint
+    # that keys each worker's engine.
+    grammar.fingerprint
     size = -(-len(configs) // nworkers)
     jobs = [
         (grammar, grid_config, configs[i:i + size], want_logs)

@@ -426,7 +426,11 @@ class TestValidate:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "counts", ["[]", "0", "false", '""', "null", '{"Boundary": [0, null]}']
+        "counts",
+        [
+            "[]", "0", "false", '""', "null", '{"Boundary": [0, null]}',
+            '{"Rotor": [5, 2]}', '{"Rotor": [-3, null]}', '{"Rotor": [null, -1]}',
+        ],
     )
     def test_bad_counts_are_parse_errors(self, run42, tmp_path, capsys, counts):
         profile = tmp_path / "counts.json"

@@ -33,6 +33,7 @@ from gridgram.generator import (
     resolve_workers,
     run_batch,
     serialize_log,
+    shared_engine,
     validate_design,
     verify_log,
     verify_log_text,
@@ -130,6 +131,13 @@ def small_log_text(demo):
 
 
 @pytest.fixture(scope="module")
+def genuine(demo):
+    """The seed-7 demo log that ``log_edits`` doctors, and its canonical text."""
+    log = log_edits.seed7_log(demo)
+    return log, serialize_log(log)
+
+
+@pytest.fixture(scope="module")
 def seed13_design(demo):
     design, _ = generate(demo, GridConfig(2), GenerationConfig(seed=13))
     return design
@@ -145,6 +153,22 @@ def _count_runs(monkeypatch) -> list:
     run = Engine.run
     monkeypatch.setattr(Engine, "run", lambda self, cfg: runs.append(cfg) or run(self, cfg))
     return runs
+
+
+def _count_builds(monkeypatch) -> list:
+    """Wrap ``Engine.__init__`` so that each engine built appends 1 to the returned list."""
+    built = []
+    init = Engine.__init__
+    monkeypatch.setattr(
+        Engine, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+    )
+    return built
+
+
+@pytest.fixture
+def cold():
+    """An empty shared-engine slot, so what a test counts does not depend on test order."""
+    generator._shared.clear()
 
 
 _batch_worker = generator._batch_worker
@@ -587,11 +611,6 @@ class TestReplayAndVerify:
 class TestLogTextVerification:
     """``verify_log_text``: one comparison with the canonical re-derivation."""
 
-    @pytest.fixture(scope="class")
-    def genuine(self, demo):
-        log = log_edits.seed7_log(demo)
-        return log, serialize_log(log)
-
     def test_genuine_text_verifies_with_or_without_a_newline(self, demo, genuine):
         log, text = genuine
         for candidate in (text, text + "\n"):
@@ -606,7 +625,7 @@ class TestLogTextVerification:
         batch = run_batch(demo, log.grid_config, [log.gen_config], workers=1)
         assert verify_log_text(text, demo) == batch[0]
 
-    def test_genuine_text_is_derived_once(self, demo, genuine, monkeypatch):
+    def test_genuine_text_is_derived_once(self, demo, genuine, monkeypatch, cold):
         runs = _count_runs(monkeypatch)
         verify_log_text(genuine[1], demo)
         assert len(runs) == 1
@@ -616,7 +635,9 @@ class TestLogTextVerification:
         [e[1:] for e in log_edits.EDITS],
         ids=[e[0] for e in log_edits.EDITS],
     )
-    def test_each_edit_gets_its_kind_and_step(self, demo, genuine, edit, verdict, monkeypatch):
+    def test_each_edit_gets_its_kind_and_step(
+        self, demo, genuine, edit, verdict, monkeypatch, cold
+    ):
         text = edit(genuine[0], demo)
         runs = _count_runs(monkeypatch)
         with pytest.raises(ReplayError) as e:
@@ -640,28 +661,119 @@ class TestLogTextVerification:
         assert (e.value.kind, e.value.step) == ("non-canonical", None)
 
     @pytest.mark.parametrize("name", ["rule", "log_hash"])
-    def test_a_rejected_log_builds_one_engine(self, demo, genuine, monkeypatch, name):
-        text = {n: edit for n, edit, _ in log_edits.EDITS}[name](genuine[0], demo)
-        built = []
-        init = Engine.__init__
-        monkeypatch.setattr(
-            Engine, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
-        )
+    def test_a_rejected_log_builds_one_engine(self, demo, genuine, monkeypatch, cold, name):
+        edits = {n: edit for n, edit, _ in log_edits.EDITS}
+        built = _count_builds(monkeypatch)
         with pytest.raises(ReplayError):
-            verify_log_text(text, demo)
+            verify_log_text(edits[name](genuine[0], demo), demo)
+        assert built == [1]
+        # A second rejected log of the same grammar and grid builds none.
+        other = "log_hash" if name == "rule" else "rule"
+        with pytest.raises(ReplayError):
+            verify_log_text(edits[other](genuine[0], demo), demo)
         assert built == [1]
 
-    def test_a_foreign_grammar_builds_no_engine(self, genuine, fill, monkeypatch):
+    def test_a_foreign_grammar_builds_no_engine(self, genuine, fill, monkeypatch, cold):
         monkeypatch.setattr(Engine, "__init__", None)
         with pytest.raises(ReplayError) as e:
             verify_log_text(genuine[1], fill)
         assert e.value.kind == "fingerprint"
+        assert generator._shared == {}
 
     def test_malformed_steps_are_a_format_error(self, demo, genuine):
         obj = json.loads(genuine[1])
         obj["steps"][0].pop("rule")
         with pytest.raises(LogFormatError):
             verify_log_text(json.dumps(obj), demo)
+
+
+class TestSharedEngine:
+    """One warm engine per process: the slot changes speed, never results."""
+
+    @staticmethod
+    def _warm(grammar, grid_config):
+        """Fill the slot's memo with derivations other than the one under test."""
+        configs = [GenerationConfig(seed=s) for s in range(20, 24)]
+        run_batch(grammar, grid_config, configs, workers=1)
+
+    @pytest.mark.parametrize(
+        "edit, verdict",
+        [e[1:] for e in log_edits.EDITS],
+        ids=[e[0] for e in log_edits.EDITS],
+    )
+    def test_each_edit_gets_the_same_verdict_cold_and_warm(
+        self, demo, genuine, edit, verdict, cold
+    ):
+        text = edit(genuine[0], demo)
+        seen = []
+        for _ in range(2):  # cold, then warm with other derivations
+            with pytest.raises(ReplayError) as e:
+                verify_log_text(text, demo)
+            seen.append((e.value.kind, e.value.step))
+            self._warm(demo, genuine[0].grid_config)
+        assert seen == [verdict, verdict]
+
+    def test_genuine_log_gives_equal_items_cold_and_warm(self, demo, genuine, monkeypatch, cold):
+        built = _count_builds(monkeypatch)
+        cold_item = verify_log_text(genuine[1], demo)
+        self._warm(demo, genuine[0].grid_config)
+        assert verify_log_text(genuine[1], demo) == cold_item
+        assert built == [1]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_parallel_equals_inline_with_a_cold_or_warm_parent(
+        self, demo, monkeypatch, cold, warm
+    ):
+        grid = GridConfig(1)
+        configs = [GenerationConfig(seed=s) for s in range(6)]
+        if warm:
+            self._warm(demo, grid)
+            # Forked workers inherit both the warm engine and this patch, so
+            # a worker that built its own engine would fail.
+            monkeypatch.setattr(Engine, "__init__", None)
+        parallel = run_batch(demo, grid, configs, workers=2)
+        assert bool(generator._shared) == warm  # the parent derives nothing itself
+        assert parallel == run_batch(demo, grid, configs, workers=1)
+
+    def test_a_foreign_grammar_leaves_a_warm_slot_alone(
+        self, demo, genuine, fill, monkeypatch, cold
+    ):
+        verify_log_text(genuine[1], demo)
+        held = dict(generator._shared)
+        monkeypatch.setattr(Engine, "__init__", None)
+        with pytest.raises(ReplayError) as e:
+            verify_log_text(genuine[1], fill)
+        assert e.value.kind == "fingerprint"
+        assert generator._shared == held
+
+    def test_one_engine_across_grid_sizes(self, demo, monkeypatch, cold):
+        built = _count_builds(monkeypatch)
+        for n_half in (1, 2, 1):
+            _, log = generate(demo, GridConfig(n_half), GenerationConfig(seed=4))
+            verify_log_text(serialize_log(log), demo)
+            assert list(generator._shared) == [(demo.fingerprint, GridConfig(n_half))]
+        assert built == [1, 1, 1]
+
+    def test_a_failed_build_is_not_kept(self, demo, cold):
+        generate(demo, GridConfig(1), GenerationConfig(seed=0))
+        bad = parse_grammar(json.dumps({"name": "bad", "version": "1", "rules": [
+            {"name": "r", "contexts": [], "produce": {"symbol": "Empty", "connect": "ego"}}
+        ]}))
+        with pytest.raises(LintFailedError):
+            generate(bad, GridConfig(1), GenerationConfig(seed=0))
+        assert generator._shared == {}
+
+    def test_engine_never_returns_the_shared_instance(self, demo, cold):
+        shared = shared_engine(demo, GridConfig(1))
+        shared.run(GenerationConfig(seed=0))
+        fresh = Engine(demo, GridConfig(1))
+        assert fresh is not shared and fresh._memo == {} and shared._memo
+        assert shared_engine(demo, GridConfig(1)) is shared
+
+    def test_the_key_is_the_fingerprint_and_the_whole_grid_config(self, demo, cold):
+        shared = shared_engine(demo, GridConfig(1))
+        assert shared_engine(parse_grammar(demo_uav_text()), GridConfig(1)) is shared
+        assert shared_engine(demo, GridConfig(1, unit="1m")) is not shared
 
 
 class TestLogParsing:
@@ -911,6 +1023,11 @@ class TestValidateDesign:
         bad = validate_design(d, {"counts": {"Rotor": [2, None]}})
         assert not bad.passed
         assert bad.failures()[0].check == "count:Rotor"
+
+    @pytest.mark.parametrize("bounds", [[5, 2], [-3, None], [None, -1], [-2, -1]])
+    def test_impossible_or_negative_count_bounds_rejected(self, bounds):
+        with pytest.raises(ProfileFormatError):
+            validate_design(self._design(), {"counts": {"Rotor": bounds}})
 
     def test_unknown_profile_key_rejected(self):
         with pytest.raises(ProfileFormatError):
