@@ -420,8 +420,9 @@ class Engine:
         self._weights = [r.weight for r in grammar.rules]
         # Matching-rule tuple -> running sums of its rules' weights.
         self._cum_weights: dict[tuple[int, ...], list[int]] = {}
+        # Per rule: (symbol code, direction code) of its production.
         self._prod = [
-            (r.production.symbol, r.production.direction) for r in grammar.rules
+            (int(r.production.symbol), int(r.production.direction)) for r in grammar.rules
         ]
         self._rule_json = [json.dumps(r.name) for r in grammar.rules]
         self._state_text: dict[int, str] = {}  # pre-state JSON by key, filled by log_text
@@ -480,78 +481,73 @@ class Engine:
 
         Raw steps are (point index, rule index, packed pre-state key). The
         frontier is kept as a sorted list of ranks in the point strategy's
-        order, so every strategy takes its point by position.
+        order, so every strategy takes its point by position. Only the keys
+        of Unoccupied points are kept current, because a key is read only
+        at an Unoccupied point.
         """
-        memo = self._memo
-        keys = list(self._base_keys)
-        cells = bytearray([Symbol.UNOCCUPIED]) * len(keys)
-        U_code = int(Symbol.UNOCCUPIED)
-        edges: set[tuple[int, int]] = set()
-        rng = SplitMix64(gen_config.seed)
-        point_strategy = gen_config.point_strategy
-        rule_strategy = gen_config.rule_strategy
-        max_steps = gen_config.max_steps
+        memo, match_list = self._memo, self._match_list
+        nbr, updates, prod = self._nbr, self._updates, self._prod
         weights, cum_weights = self._weights, self._cum_weights
-        nonterminals = len(keys)
-        if point_strategy == "nearest-to-origin":
+        keys = list(self._base_keys)
+        count = len(keys)
+        U = int(Symbol.UNOCCUPIED)
+        cells = bytearray([U]) * count
+        edges: set[tuple[int, int]] = set()
+        below = SplitMix64(gen_config.seed).below
+        point_random = gen_config.point_strategy == "uniform-random-frontier"
+        rule_random = gen_config.rule_strategy == "uniform-random"
+        weighted = gen_config.rule_strategy == "weighted"
+        # Each step rewrites one Unoccupied point, so no run has more steps.
+        max_steps = count if gen_config.max_steps is None else gen_config.max_steps
+        if gen_config.point_strategy == "nearest-to-origin":
             order, rank = self._near_order, self._near_rank
         else:
-            order = rank = range(len(keys))
+            order = rank = range(count)
 
         flist: list[int] = []
-        fflag = bytearray(len(keys))
+        fflag = bytearray(count)
         for r, i in enumerate(order):
             key = keys[i]
             lst = memo.get(key)
             if lst is None:
-                lst = self._match_list(key)
-                memo[key] = lst
+                lst = memo[key] = match_list(key)
             if lst:
                 flist.append(r)
                 fflag[i] = 1
 
         steps: list[tuple[int, int, int]] = []
-        while flist and (max_steps is None or len(steps) < max_steps):
-            if point_strategy == "uniform-random-frontier":
-                pi = order[flist[rng.below(len(flist))]]
-            else:
-                pi = order[flist[0]]
-
+        for _ in range(max_steps):
+            if not flist:
+                break
+            pi = order[flist[below(len(flist)) if point_random else 0]]
             key = keys[pi]
             applicable = memo[key]
-            if rule_strategy == "uniform-random":
-                ri = applicable[rng.below(len(applicable))]
-            elif rule_strategy == "weighted":
+            if rule_random:
+                ri = applicable[below(len(applicable))]
+            elif weighted:
                 cum = cum_weights.get(applicable)
                 if cum is None:
                     cum = cum_weights[applicable] = list(
                         accumulate(weights[r] for r in applicable)
                     )
-                ri = applicable[bisect_right(cum, rng.below(cum[-1]))]
+                ri = applicable[bisect_right(cum, below(cum[-1]))]
             else:
                 ri = applicable[0]
             steps.append((pi, ri, key))
 
-            sym, pdir = self._prod[ri]
-            s_code = int(sym)
+            s_code, pdir = prod[ri]
             cells[pi] = s_code
-            keys[pi] = (key & ~7) | s_code
-            nonterminals -= 1
             del flist[bisect_left(flist, rank[pi])]
-            fflag[pi] = 0
-
-            if pdir is not Direction.EGO:
-                qi = self._nbr[pi][pdir]
+            if pdir:
+                qi = nbr[pi][pdir]
                 edges.add((pi, qi) if pi < qi else (qi, pi))
 
-            for qi, shift, clear in self._updates[pi]:
-                kq = (keys[qi] & clear) | (s_code << shift)
-                keys[qi] = kq
-                if cells[qi] == U_code:
+            for qi, shift, clear in updates[pi]:
+                if cells[qi] == U:
+                    kq = keys[qi] = (keys[qi] & clear) | (s_code << shift)
                     lst = memo.get(kq)
                     if lst is None:
-                        lst = self._match_list(kq)
-                        memo[kq] = lst
+                        lst = memo[kq] = match_list(kq)
                     if lst:
                         if not fflag[qi]:
                             insort(flist, rank[qi])
@@ -560,7 +556,7 @@ class Engine:
                         del flist[bisect_left(flist, rank[qi])]
                         fflag[qi] = 0
 
-        if nonterminals == 0:
+        if len(steps) == count:
             outcome = "complete"
         elif not flist:
             outcome = "stuck"

@@ -35,9 +35,6 @@ class SplitMix64:
         """Uniform integer in [0, n) via rejection sampling (no modulo bias)."""
         if n <= 0:
             raise ValueError(f"below() needs n >= 1, got {n}")
-        if n == 1:
-            self.next_u64()
-            return 0
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()

@@ -345,6 +345,11 @@ class TestGrid:
             assert s.at(d) is Symbol.BOUNDARY
 
 
+# The first output of this seed is 2**64 - 1 (found by inverting the
+# SplitMix64 finaliser), which below(n) rejects for every n > 1.
+REJECTED_FIRST = 0x31628AF67B2131AB
+
+
 class TestSplitMix64:
     def test_published_vectors_seed_zero(self):
         r = SplitMix64(0)
@@ -390,6 +395,19 @@ class TestSplitMix64:
         r = SplitMix64(7)
         seen = {r.below(3) for _ in range(200)}
         assert seen == {0, 1, 2}
+
+    def test_rejected_draw_is_redrawn(self):
+        r, ref = SplitMix64(REJECTED_FIRST), SplitMix64(REJECTED_FIRST)
+        assert ref.next_u64() == 2**64 - 1
+        second = ref.next_u64()
+        assert r.below(3) == second % 3 == 1
+        assert r.next_u64() == ref.next_u64()
+
+    def test_below_one_accepts_every_draw(self):
+        r, ref = SplitMix64(REJECTED_FIRST), SplitMix64(REJECTED_FIRST)
+        ref.next_u64()
+        assert r.below(1) == 0
+        assert r.next_u64() == ref.next_u64()
 
     def test_choice_index_weighted(self):
         r = SplitMix64(5)

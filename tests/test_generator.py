@@ -472,10 +472,20 @@ class TestEngineMatchesStepLoop:
         assert isinstance(design, Grid) and design == grid
         assert steps == list(log.steps)
 
+    def test_rejected_point_draw_is_redrawn(self, fill):
+        # This seed's first output, 2**64 - 1, is rejected by below(27); the
+        # first point is the second draw mod 27 (cell 22), not cell 24.
+        gcfg = GenerationConfig(seed=0x31628AF67B2131AB)
+        design, log = generate(fill, GridConfig(1), gcfg)
+        assert log.steps[0].point == GridConfig(1).points()[22]
+        grid, steps = self._run_with_step(fill, GridConfig(1), gcfg)
+        assert design == grid
+        assert steps == list(log.steps)
+
     # Rule weights are read only by the weighted strategy, so the weighted
     # copy of the demo grammar is run with that strategy alone.
-    @pytest.mark.parametrize("max_steps", [None, 40])
-    @pytest.mark.parametrize("n_half", [2, 3])
+    @pytest.mark.parametrize("max_steps", [None, 1, 40])
+    @pytest.mark.parametrize("n_half", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "grammar_name, point_strategy, rule_strategy",
         [("demo", p, r) for p in POINT_STRATEGIES for r in RULE_STRATEGIES]
