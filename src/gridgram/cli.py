@@ -136,9 +136,6 @@ def _emit(obj: dict) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     grammar = _grammar(_read_text(args.grammar, "grammar file"))
-    if args.seed + args.count > 1 << 64:
-        print("error: seed range exceeds 64 bits", file=sys.stderr)
-        return EXIT_USAGE
     configs = [
         GenerationConfig(
             seed=args.seed + i,
@@ -366,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    if "seed" in args and args.seed + args.count > 1 << 64:  # generate and bench
+        print("error: seed range exceeds 64 bits", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except FileAccessError as e:

@@ -37,7 +37,8 @@ configs, encodes that run exactly as ``run_batch`` does, and requires the
 log's text to be the log it writes (one trailing newline allowed). Only a
 log that fails is parsed into objects, so that the first fault can be
 named; one with no fault but other bytes (whitespace, key order) is refused
-as non-canonical.
+as non-canonical. Naming the fault reads the run already made, so each
+verification, accepted or rejected, derives once.
 
 Designs and logs are written by the one encoder each in ``gridgram.canon``.
 A design holds the engine's arrays as they are, so ``Design.serialize`` is
@@ -56,9 +57,8 @@ import json
 import os
 from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import accumulate
-from typing import NoReturn
 
 from gridgram.canon import (
     DESIGN_FORMAT,
@@ -213,10 +213,10 @@ class DerivationLog:
     log_hash: str
 
 
-def _int(value: object) -> int:
-    """``value`` itself if it is an int; bool, float and str are refused."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
+def _exact(value: object, kind: type):
+    """``value`` itself if its type is exactly ``kind``: no bool for int, no object for list."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -356,15 +356,15 @@ def _log_from_obj(obj: dict, header: tuple) -> DerivationLog:
     fingerprint, grid_config, gen_config = header
     try:
         steps = []
-        for s in obj["steps"]:
+        for s in _exact(obj["steps"], list):
             if not isinstance(s, dict) or s.keys() != {"index", "point", "rule", "pre_state"}:
                 raise LogFormatError("unexpected or missing step keys")
             steps.append(
                 DerivationStep(
                     index=s["index"],
-                    point=tuple(s["point"]),
+                    point=tuple(_exact(s["point"], list)),
                     rule_name=s["rule"],
-                    pre_state=State.from_labels(s["pre_state"]),
+                    pre_state=State.from_labels(_exact(s["pre_state"], list)),
                 )
             )
     except LogFormatError:
@@ -646,20 +646,23 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
     A foreign fingerprint is refused, once the whole log has parsed, before
     any engine is built. Otherwise the log is parsed into objects only when
     the comparison fails, and the first fault is named by the ordered checks:
-    the steps in order (see ``_diagnose``), then a log that stops early or
-    runs on (``divergence`` where the shorter one ends), design hash,
-    outcome, log hash. The fallback reuses the engine and the run already
-    made. A log that passes all of them differs from the canonical text only
-    in its rendering (whitespace, key order): ``non-canonical``.
+    the steps in order, then a log that stops early or runs on
+    (``divergence`` where the shorter one ends), design hash, outcome, log
+    hash. At the first step that differs from the run, its index, point,
+    pre-state (read off the run's cells as they stood before that step) and
+    rule are checked before it is called ``divergence``. The checks read
+    only the run already made, so every log, accepted or rejected, is
+    derived once. A log that passes all of them differs from the canonical
+    text only in its rendering (whitespace, key order): ``non-canonical``.
 
     The engine is ``shared_engine``'s, so verifying many logs of one grammar
     and grid size builds one engine and keeps its memo warm.
     """
-    return _verify(text, grammar)[2]
+    return _verify(text, grammar)[1]
 
 
-def _verify(text: str, grammar: Grammar) -> tuple[Engine, tuple, BatchItem]:
-    """``verify_log_text``; also returns the engine and its ``run`` result."""
+def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
+    """``verify_log_text``; also returns the ``run`` result it verified against."""
     obj = _load_log(text)
     header = _log_header(obj)
     fingerprint, grid_config, gen_config = header
@@ -670,17 +673,38 @@ def _verify(text: str, grammar: Grammar) -> tuple[Engine, tuple, BatchItem]:
     run = engine.run(gen_config)
     item = _batch_item(engine, gen_config, run, want_logs=True)
     if text.removesuffix("\n") == item.log_text:
-        return engine, run, item
+        return run, item
 
     log = _log_from_obj(obj, header)
-    _, _, raw_steps, outcome = run
+    cells, _, raw_steps, outcome = run
     pts, rules = grid_config.points(), grammar.rules
     for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
-        if (
-            s.index != i or s.point != pts[pi]
-            or s.rule_name != rules[ri].name or s.pre_state.key != key
-        ):
-            _diagnose(engine, log, i)
+        if s.index != i:
+            raise ReplayError("index", i, f"recorded index is {s.index}")
+        if s.point == pts[pi] and s.rule_name == rules[ri].name and s.pre_state.key == key:
+            continue
+        if not grid_config.contains(s.point):
+            raise ReplayError("point", i, f"{s.point} is outside the grid")
+        # Steps 0..i-1 are the run's own, and each step writes one Unoccupied
+        # cell that no later step rewrites: resetting the cells of steps i..
+        # leaves the grid step i met.
+        before = bytearray(cells)
+        for pj, _, _ in raw_steps[i:]:
+            before[pj] = Symbol.UNOCCUPIED
+        if Grid(grid_config, before, set()).state_of(s.point) != s.pre_state:
+            raise ReplayError(
+                "pre-state", i,
+                f"recorded pre-state does not match the replayed grid at {s.point}",
+            )
+        try:
+            rule = grammar.rule_named(s.rule_name)
+        except KeyError:
+            raise ReplayError("rule-missing", i, f"no rule named {s.rule_name!r}") from None
+        if not rule.matches(s.pre_state):
+            raise ReplayError("no-match", i, f"rule {rule.name} does not match the pre-state")
+        raise ReplayError(
+            "divergence", i, "legal step, but not the one the recorded configs derive"
+        )
     if len(log.steps) < len(raw_steps):
         raise ReplayError("divergence", len(log.steps), "the log ends; its configs derive more")
     if len(log.steps) > len(raw_steps):
@@ -703,38 +727,10 @@ def _verify(text: str, grammar: Grammar) -> tuple[Engine, tuple, BatchItem]:
     )
 
 
-def _diagnose(engine: Engine, log: DerivationLog, i: int) -> NoReturn:
-    """Raise the ReplayError for step ``i``, the first one the engine did not derive."""
-    s = log.steps[i]
-    if s.index != i:
-        raise ReplayError("index", i, f"recorded index is {s.index}")
-    if not log.grid_config.contains(s.point):
-        raise ReplayError("point", i, f"{s.point} is outside the grid")
-    if i == 0:
-        grid = Grid.empty(log.grid_config)
-    else:
-        cells, edges, _, _ = engine.run(replace(log.gen_config, max_steps=i))
-        grid = engine.to_design(cells, edges)
-    if grid.state_of(s.point) != s.pre_state:
-        raise ReplayError(
-            "pre-state", i,
-            f"recorded pre-state does not match the replayed grid at {s.point}",
-        )
-    try:
-        rule = engine.grammar.rule_named(s.rule_name)
-    except KeyError:
-        raise ReplayError("rule-missing", i, f"no rule named {s.rule_name!r}") from None
-    if not rule.matches(s.pre_state):
-        raise ReplayError("no-match", i, f"rule {rule.name} does not match the pre-state")
-    raise ReplayError(
-        "divergence", i, "legal step, but not the one the recorded configs derive"
-    )
-
-
 def verify_log(log: DerivationLog, grammar: Grammar) -> Design:
     """Verify a log object as ``verify_log_text`` verifies its text; the run's design."""
-    engine, (cells, edges, _, _), _ = _verify(serialize_log(log), grammar)
-    return engine.to_design(cells, edges)
+    (cells, edges, _, _), _ = _verify(serialize_log(log), grammar)
+    return Design(log.grid_config, cells, edges)
 
 
 def replay(log: DerivationLog, grammar: Grammar) -> Design:
@@ -817,7 +813,7 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
     for label, bounds in count_bounds.items():
         try:
             sym = Symbol.from_label(label)
-            lo, hi = (None if b is None else _int(b) for b in bounds)
+            lo, hi = (None if b is None else _exact(b, int) for b in bounds)
         except (KeyError, TypeError, ValueError) as e:
             raise ProfileFormatError(f"bad counts entry {label!r}: {e}") from None
         if sym not in STORABLE:

@@ -5,7 +5,8 @@ Shared by the library and command-line verification tests. Every entry of
 text of a doctored log, and (kind, step) is the ``ReplayError`` it raises.
 The single-field edits are the ones the audit benchmark makes, applied to
 step ``STEP`` and written as canonical JSON without recomputing log_hash;
-the forgeries recompute log_hash, so only re-deriving exposes them.
+the three step edits are applied to the last step ``LAST`` as well. The
+forgeries recompute log_hash, so only re-deriving exposes them.
 ``NON_CANONICAL`` holds renderings of the genuine log that differ from its
 canonical text only in layout.
 """
@@ -21,6 +22,10 @@ from gridgram.generator import GenerationConfig, generate, serialize_log
 import encode_oracle
 
 STEP = 5
+LAST = 124  # the seed-7 log has 125 steps
+# Seven distinct labels with a nonterminal ego: a pre-state a reader that
+# iterates an object's keys would accept.
+SEVEN_LABELS = ["Unoccupied", "Fuselage", "Rotor", "Wing", "Connector", "Empty", "Boundary"]
 
 
 def seed7_log(grammar):
@@ -52,18 +57,22 @@ def _forgery(forge):
     return edit
 
 
-def _other_rule(obj, grammar):
-    step = obj["steps"][STEP]
+def _step_edit(change, i):
+    """``change(step, grammar)`` applied to step ``i`` of the loaded log."""
+    return _field_edit(lambda obj, grammar: change(obj["steps"][i], grammar))
+
+
+def _other_rule(step, grammar):
     step["rule"] = next(r.name for r in grammar.rules if r.name != step["rule"])
 
 
-def _moved_point(obj, _grammar):
-    point = obj["steps"][STEP]["point"]
+def _moved_point(step, _grammar):
+    point = step["point"]
     point[0] += 1 if point[0] < 0 else -1
 
 
-def _pre_state(obj, _grammar):
-    state = obj["steps"][STEP]["pre_state"]
+def _pre_state(step, _grammar):
+    state = step["pre_state"]
     state[1] = "Empty" if state[1] != "Empty" else "Rotor"
 
 
@@ -97,9 +106,14 @@ def _ran_on(log, _grammar):
 
 
 EDITS = [
-    ("rule", _field_edit(_other_rule), ("no-match", STEP)),
-    ("point", _field_edit(_moved_point), ("pre-state", STEP)),
-    ("pre_state", _field_edit(_pre_state), ("pre-state", STEP)),
+    ("rule", _step_edit(_other_rule, STEP), ("no-match", STEP)),
+    ("point", _step_edit(_moved_point, STEP), ("pre-state", STEP)),
+    ("pre_state", _step_edit(_pre_state, STEP), ("pre-state", STEP)),
+    # The same edits at the last step, which the verifier reads off the run's
+    # final cells with only that step's own cell reset.
+    ("rule-last", _step_edit(_other_rule, LAST), ("no-match", LAST)),
+    ("point-last", _step_edit(_moved_point, LAST), ("pre-state", LAST)),
+    ("pre_state-last", _step_edit(_pre_state, LAST), ("pre-state", LAST)),
     ("outcome", _field_edit(_outcome), ("outcome", None)),
     ("seed", _field_edit(_seed), ("divergence", 1)),
     ("design_hash", _field_edit(_flip_first("design_hash")), ("design-hash", None)),

@@ -360,9 +360,23 @@ class TestReplayVerdicts:
         assert (rc, out) == (1, "")
         assert "replay failed: non-canonical: " in err
 
-    def test_malformed_steps_exit_3(self, demo_path, seed7, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda o: o["steps"][3].__setitem__("pre_state", ["Unoccupied"] * 6),
+            lambda o: o.__setitem__("steps", {}),
+            lambda o: o.__setitem__("steps", ""),
+            lambda o: o["steps"][3].__setitem__("point", dict.fromkeys("xyz", 0)),
+            lambda o: o["steps"][3].__setitem__(
+                "pre_state", dict.fromkeys(log_edits.SEVEN_LABELS)
+            ),
+        ],
+        ids=["short-pre-state", "steps-object", "steps-string", "point-object",
+             "pre-state-object"],
+    )
+    def test_malformed_steps_exit_3(self, demo_path, seed7, tmp_path, capsys, doctor):
         obj = json.loads(serialize_log(seed7[1]))
-        obj["steps"][3]["pre_state"] = ["Unoccupied"] * 6
+        doctor(obj)
         rc = self._replay(demo_path, tmp_path, json.dumps(obj))
         out, err = capsys.readouterr()
         assert (rc, out) == (3, "")
@@ -619,6 +633,25 @@ class TestGridBound:
         ]
         assert main(argv) == 3
         assert "n_half must be in" in capsys.readouterr().err
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_seed_range_past_64_bits_is_usage_error(self, command, demo_path, tmp_path, capsys):
+        argv = [command, demo_path, "--seed", str((1 << 64) - 1), "--count", "2"]
+        if command == "generate":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: seed range exceeds 64 bits\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_last_seed_of_64_bits_is_accepted(self, command, demo_path, tmp_path, capsys):
+        argv = [command, demo_path, "--n-half", "0", "--seed", str((1 << 64) - 2)]
+        argv += ["--count", "2"]
+        if command == "generate":
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv) == 0
 
 
 class TestNonUtf8Input:

@@ -653,7 +653,8 @@ class TestLogTextVerification:
         with pytest.raises(ReplayError) as e:
             verify_log_text(text, demo)
         assert (e.value.kind, e.value.step) == verdict
-        assert len(runs) <= 2  # the full run, and one prefix run to name the fault
+        # One run, of the configs the log records: the fault is named from it.
+        assert runs == [GenerationConfig.from_obj(json.loads(text)["generation_config"])]
         with pytest.raises(ReplayError) as e:
             verify_log(parse_log(text), demo)
         assert (e.value.kind, e.value.step) == verdict
@@ -845,11 +846,18 @@ class TestLogParsing:
             lambda o: o["grid_config"].__setitem__("n_half", True),
             lambda o: o["grid_config"].__setitem__("n_half", 17),
             lambda o: o["grid_config"].__setitem__("unit", 1.5),
+            lambda o: o.__setitem__("steps", {}),
+            lambda o: o.__setitem__("steps", ""),
+            lambda o: o["steps"][0].__setitem__("point", dict.fromkeys("xyz", 0)),
+            lambda o: o["steps"][0].__setitem__(
+                "pre_state", dict.fromkeys(log_edits.SEVEN_LABELS)
+            ),
         ],
         ids=[
             "float-coordinate", "str-coordinate", "bool-index", "float-index",
             "step-not-object", "bool-seed", "float-max-steps",
             "float-n-half", "bool-n-half", "n-half-over-max", "float-unit",
+            "steps-object", "steps-string", "point-object", "pre-state-object",
         ],
     )
     def test_wrong_types_are_rejected_not_coerced(self, small_log_text, doctor):
