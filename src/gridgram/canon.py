@@ -13,12 +13,14 @@ writes the same bytes: ``serialize_grammar`` and so ``Grammar.fingerprint``
 the comparison in ``Design.parse``, where the document read from disk is
 dumped and compared with the design's own encoding, so that a float there
 shows up as a difference. Designs and logs have one encoder each,
-``encode_design`` and ``encode_log``. They write the bytes
-``canonical_json`` would write for the artifact's plain-data form, but from
-cached fragments: coordinates per point, labels per packed pre-state key,
-JSON per rule name. Their cells, steps, nodes and edges are integers and
-fixed labels because the constructors of ``GridConfig``, ``GenerationConfig``
-and ``DerivationStep`` refuse anything else, so they are not walked again.
+``encode_design`` and ``encode_log``; the log encoder writes the whole text
+and computes log_hash itself unless handed a recorded one. They write the
+bytes ``canonical_json`` would write for the artifact's plain-data form,
+but from cached fragments: coordinates per point, labels per packed
+pre-state key, JSON per rule name. Their cells, steps, nodes and edges are
+integers and fixed labels because the constructors of ``GridConfig``,
+``GenerationConfig`` and ``DerivationStep`` refuse anything else, so they
+are not walked again.
 """
 
 from __future__ import annotations
@@ -146,11 +148,13 @@ def encode_log(
     outcome: str,
     design_hash: str,
     steps: list[str],
-) -> tuple[str, str]:
-    """Canonical log text without log_hash, split where that field belongs.
+    log_hash: str | None = None,
+) -> str:
+    """Canonical log text.
 
-    ``steps`` holds each step's ``STEP_JSON`` text. log_hash is the SHA-256
-    of the two parts joined; ``with_log_hash`` splices it in between them.
+    ``steps`` holds each step's ``STEP_JSON`` text. ``log_hash`` is the
+    SHA-256 of the log written without that field; it is computed when not
+    given, and a given one (a parsed log's recorded value) is written as is.
     """
     head = canonical_json({
         "design_hash": design_hash,
@@ -161,9 +165,7 @@ def encode_log(
         "outcome": outcome,
     })
     cut = head.rindex(',"outcome":')
-    return head[:cut], f'{head[cut:-1]},"steps":[{",".join(steps)}]}}'
-
-
-def with_log_hash(parts: tuple[str, str], log_hash: str) -> str:
-    """The whole log text: ``encode_log`` output with the log_hash field."""
-    return f'{parts[0]},"log_hash":{json.dumps(log_hash)}{parts[1]}'
+    head, tail = head[:cut], f'{head[cut:-1]},"steps":[{",".join(steps)}]}}'
+    if log_hash is None:
+        log_hash = sha256_hex(head + tail)
+    return f'{head},"log_hash":{json.dumps(log_hash)}{tail}'

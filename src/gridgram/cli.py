@@ -1,4 +1,4 @@
-"""Command-line front end: generate, replay, validate, lint, assign, export, bench.
+"""Command-line front end: generate, replay, validate, lint, assign-dirs, export, bench.
 
 Exit codes: 0 success; 1 a requested check said no (lint errors, failed
 validation, failed replay, no assignment to compute); 2 usage or file-access

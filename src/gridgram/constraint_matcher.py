@@ -75,18 +75,6 @@ class DirectionAssignment:
     def to_obj(self) -> dict:
         return {d.label: self.slot_of[d] for d in _DIRECTIONS}
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> DirectionAssignment:
-        if not isinstance(obj, dict):
-            raise ValueError("assignment must be a direction-to-slot map")
-        want = {d.label for d in _DIRECTIONS}
-        if obj.keys() != want:
-            raise ValueError(f"assignment keys must be exactly {sorted(want)}")
-        slots = tuple(obj[d.label] for d in _DIRECTIONS)
-        if any(type(v) is not int for v in slots):
-            raise ValueError(f"assignment slots must be integers, got {slots!r}")
-        return cls(slots)
-
     def __str__(self) -> str:
         return " ".join(f"{d.label}={self.slot_of[d]}" for d in _DIRECTIONS)
 

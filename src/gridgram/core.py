@@ -252,11 +252,6 @@ class Grid:
         self._cells = cells
         self._edges = edges
 
-    @classmethod
-    def empty(cls, config: GridConfig) -> Grid:
-        """A fresh grid: every point Unoccupied, no edges."""
-        return cls(config, bytearray([Symbol.UNOCCUPIED]) * config.point_count, set())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented

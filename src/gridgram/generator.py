@@ -42,9 +42,10 @@ verification, accepted or rejected, derives once.
 
 Designs and logs are written by the one encoder each in ``gridgram.canon``.
 A design holds the engine's arrays as they are, so ``Design.serialize`` is
-the one path to the design encoder; a log is encoded from ``run``'s raw
-steps (``Engine.log_text``) or from the parsed object (``serialize_log``).
-Batch workers encode where they derive and return text.
+the one path to the design encoder. A log is encoded from ``run``'s raw
+steps (``Engine.log_text``), where ``canon.encode_log`` computes log_hash,
+or from the parsed object (``serialize_log``), which passes its recorded
+log_hash. Batch workers encode where they derive and return text.
 
 Every derivation in the package runs on ``shared_engine``: one engine per
 process, kept for the last (grammar fingerprint, grid config) used, so
@@ -72,7 +73,6 @@ from gridgram.canon import (
     point_coords,
     sha256_hex,
     state_json,
-    with_log_hash,
     xyz,
 )
 from gridgram.core import (
@@ -308,11 +308,10 @@ def serialize_log(log: DerivationLog) -> str:
             rule = rules[s.rule_name] = json.dumps(s.rule_name)
         state = state_json(s.pre_state.key, states)
         steps.append(STEP_JSON % (s.index, xyz(s.point), state, rule))
-    parts = encode_log(
+    return encode_log(
         log.grammar_fingerprint, log.grid_config, log.gen_config.to_obj(),
-        log.outcome, log.design_hash, steps,
+        log.outcome, log.design_hash, steps, log.log_hash,
     )
-    return with_log_hash(parts, log.log_hash)
 
 
 _LOG_KEYS = frozenset({
@@ -420,51 +419,44 @@ class Engine:
         self._weights = [r.weight for r in grammar.rules]
         # Matching-rule tuple -> running sums of its rules' weights.
         self._cum_weights: dict[tuple[int, ...], list[int]] = {}
-        # Per rule: (symbol code, direction code) of its production.
+        # Point i is (a, b, c) = (x, y, z) + n_half with
+        # i = (a * side + b) * side + c, so its neighbor in each Direction
+        # sits at i + offsets[d] when that coordinate stays in range.
+        plane = side * side
+        offsets = (0, plane, -plane, -side, side, 1, -1)
+        # Per rule: the symbol code of its production and the offset of the
+        # cell its edge joins, 0 for none. Engine refuses a grammar whose
+        # edge may target a non-component (lint), so that cell is in the grid.
         self._prod = [
-            (int(r.production.symbol), int(r.production.direction)) for r in grammar.rules
+            (int(r.production.symbol), offsets[r.production.direction]) for r in grammar.rules
         ]
         self._rule_json = [json.dumps(r.name) for r in grammar.rules]
         self._state_text: dict[int, str] = {}  # pre-state JSON by key, filled by log_text
 
-        # Per point: the flat indices of its neighbors in Direction order,
-        # -1 where out of grid (ego is -1 too); the initial all-Unoccupied
-        # key. Point i is (a, b, c) = (x, y, z) + n_half with
-        # i = (a * side + b) * side + c, so the neighbors sit at i + side**2
-        # (front), i - side**2 (rear), i - side (left), i + side (right),
-        # i + 1 (top) and i - 1 (bottom) when that coordinate stays in range.
-        # Rewriting point i changes, for each in-grid neighbor q, the entry
-        # of q's state that looks back at i: ``_updates[i]`` lists
-        # (q, shift, clear mask) in Direction order.
+        # Per point: the initial all-Unoccupied key, and in ``_updates[i]``,
+        # for each in-grid neighbor q in Direction order, (q, shift, clear
+        # mask) of the entry of q's state that looks back at point i.
         U, B = int(Symbol.UNOCCUPIED), int(Symbol.BOUNDARY)
-        last, plane = side - 1, side * side
-        back = [(3 * d.opposite, ~(7 << (3 * d.opposite))) for d in Direction]
-        self._nbr = nbr = []
+        last = side - 1
+        dirs = [  # per neighbor direction: its shift, its offset, the look-back entry
+            (3 * d, offsets[d], 3 * d.opposite, ~(7 << (3 * d.opposite)))
+            for d in NEIGHBOR_DIRECTIONS
+        ]
         self._base_keys = base = []
         self._updates = updates = []
         for a in range(side):
             for b in range(side):
                 for c in range(side):
-                    i = len(nbr)
-                    row = (
-                        -1,
-                        i + plane if a < last else -1,
-                        i - plane if a else -1,
-                        i - side if b else -1,
-                        i + side if b < last else -1,
-                        i + 1 if c < last else -1,
-                        i - 1 if c else -1,
-                    )
-                    nbr.append(row)
+                    i = len(base)
+                    inside = (a < last, a > 0, b > 0, b < last, c < last, c > 0)
                     key = U
                     update = []
-                    for d in NEIGHBOR_DIRECTIONS:
-                        q = row[d]
-                        if q < 0:
-                            key |= B << (3 * d)
+                    for (shift, off, back, clear), ok in zip(dirs, inside):
+                        if ok:
+                            key |= U << shift
+                            update.append((i + off, back, clear))
                         else:
-                            key |= U << (3 * d)
-                            update.append((q, *back[d]))
+                            key |= B << shift
                     base.append(key)
                     updates.append(tuple(update))
         self._memo: dict[int, tuple[int, ...]] = {}
@@ -483,10 +475,12 @@ class Engine:
         frontier is kept as a sorted list of ranks in the point strategy's
         order, so every strategy takes its point by position. Only the keys
         of Unoccupied points are kept current, because a key is read only
-        at an Unoccupied point.
+        at an Unoccupied point. A production's edge joins the rewritten cell
+        and the cell its ``_prod`` offset away, written smaller index first:
+        the pair is ordered by the offset's sign.
         """
         memo, match_list = self._memo, self._match_list
-        nbr, updates, prod = self._nbr, self._updates, self._prod
+        updates, prod = self._updates, self._prod
         weights, cum_weights = self._weights, self._cum_weights
         keys = list(self._base_keys)
         count = len(keys)
@@ -535,12 +529,11 @@ class Engine:
                 ri = applicable[0]
             steps.append((pi, ri, key))
 
-            s_code, pdir = prod[ri]
+            s_code, off = prod[ri]
             cells[pi] = s_code
             del flist[bisect_left(flist, rank[pi])]
-            if pdir:
-                qi = nbr[pi][pdir]
-                edges.add((pi, qi) if pi < qi else (qi, pi))
+            if off:
+                edges.add((pi, pi + off) if off > 0 else (pi + off, pi))
 
             for qi, shift, clear in updates[pi]:
                 if cells[qi] == U:
@@ -582,11 +575,10 @@ class Engine:
             STEP_JSON % (i, coords[pi], states.get(key) or state_json(key, states), rules[ri])
             for i, (pi, ri, key) in enumerate(raw_steps)
         ]
-        parts = encode_log(
+        return encode_log(
             self.grammar.fingerprint, self.grid_config, gen_config.to_obj(),
             outcome, design_hash, steps,
         )
-        return with_log_hash(parts, sha256_hex(parts[0] + parts[1]))
 
     def to_log(
         self,
@@ -857,14 +849,12 @@ def _connected_component(nodes: list[Point], edges: list[tuple[Point, Point]]) -
 MAX_WORKERS = 32
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count in [1, MAX_WORKERS]: explicit request, else
-    GRIDGRAM_THREADS, else CPU count."""
-    if requested is None:
-        try:
-            requested = int(os.environ.get("GRIDGRAM_THREADS", ""))
-        except ValueError:
-            requested = os.cpu_count() or 1
+def resolve_workers() -> int:
+    """Worker count in [1, MAX_WORKERS]: GRIDGRAM_THREADS, else CPU count."""
+    try:
+        requested = int(os.environ.get("GRIDGRAM_THREADS", ""))
+    except ValueError:
+        requested = os.cpu_count() or 1
     return max(1, min(requested, MAX_WORKERS))
 
 
@@ -905,23 +895,28 @@ def _batch_item(engine: Engine, cfg: GenerationConfig, run: tuple, want_logs: bo
     )
 
 
-def _batch_worker(args) -> list[BatchItem]:
-    grammar, grid_config, configs, want_logs = args
+def _derive(
+    grammar: Grammar, grid_config: GridConfig, configs: list[GenerationConfig], want_logs: bool
+) -> list[BatchItem]:
+    """The batch items of ``configs``, derived on this process's ``shared_engine``."""
     engine = shared_engine(grammar, grid_config)
     return [_batch_item(engine, cfg, engine.run(cfg), want_logs) for cfg in configs]
+
+
+def _batch_worker(args) -> list[BatchItem]:
+    return _derive(*args)
 
 
 def run_batch(
     grammar: Grammar,
     grid_config: GridConfig,
     configs: list[GenerationConfig],
-    workers: int | None = None,
     want_logs: bool = True,
 ) -> list[BatchItem]:
     """Independent derivations, results in input order.
 
-    With more than one worker the derivations run in separate processes,
-    one per contiguous slice of ``configs`` of at most
+    ``resolve_workers()`` sets how many processes derive. With more than
+    one, each takes one contiguous slice of ``configs`` of at most
     ``ceil(len(configs) / workers)`` configs; the slices come back in input
     order. Each derivation is a pure function of its config, so scheduling
     cannot change results.
@@ -930,10 +925,9 @@ def run_batch(
     process's, and each worker on the one it forked with when the key
     matches, else on one it builds.
     """
-    nworkers = min(resolve_workers(workers), len(configs)) if configs else 1
+    nworkers = min(resolve_workers(), len(configs)) if configs else 1
     if nworkers <= 1:
-        engine = shared_engine(grammar, grid_config)
-        return [_batch_item(engine, cfg, engine.run(cfg), want_logs) for cfg in configs]
+        return _derive(grammar, grid_config, configs, want_logs)
 
     # Hash the grammar here, once: the pickled copies carry the fingerprint
     # that keys each worker's engine.

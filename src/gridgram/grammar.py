@@ -69,10 +69,11 @@ class GrammarParseError(GrammarError):
 class ContextPattern:
     """Per-direction symbol sets; stands for their Cartesian product.
 
-    ``sets`` is Direction-indexed. Every set is non-empty and the ego set
-    never admits Boundary. ``masks`` is the same data as 7 bitmasks (bit i set
-    iff Symbol(i) admitted), precomputed for ``admits`` and the linter; the
-    engine matches through ``MatchTable`` instead.
+    ``sets`` is Direction-indexed. Every set is non-empty, and the ego set
+    admits only nonterminals, because only they are rewritten. ``masks`` is
+    the same data as 7 bitmasks (bit i set iff Symbol(i) admitted),
+    precomputed for ``admits`` and the linter; the engine matches through
+    ``MatchTable`` instead.
     """
 
     sets: tuple[frozenset[Symbol], ...]
@@ -84,8 +85,10 @@ class ContextPattern:
         for d in Direction:
             if not self.sets[d]:
                 raise ValueError(f"empty symbol set at {d.label}")
-        if Symbol.BOUNDARY in self.sets[Direction.EGO]:
-            raise ValueError("ego entry may not admit Boundary")
+        ego = self.sets[Direction.EGO]
+        if not ego <= NONTERMINALS:
+            bad = sorted(s.label for s in ego - NONTERMINALS)
+            raise ValueError(f"ego admits {bad}; only nonterminals are rewritten")
         masks = tuple(sum(1 << s for s in ss) for ss in self.sets)
         object.__setattr__(self, "masks", masks)
 
@@ -130,9 +133,10 @@ class Production:
 class Rule:
     """A named set of context patterns plus one production.
 
-    Only nonterminals are rewritten: every pattern's ego set must sit inside
-    the nonterminal alphabet. ``weight`` feeds the weighted rule-selection
-    strategy and is a positive integer so random draws stay exact.
+    Only nonterminals are rewritten, so every pattern's ego set holds
+    nonterminals only (``ContextPattern`` checks it). ``weight`` feeds the
+    weighted rule-selection strategy and is a positive integer so random
+    draws stay exact.
     """
 
     name: str
@@ -143,10 +147,6 @@ class Rule:
     def __post_init__(self) -> None:
         if type(self.name) is not str:
             raise TypeError(f"rule name must be a string, got {self.name!r}")
-        for pat in self.omega:
-            if not pat.sets[Direction.EGO] <= NONTERMINALS:
-                bad = sorted(s.label for s in pat.sets[Direction.EGO] - NONTERMINALS)
-                raise ValueError(f"rule {self.name}: ego admits non-nonterminal {bad}")
         if type(self.weight) is not int:
             raise TypeError(f"rule {self.name}: weight must be an integer, got {self.weight!r}")
         if self.weight < 1:
@@ -403,14 +403,10 @@ def _rule_from_obj(robj: dict, rname: str, rpath: str) -> Rule:
         sets = tuple(
             _entry_to_set(cobj[label], d, f"{cpath}.{label}") for d, label in _DIRECTION_LABELS
         )
-        if not sets[Direction.EGO] <= NONTERMINALS:
-            bad = sorted(s.label for s in sets[Direction.EGO] - NONTERMINALS)
-            raise GrammarParseError(
-                "ego-not-nonterminal",
-                f"ego admits {bad}; only nonterminals are rewritten",
-                f"{cpath}.ego",
-            )
-        patterns.append(ContextPattern(sets))
+        try:
+            patterns.append(ContextPattern(sets))
+        except ValueError as e:  # seven non-empty sets: only the ego check can fail
+            raise GrammarParseError("ego-not-nonterminal", str(e), f"{cpath}.ego") from None
 
     pobj = robj["produce"]
     ppath = f"{rpath}.produce"

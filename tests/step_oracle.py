@@ -4,9 +4,9 @@ Tests fold ``step`` and check that ``Engine.run`` derives exactly the same
 steps and grid. The oracle keeps its own cells and edge set in a ``Canvas``
 and reads states through a ``core.Grid`` view of them. It rescans the whole
 grid every step and selects rules with ``Rule.matches``, never the
-engine's ``MatchTable``, so it stays out of the package. ``Canvas`` also
-builds the grids of read-side tests, and ``engine_tables`` builds the
-engine's neighbor tables point by point.
+engine's ``MatchTable``, so it stays out of the package. ``Canvas`` and
+``empty_grid`` also build the grids of read-side tests, and
+``engine_tables`` builds the engine's per-point tables point by point.
 """
 
 from __future__ import annotations
@@ -145,34 +145,31 @@ def step(
     return DerivationStep(index=index, point=p, rule_name=rule.name, pre_state=pre)
 
 
-def engine_tables(config: GridConfig):
-    """``Engine``'s neighbor tables, built point by point through ``neighbor``.
+def empty_grid(config: GridConfig) -> Grid:
+    """A fresh grid: every point Unoccupied, no edges."""
+    return Grid(config, bytearray([Symbol.UNOCCUPIED]) * config.point_count, set())
 
-    Returns (neighbor indices per point in Direction order, -1 where out of
-    grid and at ego; the all-Unoccupied key per point; per point the
-    (neighbor index, shift, clear mask) of each in-grid neighbor, in
-    Direction order).
+
+def engine_tables(config: GridConfig):
+    """``Engine``'s per-point tables, built point by point through ``neighbor``.
+
+    Returns (the all-Unoccupied key per point; per point the (neighbor
+    index, shift, clear mask) of each in-grid neighbor, in Direction order).
     """
-    n, side = config.n_half, config.side
     U, B = Symbol.UNOCCUPIED, Symbol.BOUNDARY
-    nbr, base, updates = [], [], []
+    base, updates = [], []
     for p in config.points():
-        row = [-1] * 7
         key = int(U)
+        update = []
         for d in Direction:
             if d is Direction.EGO:
                 continue
             q = neighbor(p, d)
             if config.contains(q):
-                row[d] = ((q[0] + n) * side + (q[1] + n)) * side + (q[2] + n)
                 key |= U << (3 * d)
+                update.append((config.index_of(q), 3 * d.opposite, ~(7 << (3 * d.opposite))))
             else:
                 key |= B << (3 * d)
-        nbr.append(tuple(row))
         base.append(key)
-        updates.append(tuple(
-            (row[d], 3 * d.opposite, ~(7 << (3 * d.opposite)))
-            for d in Direction
-            if d is not Direction.EGO and row[d] >= 0
-        ))
-    return nbr, base, updates
+        updates.append(tuple(update))
+    return base, updates

@@ -27,7 +27,7 @@ from gridgram.constraint_matcher import (
     rule_to_contract_union,
     state_to_contract_union,
 )
-from gridgram.core import Direction, Grid, GridConfig, State, Symbol
+from gridgram.core import Direction, GridConfig, State, Symbol
 from gridgram.generator import (
     Design,
     GenerationConfig,
@@ -50,6 +50,7 @@ from gridgram.grammar import (
     serialize_grammar,
 )
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
+from step_oracle import empty_grid
 
 U, C, E = Symbol.UNOCCUPIED, Symbol.CONNECTOR, Symbol.EMPTY
 TERMINAL_CHOICES = (Symbol.FUSELAGE, Symbol.ROTOR, Symbol.WING, Symbol.CONNECTOR, Symbol.EMPTY)
@@ -200,7 +201,7 @@ def test_criterion_2_grid_point_count():
         cfg = GridConfig(n_half)
         expected = (2 * n_half + 1) ** 3
         listed = len(list(cfg.points()))
-        stored = sum(Grid.empty(cfg).counts().values())
+        stored = sum(empty_grid(cfg).counts().values())
         if not (cfg.point_count == listed == stored == expected):
             failures.append(n_half)
     report(2, not failures, "point count is (2n+1)^3 for n in {0,1,2,3,5}"

@@ -190,23 +190,6 @@ class TestDirectionAssignment:
         for s in range(7):
             assert assignment.slot(assignment.direction_at(s)) == s
 
-    @given(assignment=assignments_st)
-    def test_obj_round_trip(self, assignment):
-        assert DirectionAssignment.from_obj(assignment.to_obj()) == assignment
-
-    def test_from_obj_rejects_bad_maps(self):
-        good = DirectionAssignment.identity().to_obj()
-        missing = dict(good)
-        del missing["top"]
-        extra = dict(good, up=3)
-        squashed = dict(good, top=good["bottom"])
-        # Values that int() would coerce into the identity assignment.
-        coerced = {"ego": "0", "front": True, "rear": 2.0, "left": 3.9}
-        mistyped = [dict(good, **{label: value}) for label, value in coerced.items()]
-        for bad in ([1, 2, 3], missing, extra, squashed, dict(good, **coerced), *mistyped):
-            with pytest.raises(ValueError):
-                DirectionAssignment.from_obj(bad)
-
     def test_str_form(self):
         a = DirectionAssignment((6, 4, 5, 0, 2, 3, 1))
         assert str(a) == "ego=6 front=4 rear=5 left=0 right=2 top=3 bottom=1"

@@ -23,7 +23,7 @@ from gridgram.core import (
 )
 from gridgram.grammar import ContextPattern, Production, Rule
 from gridgram.rng import SplitMix64
-from step_oracle import Canvas, choice_index
+from step_oracle import Canvas, choice_index, empty_grid
 
 
 def anywhere(symbol: Symbol, direction: Direction = Direction.EGO) -> Rule:
@@ -165,7 +165,7 @@ class TestGridConfig:
 
 class TestGrid:
     def test_starts_all_unoccupied(self):
-        g = Grid.empty(GridConfig(1))
+        g = empty_grid(GridConfig(1))
         assert all(g.symbol_at(p) is Symbol.UNOCCUPIED for p in g.points())
         assert g.counts()[Symbol.UNOCCUPIED] == 27
         assert g.edges() == []
@@ -181,7 +181,7 @@ class TestGrid:
         assert g.symbol_at((0, 1, 0)) is Symbol.WING
 
     def test_rejects_out_of_grid(self):
-        g = Grid.empty(GridConfig(1))
+        g = empty_grid(GridConfig(1))
         with pytest.raises(OutOfGridError):
             g.symbol_at((2, 0, 0))
         with pytest.raises(OutOfGridError):
@@ -203,7 +203,7 @@ class TestGrid:
         assert Symbol.BOUNDARY not in s.symbols
 
     def test_state_at_corner_has_boundary(self):
-        g = Grid.empty(GridConfig(1))
+        g = empty_grid(GridConfig(1))
         s = g.state_of((-1, -1, -1))
         assert s.at(Direction.REAR) is Symbol.BOUNDARY
         assert s.at(Direction.LEFT) is Symbol.BOUNDARY
@@ -213,7 +213,7 @@ class TestGrid:
         assert s.at(Direction.TOP) is Symbol.UNOCCUPIED
 
     def test_state_n_zero_is_all_boundary_around(self):
-        g = Grid.empty(GridConfig(0))
+        g = empty_grid(GridConfig(0))
         s = g.state_of((0, 0, 0))
         assert s.ego is Symbol.UNOCCUPIED
         assert all(s.at(d) is Symbol.BOUNDARY for d in NEIGHBOR_DIRECTIONS)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgram import generator
-from gridgram.canon import canonical_json, sha256_hex
-from gridgram.core import Grid, GridConfig, State, Symbol
+from gridgram.canon import canonical_json, encode_log, sha256_hex
+from gridgram.core import Direction, Grid, GridConfig, State, Symbol, neighbor
 from gridgram.generator import (
     MAX_WORKERS,
     POINT_STRATEGIES,
@@ -43,7 +44,7 @@ from gridgram.rng import SplitMix64
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
 import encode_oracle
 import log_edits
-from step_oracle import Canvas, engine_tables, frontier, step
+from step_oracle import Canvas, empty_grid, engine_tables, frontier, step
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,16 +243,16 @@ class TestGenerationConfig:
 class TestFrontier:
     def test_empty_grammar_has_empty_frontier(self):
         g = parse_grammar(EMPTY_GRAMMAR)
-        grid = Grid.empty(GridConfig(1))
+        grid = empty_grid(GridConfig(1))
         assert frontier(g, grid) == []
 
     def test_fill_grammar_frontier_is_every_point(self, fill):
         cfg = GridConfig(1)
-        grid = Grid.empty(cfg)
+        grid = empty_grid(cfg)
         assert frontier(fill, grid) == list(cfg.points())
 
     def test_demo_initial_frontier_is_the_seed_corner(self, demo):
-        grid = Grid.empty(GridConfig(2))
+        grid = empty_grid(GridConfig(2))
         assert frontier(demo, grid) == [(-2, -2, -2)]
 
     def test_terminal_points_leave_the_frontier(self, fill):
@@ -408,12 +409,22 @@ DEMO_LINT_SHA256 = "2b7d824f0fd67a0af3202fd07ab4d694000649d8872efe8220ecda8d76d4
 
 class TestEngineTables:
     @pytest.mark.parametrize("n_half", [0, 1, 2, 3, 4])
-    def test_tables_equal_the_point_by_point_reference(self, fill, n_half):
-        engine = Engine(fill, GridConfig(n_half))
-        nbr, base, updates = engine_tables(GridConfig(n_half))
-        assert engine._nbr == nbr
+    def test_tables_equal_the_point_by_point_reference(self, fill, demo, n_half):
+        cfg = GridConfig(n_half)
+        engine = Engine(fill, cfg)
+        base, updates = engine_tables(cfg)
         assert engine._base_keys == base
         assert engine._updates == updates
+        # The demo connects in all six directions; each production's offset
+        # is the index step to that neighbor (the origin is interior for n_half >= 1).
+        engine = Engine(demo, cfg)
+        p = (0, 0, 0)
+        offsets = {}
+        for r, prod in zip(demo.rules, engine._prod):
+            d = r.production.direction
+            offsets[d] = cfg.index_of(neighbor(p, d)) - cfg.index_of(p)
+            assert prod == (int(r.production.symbol), offsets[d])
+        assert offsets.keys() == set(Direction)
 
     @pytest.mark.parametrize(
         "rule, code",
@@ -632,7 +643,7 @@ class TestLogTextVerification:
 
     def test_genuine_text_gives_the_batch_item(self, demo, genuine):
         log, text = genuine
-        batch = run_batch(demo, log.grid_config, [log.gen_config], workers=1)
+        batch = run_batch(demo, log.grid_config, [log.gen_config])
         assert verify_log_text(text, demo) == batch[0]
 
     def test_genuine_text_is_derived_once(self, demo, genuine, monkeypatch, cold):
@@ -704,8 +715,8 @@ class TestSharedEngine:
     @staticmethod
     def _warm(grammar, grid_config):
         """Fill the slot's memo with derivations other than the one under test."""
-        configs = [GenerationConfig(seed=s) for s in range(20, 24)]
-        run_batch(grammar, grid_config, configs, workers=1)
+        for s in range(20, 24):
+            generate(grammar, grid_config, GenerationConfig(seed=s))
 
     @pytest.mark.parametrize(
         "edit, verdict",
@@ -742,9 +753,11 @@ class TestSharedEngine:
             # Forked workers inherit both the warm engine and this patch, so
             # a worker that built its own engine would fail.
             monkeypatch.setattr(Engine, "__init__", None)
-        parallel = run_batch(demo, grid, configs, workers=2)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
+        parallel = run_batch(demo, grid, configs)
         assert bool(generator._shared) == warm  # the parent derives nothing itself
-        assert parallel == run_batch(demo, grid, configs, workers=1)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "1")
+        assert parallel == run_batch(demo, grid, configs)
 
     def test_a_foreign_grammar_leaves_a_warm_slot_alone(
         self, demo, genuine, fill, monkeypatch, cold
@@ -1088,10 +1101,12 @@ class TestValidateDesign:
 
 
 class TestRunBatch:
-    def test_parallel_equals_inline(self, demo):
+    def test_parallel_equals_inline(self, demo, monkeypatch):
         configs = [GenerationConfig(seed=s) for s in range(6)]
-        inline = run_batch(demo, GridConfig(1), configs, workers=1)
-        parallel = run_batch(demo, GridConfig(1), configs, workers=2)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "1")
+        inline = run_batch(demo, GridConfig(1), configs)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
+        parallel = run_batch(demo, GridConfig(1), configs)
         assert len(inline) == len(parallel) == 6
         for a, b in zip(inline, parallel):
             assert a.seed == b.seed
@@ -1102,8 +1117,9 @@ class TestRunBatch:
     def test_workers_receive_the_grammar_already_hashed(self, monkeypatch):
         grammar = parse_grammar(demo_uav_text())  # fingerprint not read yet
         monkeypatch.setattr(generator, "_batch_worker", _worker_requiring_fingerprint)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
         configs = [GenerationConfig(seed=s) for s in range(2)]
-        items = run_batch(grammar, GridConfig(1), configs, workers=2)
+        items = run_batch(grammar, GridConfig(1), configs)
         assert [i.seed for i in items] == [0, 1]
 
     def test_starts_one_process_per_slice(self, demo, monkeypatch):
@@ -1115,40 +1131,39 @@ class TestRunBatch:
             return pool(max_workers=max_workers)
 
         monkeypatch.setattr(generator, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "4")
         configs = [GenerationConfig(seed=s) for s in range(5)]
-        items = run_batch(demo, GridConfig(1), configs, workers=4)
+        items = run_batch(demo, GridConfig(1), configs)
         assert started == [3]  # slices of 2, 2 and 1 config
         assert [i.seed for i in items] == list(range(5))
 
-    def test_duplicate_seeds_keep_input_order(self, demo):
+    def test_duplicate_seeds_keep_input_order(self, demo, monkeypatch):
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
         configs = [GenerationConfig(seed=s) for s in (5, 5, 3)]
-        items = run_batch(demo, GridConfig(1), configs, workers=2)
+        items = run_batch(demo, GridConfig(1), configs)
         assert [i.seed for i in items] == [5, 5, 3]
         assert items[0].design_text == items[1].design_text
 
     def test_want_logs_false(self, demo):
-        items = run_batch(
-            demo, GridConfig(1), [GenerationConfig(seed=1)], workers=1, want_logs=False
-        )
+        items = run_batch(demo, GridConfig(1), [GenerationConfig(seed=1)], want_logs=False)
         assert items[0].log_text is None
         assert items[0].step_count > 0
 
-    def test_empty_batch(self, demo):
-        assert run_batch(demo, GridConfig(1), [], workers=4) == []
+    def test_empty_batch(self, demo, monkeypatch):
+        monkeypatch.setenv("GRIDGRAM_THREADS", "4")
+        assert run_batch(demo, GridConfig(1), []) == []
 
     def test_resolve_workers(self, monkeypatch):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == 1
         monkeypatch.setenv("GRIDGRAM_THREADS", "5")
         assert resolve_workers() == 5
-        assert resolve_workers(2) == 2
+        monkeypatch.setenv("GRIDGRAM_THREADS", "0")
+        assert resolve_workers() == 1
         monkeypatch.setenv("GRIDGRAM_THREADS", "junk")
-        assert resolve_workers() >= 1
+        assert resolve_workers() == min(os.cpu_count() or 1, MAX_WORKERS)
 
     def test_resolve_workers_is_capped(self, monkeypatch):
         monkeypatch.setenv("GRIDGRAM_THREADS", "100000")
         assert resolve_workers() == MAX_WORKERS
-        assert resolve_workers(100000) == MAX_WORKERS
 
 
 _ODD_UNIT = 'a"b\\c-\u00b5m-\u7ffc'
@@ -1160,7 +1175,7 @@ class TestEncodersMatchOracle:
     @pytest.mark.parametrize(
         "n_half, unit", [(0, None), (1, _ODD_UNIT), (2, None), (3, _ODD_UNIT)]
     )
-    def test_bytes_equal_the_oracle(self, demo, n_half, unit):
+    def test_bytes_equal_the_oracle(self, demo, monkeypatch, n_half, unit):
         grid = GridConfig(n_half, unit)
         configs = [
             GenerationConfig(seed, point, rule, max_steps)
@@ -1169,8 +1184,10 @@ class TestEncodersMatchOracle:
             for max_steps in (None, 1, 7)
             for seed in (n_half, 1000 + n_half)
         ]
-        inline = run_batch(demo, grid, configs, workers=1)
-        parallel = run_batch(demo, grid, configs, workers=2)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "1")
+        inline = run_batch(demo, grid, configs)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
+        parallel = run_batch(demo, grid, configs)
         for cfg, a, b in zip(configs, inline, parallel):
             design, log = generate(demo, grid, cfg)
             expected_design = encode_oracle.design_text(design)
@@ -1186,6 +1203,17 @@ class TestEncodersMatchOracle:
                 assert item.design_hash == log.design_hash
                 assert item.log_text == expected_log
                 assert item.counts == {s.label: n for s, n in design.counts().items()}
+
+    def test_log_hash_is_computed_only_when_not_given(self, seed7_run):
+        _, _, log = seed7_run
+        obj = encode_oracle.log_obj(log)
+        fields = (
+            log.grammar_fingerprint, log.grid_config, obj["generation_config"],
+            log.outcome, log.design_hash, [canonical_json(s) for s in obj["steps"]],
+        )
+        assert encode_log(*fields) == encode_oracle.log_text(log)
+        recorded = replace(log, log_hash="f" * 64)
+        assert encode_log(*fields, recorded.log_hash) == encode_oracle.log_text(recorded)
 
     def test_recorded_strings_are_escaped_like_the_oracle(self, small_log_text):
         log = replace(
@@ -1216,7 +1244,7 @@ class TestGoldens:
 
     @pytest.mark.parametrize("n_half", [3, 5])
     @pytest.mark.parametrize("grammar_name", ["demo", "weighted_demo"])
-    def test_strategy_pair_hashes_are_stable(self, request, grammar_name, n_half):
+    def test_strategy_pair_hashes_are_stable(self, request, monkeypatch, grammar_name, n_half):
         """Design and log hashes of every strategy pair, frozen for 3 seeds."""
         frozen = json.loads((GOLDEN / "strategy_pairs.json").read_text())
         grammar = request.getfixturevalue(grammar_name)
@@ -1226,7 +1254,8 @@ class TestGoldens:
             GenerationConfig(seed=seed, point_strategy=p, rule_strategy=r)
             for p in POINT_STRATEGIES for r in RULE_STRATEGIES for seed in frozen["seeds"]
         ]
-        items = run_batch(grammar, GridConfig(n_half), configs, workers=1)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "1")
+        items = run_batch(grammar, GridConfig(n_half), configs)
         got = {
             f"{n_half}/{c.point_strategy}/{c.rule_strategy}/{c.seed}": {
                 "design": item.design_hash, "log": sha256_hex(item.log_text),

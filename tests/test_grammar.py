@@ -18,6 +18,7 @@ from gridgram.grammar import (
     LintDiagnostic,
     Production,
     Rule,
+    WILDCARD_EGO,
     WILDCARD_NON_EGO,
     grammar_to_obj,
     lint_errors,
@@ -128,12 +129,24 @@ class TestParse:
         assert e.value.kind == "duplicate-rule-name"
 
     def test_ego_must_be_nonterminal(self):
-        for ego in ("Fuselage", "*", ["Unoccupied", "Empty"]):
+        cases = [
+            ("Fuselage", {Symbol.FUSELAGE}),
+            ("*", WILDCARD_EGO),
+            (["Unoccupied", "Empty"], {U, Symbol.EMPTY}),
+            ("Boundary", {B}),
+            (["Unoccupied", "Boundary"], {U, B}),
+        ]
+        for ego, sets in cases:
             doc = json.loads(one_rule_text())
             doc["rules"][0]["contexts"][0]["ego"] = ego
             with pytest.raises(GrammarParseError) as e:
                 parse_grammar(json.dumps(doc))
             assert e.value.kind == "ego-not-nonterminal"
+            assert e.value.path == "$.rules[0].contexts[0].ego"
+            # The parser reports the one check, made by ContextPattern.
+            with pytest.raises(ValueError) as direct:
+                pattern(ego=sets)
+            assert str(direct.value) == e.value.message
 
     def test_empty_with_connection_rejected(self):
         with pytest.raises(GrammarParseError) as e:
