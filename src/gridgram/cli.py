@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 a requested check said no (lint errors, failed
 validation, failed replay, no assignment to compute); 2 usage or file-access
-problems; 3 unparseable input content; 4 a batch worker process died.
+problems; 3 unparseable input content; 4 a batch worker process died
+(``generator.WorkerDiedError``).
 
 Machine-readable results go to standard output (JSON, one object per line
 where a command reports per-item results); progress and error text goes to
@@ -12,6 +13,11 @@ and each is written whole: to a temp file beside it, then renamed into place.
 ``generate`` accepts ``--matcher direct|contract`` and ignores it: both
 names derive through the one compiled match table. ``bench`` times one
 batch and prints one flat JSON summary.
+
+A process imports only what its command runs: ``gridgram.constraint_matcher``
+is imported by ``assign-dirs`` alone, and the process pool only by a batch
+with more than one worker (see ``run_batch``). So ``generate`` with one
+worker, ``replay`` and ``validate`` load neither.
 """
 
 from __future__ import annotations
@@ -23,11 +29,9 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from gridgram.canon import canonical_json
-from gridgram.constraint_matcher import EmptyGrammarError, optimal_assignment
 from gridgram.core import MAX_N_HALF, GridConfig
 from gridgram.generator import (
     POINT_STRATEGIES,
@@ -39,6 +43,7 @@ from gridgram.generator import (
     LogFormatError,
     ProfileFormatError,
     ReplayError,
+    WorkerDiedError,
     run_batch,
     validate_design,
     verify_log_text,
@@ -235,6 +240,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_assign_dirs(args: argparse.Namespace) -> int:
+    # The one command that needs the contract module; importing it here
+    # keeps it out of every other command's start-up.
+    from gridgram.constraint_matcher import EmptyGrammarError, optimal_assignment
+
     grammar = _grammar(_read_text(args.grammar, "grammar file"))
     try:
         assignment, total = optimal_assignment(grammar)
@@ -383,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except BrokenExecutor as e:
+    except WorkerDiedError as e:
         print(f"internal error: a worker process died: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

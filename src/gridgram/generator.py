@@ -57,7 +57,6 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left, bisect_right, insort
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
@@ -141,6 +140,14 @@ class DesignFormatError(GeneratorError):
 
 class ProfileFormatError(GeneratorError):
     """A validation profile is malformed."""
+
+
+class WorkerDiedError(GeneratorError):
+    """A batch worker process ended without returning its results.
+
+    Carries the text of the pool's ``BrokenExecutor``, so callers need not
+    import ``concurrent.futures`` to catch it.
+    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -924,6 +931,10 @@ def run_batch(
     Every process derives on its ``shared_engine``: the inline path on this
     process's, and each worker on the one it forked with when the key
     matches, else on one it builds.
+
+    Only the multi-worker path imports ``concurrent.futures``, so an inline
+    batch never loads the pool or ``multiprocessing``. A worker that dies
+    raises ``WorkerDiedError`` with the pool's message.
     """
     nworkers = min(resolve_workers(), len(configs)) if configs else 1
     if nworkers <= 1:
@@ -937,5 +948,10 @@ def run_batch(
         (grammar, grid_config, configs[i:i + size], want_logs)
         for i in range(0, len(configs), size)
     ]
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return [item for part in pool.map(_batch_worker, jobs) for item in part]
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            return [item for part in pool.map(_batch_worker, jobs) for item in part]
+    except BrokenExecutor as e:
+        raise WorkerDiedError(str(e)) from e

@@ -22,7 +22,9 @@ from typing import Iterator
 from gridgram.canon import compact_json, sha256_hex
 from gridgram.core import COMPONENTS, NONTERMINALS, TERMINALS, Direction, State, Symbol
 
-#: What "*" means per direction: ego never admits Boundary.
+#: What "*" means per direction: ego never admits Boundary. ``ContextPattern``
+#: refuses an ego "*" (it admits terminals), so only WILDCARD_NON_EGO is ever
+#: held by a pattern; WILDCARD_EGO names the terminals in that refusal.
 WILDCARD_EGO = frozenset(s for s in Symbol if s is not Symbol.BOUNDARY)
 WILDCARD_NON_EGO = frozenset(Symbol)
 
@@ -448,9 +450,8 @@ def _rule_from_obj(robj: dict, rname: str, rpath: str) -> Rule:
     return Rule(rname, tuple(patterns), Production(psym, pdir), weight)
 
 
-def _entry_to_obj(ss: frozenset[Symbol], d: Direction) -> object:
-    full = WILDCARD_EGO if d is Direction.EGO else WILDCARD_NON_EGO
-    if ss == full:
+def _entry_to_obj(ss: frozenset[Symbol]) -> object:
+    if ss == WILDCARD_NON_EGO:  # an ego set is never a wildcard
         return "*"
     if len(ss) == 1:
         return next(iter(ss)).label
@@ -464,7 +465,7 @@ def grammar_to_obj(grammar: Grammar) -> dict:
         robj: dict = {
             "name": r.name,
             "contexts": [
-                {label: _entry_to_obj(pat.sets[d], d) for d, label in _DIRECTION_LABELS}
+                {label: _entry_to_obj(pat.sets[d]) for d, label in _DIRECTION_LABELS}
                 for pat in r.omega
             ],
             "produce": {
@@ -529,10 +530,8 @@ def lint_grammar(grammar: Grammar) -> list[LintDiagnostic]:
     referenced: set[Symbol] = set()
     for r in grammar.rules:
         for pat in r.omega:
-            for d in Direction:
-                ss = pat.sets[d]
-                full = WILDCARD_EGO if d is Direction.EGO else WILDCARD_NON_EGO
-                if ss != full:  # a wildcard names nothing deliberately
+            for ss in pat.sets:
+                if ss != WILDCARD_NON_EGO:  # a wildcard names nothing deliberately
                     referenced |= ss
     for s in sorted(referenced & (TERMINALS - produced)):
         out.append(

@@ -476,6 +476,15 @@ class TestValidate:
         bad.write_text('{"format": "wrong"}')
         assert main(["validate", str(bad)]) == 3
 
+    @pytest.mark.parametrize("text", ["[]", "3"])
+    def test_design_that_is_not_an_object_is_parse_error(self, tmp_path, capsys, text):
+        design = tmp_path / "design.json"
+        design.write_text(text)
+        assert main(["validate", str(design)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not a gridgram-design-v1 document\n"
+
 
 class TestLint:
     def test_demo_grammar_is_clean(self, demo_path, capsys):
@@ -740,3 +749,58 @@ class TestUsage:
             text=True,
         )
         assert proc.returncode == 0
+
+
+# Runs ``python -m gridgram`` with the given arguments, then writes the
+# names in COLD_EXCLUDED that the run loaded to the file named by
+# GRIDGRAM_MODULES_OUT, and exits with the command's exit code.
+_COLD_PROBE = """
+import os, runpy, sys
+excluded = sys.argv[1].split(",")
+sys.argv = ["gridgram", *sys.argv[2:]]
+try:
+    runpy.run_module("gridgram", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+with open(os.environ["GRIDGRAM_MODULES_OUT"], "w") as f:
+    f.write(",".join(m for m in excluded if m in sys.modules))
+raise SystemExit(code)
+"""
+
+#: Modules only ``assign-dirs`` or a multi-worker batch uses.
+COLD_EXCLUDED = (
+    "gridgram.constraint_matcher", "concurrent.futures", "multiprocessing", "logging",
+)
+
+DEMO_ASSIGNMENT_LINE = (
+    '{"assignment":{"bottom":6,"ego":0,"front":2,"left":5,"rear":4,"right":1,'
+    '"top":3},"bijections_scanned":5040,"contexts":387589,"rules":29,'
+    '"total_intervals":2370349}\n'
+)
+
+
+class TestColdImports:
+    def test_commands_load_only_what_they_run(self, demo_path, tmp_path):
+        modules_out = tmp_path / "modules.txt"
+        env = dict(os.environ, GRIDGRAM_MODULES_OUT=str(modules_out))
+
+        def run(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", _COLD_PROBE, ",".join(COLD_EXCLUDED), *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout, modules_out.read_text()
+
+        for argv in (
+            ["generate", demo_path, "--n-half", "2", "--count", "1", "--matcher", "contract",
+             "--out-dir", str(tmp_path)],
+            ["replay", str(tmp_path / "log_0.json"), demo_path],
+            ["validate", str(tmp_path / "design_0.json")],
+        ):
+            _, loaded = run(*argv)
+            assert loaded == "", f"{argv[0]} loaded {loaded}"
+
+        out, loaded = run("assign-dirs", demo_path)
+        assert out == DEMO_ASSIGNMENT_LINE
+        assert "gridgram.constraint_matcher" in loaded.split(",")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 from dataclasses import replace
@@ -918,6 +919,11 @@ class TestDesignSerialization:
         with pytest.raises(DesignFormatError):
             Design.parse("[")
 
+    @pytest.mark.parametrize("text", ["[]", "3"])
+    def test_json_that_is_not_an_object(self, text):
+        with pytest.raises(DesignFormatError, match="^not a gridgram-design-v1 document$"):
+            Design.parse(text)
+
     def test_wrong_format_marker(self, seed13_design):
         obj = json.loads(seed13_design.serialize())
         obj["format"] = "nope"
@@ -1124,13 +1130,13 @@ class TestRunBatch:
 
     def test_starts_one_process_per_slice(self, demo, monkeypatch):
         started = []
-        pool = generator.ProcessPoolExecutor
+        pool = concurrent.futures.ProcessPoolExecutor
 
         def recording_pool(max_workers):
             started.append(max_workers)
             return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(generator, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         monkeypatch.setenv("GRIDGRAM_THREADS", "4")
         configs = [GenerationConfig(seed=s) for s in range(5)]
         items = run_batch(demo, GridConfig(1), configs)
