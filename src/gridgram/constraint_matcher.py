@@ -111,9 +111,6 @@ class IntervalSet:
                 out.append((v, v))
         return cls(tuple(out))
 
-    def to_ints(self) -> frozenset[int]:
-        return self.ints
-
     @property
     def count(self) -> int:
         return len(self.intervals)
@@ -207,7 +204,7 @@ def decode_context(
     """Inverse of encode_context; the constraints must tile all seven slots."""
     symbols: list[Symbol | None] = [None] * 7
     for c in constraints:
-        for slot in c.dirs.to_ints():
+        for slot in c.dirs.ints:
             d = assignment.direction_at(slot)
             if symbols[d] is not None:
                 raise MatcherError(f"slot {slot} is constrained twice")

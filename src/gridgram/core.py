@@ -114,10 +114,6 @@ class Symbol(IntEnum):
     def is_terminal(self) -> bool:
         return self in TERMINALS
 
-    @property
-    def is_component(self) -> bool:
-        return self in COMPONENTS
-
 
 TERMINALS = frozenset(
     {Symbol.FUSELAGE, Symbol.ROTOR, Symbol.WING, Symbol.CONNECTOR, Symbol.EMPTY}
@@ -227,9 +223,6 @@ class State:
     @classmethod
     def from_key(cls, key: int) -> State:
         return cls(tuple(Symbol((key >> (3 * i)) & 7) for i in range(7)))
-
-    def labels(self) -> list[str]:
-        return [s.label for s in self.symbols]
 
     @classmethod
     def from_labels(cls, labels: list[str]) -> State:

@@ -1,14 +1,20 @@
 """Edits of the seed-7 demo log (n_half 2) and the verdict each one must get.
 
-Shared by the library and command-line verification tests. Every entry of
-``EDITS`` is (id, edit, (kind, step)): ``edit(log, grammar)`` returns the
-text of a doctored log, and (kind, step) is the ``ReplayError`` it raises.
+This is the one table of replay verdicts. Every entry of ``EDITS`` is
+(id, edit, (kind, step)): ``edit(log, grammar)`` returns the text of a
+doctored log, and (kind, step) is the ``ReplayError`` it raises. Three tests
+run every row: the library's text and object paths
+(``test_generator.py::TestLogTextVerification``), a cold and a warm shared
+engine (``TestSharedEngine``), and ``gridgram replay``
+(``test_cli.py::TestReplayVerdicts``). A new verdict is a new row.
+
 The single-field edits are the ones the audit benchmark makes, applied to
 step ``STEP`` and written as canonical JSON without recomputing log_hash;
-the three step edits are applied to the last step ``LAST`` as well. The
-forgeries recompute log_hash, so only re-deriving exposes them.
-``NON_CANONICAL`` holds renderings of the genuine log that differ from its
-canonical text only in layout.
+the three step edits are applied to the first and the last step ``LAST`` as
+well. Further step edits shift an index, put a point outside the grid and
+name a rule the grammar lacks. The forgeries recompute log_hash, so only
+re-deriving exposes them. ``NON_CANONICAL`` holds renderings of the genuine
+log that differ from its canonical text only in layout.
 """
 
 from __future__ import annotations
@@ -76,6 +82,18 @@ def _pre_state(step, _grammar):
     state[1] = "Empty" if state[1] != "Empty" else "Rotor"
 
 
+def _shifted_index(step, _grammar):
+    step["index"] += 2
+
+
+def _outside_point(step, _grammar):
+    step["point"] = [9, 9, 9]
+
+
+def _missing_rule(step, _grammar):
+    step["rule"] = "nonexistent_rule"
+
+
 def _outcome(obj, _grammar):
     obj["outcome"] = "stuck" if obj["outcome"] != "stuck" else "complete"
 
@@ -109,11 +127,17 @@ EDITS = [
     ("rule", _step_edit(_other_rule, STEP), ("no-match", STEP)),
     ("point", _step_edit(_moved_point, STEP), ("pre-state", STEP)),
     ("pre_state", _step_edit(_pre_state, STEP), ("pre-state", STEP)),
+    ("rule-first", _step_edit(_other_rule, 0), ("no-match", 0)),
+    ("point-first", _step_edit(_moved_point, 0), ("pre-state", 0)),
+    ("pre_state-first", _step_edit(_pre_state, 0), ("pre-state", 0)),
     # The same edits at the last step, which the verifier reads off the run's
     # final cells with only that step's own cell reset.
     ("rule-last", _step_edit(_other_rule, LAST), ("no-match", LAST)),
     ("point-last", _step_edit(_moved_point, LAST), ("pre-state", LAST)),
     ("pre_state-last", _step_edit(_pre_state, LAST), ("pre-state", LAST)),
+    ("index", _step_edit(_shifted_index, 3), ("index", 3)),
+    ("point-outside", _step_edit(_outside_point, 2), ("point", 2)),
+    ("rule-missing", _step_edit(_missing_rule, 1), ("rule-missing", 1)),
     ("outcome", _field_edit(_outcome), ("outcome", None)),
     ("seed", _field_edit(_seed), ("divergence", 1)),
     ("design_hash", _field_edit(_flip_first("design_hash")), ("design-hash", None)),

@@ -11,7 +11,9 @@ engine's ``MatchTable``, so it stays out of the package. ``Canvas`` and
 
 from __future__ import annotations
 
-from gridgram.core import NONTERMINALS, Direction, Grid, GridConfig, Point, State, Symbol, neighbor
+from gridgram.core import (
+    COMPONENTS, NONTERMINALS, Direction, Grid, GridConfig, Point, State, Symbol, neighbor,
+)
 from gridgram.generator import DerivationStep, GenerationConfig
 from gridgram.grammar import Grammar, Rule
 from gridgram.rng import SplitMix64
@@ -60,7 +62,7 @@ class Canvas:
             q = neighbor(p, prod.direction)
             assert grid.config.contains(q), f"rule {rule.name}: edge target {q} is outside"
             target = grid.symbol_at(q)
-            assert target.is_component, f"rule {rule.name}: edge target {q} holds {target.label}"
+            assert target in COMPONENTS, f"rule {rule.name}: edge target {q} holds {target.label}"
             self._add_edge(p, q)
         self.cells[self._index[p]] = prod.symbol
 

@@ -49,7 +49,7 @@ from gridgram.grammar import (
     parse_grammar,
     serialize_grammar,
 )
-from gridgram.rulesets import demo_profile_obj, demo_uav_text
+from gridgram.rulesets import demo_profile_obj
 from step_oracle import empty_grid
 
 U, C, E = Symbol.UNOCCUPIED, Symbol.CONNECTOR, Symbol.EMPTY
@@ -102,18 +102,6 @@ def random_assignment(rnd: random.Random) -> DirectionAssignment:
     perm = list(range(7))
     rnd.shuffle(perm)
     return DirectionAssignment(tuple(perm))
-
-
-@pytest.fixture(scope="module")
-def demo() -> Grammar:
-    return parse_grammar(demo_uav_text())
-
-
-@pytest.fixture(scope="module")
-def demo_path(tmp_path_factory) -> str:
-    p = tmp_path_factory.mktemp("accept") / "demo_uav.json"
-    p.write_text(demo_uav_text())
-    return str(p)
 
 
 @pytest.fixture(scope="module")

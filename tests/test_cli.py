@@ -1,7 +1,8 @@
 """Command-line behavior: exit codes, output shapes, and written artifacts.
 
-Every test drives ``main(argv)`` directly; one test goes through
-``python3 -m gridgram`` to prove the module entry point is wired up.
+Tests drive ``main(argv)`` directly, apart from the few that need a fresh
+``python3 -m gridgram`` process. Replay verdicts come from ``log_edits.EDITS``
+and parse errors from ``PARSE_ERRORS``: a new case is a row of either table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,6 @@ from gridgram import cli, constraint_matcher, generator
 from gridgram.cli import EXIT_INTERNAL, EXIT_PARSE, main
 from gridgram.core import MAX_N_HALF
 from gridgram.generator import Design, parse_log, serialize_log, verify_log
-from gridgram.grammar import parse_grammar
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
 import log_edits
 
@@ -71,17 +72,15 @@ def _die(args):
 
 
 @pytest.fixture(scope="module")
-def demo_path(tmp_path_factory) -> str:
-    p = tmp_path_factory.mktemp("grammar") / "demo_uav.json"
-    p.write_text(demo_uav_text())
-    return str(p)
-
-
-@pytest.fixture(scope="module")
 def profile_path(tmp_path_factory) -> str:
     p = tmp_path_factory.mktemp("profile") / "demo_profile.json"
     p.write_text(json.dumps(demo_profile_obj()))
     return str(p)
+
+
+@pytest.fixture(scope="module")
+def seed7_log(demo):
+    return log_edits.seed7_log(demo)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +108,7 @@ def run_n1(tmp_path_factory, demo_path) -> Path:
 
 
 class TestGenerate:
-    def test_writes_design_and_log_and_reports(self, demo_path, tmp_path, capsys):
+    def test_writes_design_and_log_and_reports(self, demo, demo_path, tmp_path, capsys):
         rc = main([
             "generate", demo_path, "--n-half", "1", "--seed", "7",
             "--count", "1", "--out-dir", str(tmp_path),
@@ -131,7 +130,7 @@ class TestGenerate:
         assert design.hash == report["design_hash"]
         log = parse_log(log_file.read_text())
         assert len(log.steps) == report["steps"]
-        replayed = verify_log(log, parse_grammar(demo_uav_text()))
+        replayed = verify_log(log, demo)
         assert replayed.hash == design.hash
         assert "generated 1 design(s)" in captured.err
 
@@ -182,13 +181,6 @@ class TestGenerate:
         rc = main(["generate", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
-
-    def test_malformed_grammar_is_parse_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        rc = main(["generate", str(bad), "--out-dir", str(tmp_path)])
-        assert rc == 3
-        assert "error:" in capsys.readouterr().err
 
     def test_lint_error_grammar_is_check_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad_edge.json"
@@ -284,35 +276,13 @@ class TestReplay:
         design = Design.parse((run_n1 / "design_2.json").read_text())
         assert report["design_hash"] == design.hash
 
-    def test_tampered_design_hash_fails(self, demo_path, run_n1, tmp_path, capsys):
-        obj = json.loads((run_n1 / "log_2.json").read_text())
-        old = obj["design_hash"]
-        obj["design_hash"] = ("0" if old[0] != "0" else "1") + old[1:]
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(obj))
-        rc = main(["replay", str(tampered), demo_path])
-        assert rc == 1
-        assert "replay failed" in capsys.readouterr().err
-
     def test_wrong_grammar_fails(self, run_n1, tmp_path, capsys):
         other = tmp_path / "other.json"
         other.write_text(NO_RULES_GRAMMAR)
         rc = main(["replay", str(run_n1 / "log_2.json"), str(other)])
-        assert rc == 1
-        assert "replay failed" in capsys.readouterr().err
-
-    def test_malformed_log_is_parse_error(self, demo_path, tmp_path, capsys):
-        bad = tmp_path / "log.json"
-        bad.write_text('{"format": "something-else"}')
-        assert main(["replay", str(bad), demo_path]) == 3
-
-    def test_non_hex_fingerprint_is_parse_error(self, demo_path, run_n1, tmp_path, capsys):
-        obj = json.loads((run_n1 / "log_2.json").read_text())
-        obj["grammar_fingerprint"] = 5
-        bad = tmp_path / "log.json"
-        bad.write_text(json.dumps(obj))
-        assert main(["replay", str(bad), demo_path]) == 3
-        assert "64 lowercase hex digits" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err.startswith("replay failed: fingerprint: ")
 
     def test_missing_log_is_usage_error(self, demo_path, tmp_path):
         assert main(["replay", str(tmp_path / "none.json"), demo_path]) == 2
@@ -320,11 +290,6 @@ class TestReplay:
 
 class TestReplayVerdicts:
     """Each doctored seed-7 log exits 1 naming its kind and step, stdout empty."""
-
-    @pytest.fixture(scope="class")
-    def seed7(self):
-        grammar = parse_grammar(demo_uav_text())
-        return grammar, log_edits.seed7_log(grammar)
 
     @staticmethod
     def _replay(demo_path, tmp_path, text):
@@ -338,10 +303,9 @@ class TestReplayVerdicts:
         ids=[e[0] for e in log_edits.EDITS],
     )
     def test_each_edit_exits_1_with_its_kind_and_step(
-        self, demo_path, seed7, tmp_path, capsys, edit, verdict
+        self, demo, demo_path, seed7_log, tmp_path, capsys, edit, verdict
     ):
-        grammar, log = seed7
-        rc = self._replay(demo_path, tmp_path, edit(log, grammar))
+        rc = self._replay(demo_path, tmp_path, edit(seed7_log, demo))
         out, err = capsys.readouterr()
         kind, step = verdict
         at = f" at step {step}" if step is not None else ""
@@ -353,34 +317,12 @@ class TestReplayVerdicts:
         [r for _, r in log_edits.NON_CANONICAL],
         ids=[name for name, _ in log_edits.NON_CANONICAL],
     )
-    def test_non_canonical_text_exits_1(self, demo_path, seed7, tmp_path, capsys, render):
-        text = render(serialize_log(seed7[1])).removesuffix("\n")
+    def test_non_canonical_text_exits_1(self, demo_path, seed7_log, tmp_path, capsys, render):
+        text = render(serialize_log(seed7_log)).removesuffix("\n")
         rc = self._replay(demo_path, tmp_path, text)
         out, err = capsys.readouterr()
         assert (rc, out) == (1, "")
         assert "replay failed: non-canonical: " in err
-
-    @pytest.mark.parametrize(
-        "doctor",
-        [
-            lambda o: o["steps"][3].__setitem__("pre_state", ["Unoccupied"] * 6),
-            lambda o: o.__setitem__("steps", {}),
-            lambda o: o.__setitem__("steps", ""),
-            lambda o: o["steps"][3].__setitem__("point", dict.fromkeys("xyz", 0)),
-            lambda o: o["steps"][3].__setitem__(
-                "pre_state", dict.fromkeys(log_edits.SEVEN_LABELS)
-            ),
-        ],
-        ids=["short-pre-state", "steps-object", "steps-string", "point-object",
-             "pre-state-object"],
-    )
-    def test_malformed_steps_exit_3(self, demo_path, seed7, tmp_path, capsys, doctor):
-        obj = json.loads(serialize_log(seed7[1]))
-        doctor(obj)
-        rc = self._replay(demo_path, tmp_path, json.dumps(obj))
-        out, err = capsys.readouterr()
-        assert (rc, out) == (3, "")
-        assert "malformed log" in err
 
     def test_verified_stdout_is_unchanged(self, demo_path, capsys):
         rc = main(["replay", str(GOLDEN / "demo_seed42_log.json"), demo_path])
@@ -420,70 +362,9 @@ class TestValidate:
         report = json.loads(out)
         assert report["passed"] is False
         failed = [c for c in report["checks"] if not c["passed"]]
-        assert [c["check"] for c in failed] == ["count:Rotor"]
-
-    def test_unknown_profile_key_is_parse_error(self, run42, tmp_path):
-        profile = tmp_path / "odd.json"
-        profile.write_text('{"frobnicate": true}')
-        rc = main([
-            "validate", str(run42 / "design_42.json"), "--profile", str(profile),
-        ])
-        assert rc == 3
-
-    def test_non_boolean_flag_is_parse_error(self, run42, tmp_path, capsys):
-        profile = tmp_path / "loose.json"
-        profile.write_text('{"require_complete": "no", "require_connected": 0}')
-        rc = main([
-            "validate", str(run42 / "design_42.json"), "--profile", str(profile),
-        ])
-        assert rc == 3
-        assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize(
-        "counts",
-        [
-            "[]", "0", "false", '""', "null", '{"Boundary": [0, null]}',
-            '{"Rotor": [5, 2]}', '{"Rotor": [-3, null]}', '{"Rotor": [null, -1]}',
-        ],
-    )
-    def test_bad_counts_are_parse_errors(self, run42, tmp_path, capsys, counts):
-        profile = tmp_path / "counts.json"
-        profile.write_text(f'{{"counts": {counts}}}')
-        rc = main([
-            "validate", str(run42 / "design_42.json"), "--profile", str(profile),
-        ])
-        assert rc == 3
-        assert capsys.readouterr().out == ""
-
-    def test_profile_must_be_an_object(self, run42, tmp_path):
-        profile = tmp_path / "list.json"
-        profile.write_text("[1, 2]")
-        rc = main([
-            "validate", str(run42 / "design_42.json"), "--profile", str(profile),
-        ])
-        assert rc == 3
-
-    def test_profile_must_be_json(self, run42, tmp_path):
-        profile = tmp_path / "junk.json"
-        profile.write_text("not json")
-        rc = main([
-            "validate", str(run42 / "design_42.json"), "--profile", str(profile),
-        ])
-        assert rc == 3
-
-    def test_malformed_design_is_parse_error(self, tmp_path):
-        bad = tmp_path / "design.json"
-        bad.write_text('{"format": "wrong"}')
-        assert main(["validate", str(bad)]) == 3
-
-    @pytest.mark.parametrize("text", ["[]", "3"])
-    def test_design_that_is_not_an_object_is_parse_error(self, tmp_path, capsys, text):
-        design = tmp_path / "design.json"
-        design.write_text(text)
-        assert main(["validate", str(design)]) == EXIT_PARSE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: not a gridgram-design-v1 document\n"
+        assert [(c["check"], c["detail"]) for c in failed] == [
+            ("count:Rotor", "found 11, need [50, unbounded]")
+        ]
 
 
 class TestLint:
@@ -512,11 +393,6 @@ class TestLint:
         report = json.loads(out)
         assert report["level"] == "error"
         assert report["code"] == "empty-with-connection"
-
-    def test_unknown_symbol_is_parse_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(EDGE_TO_EMPTY_GRAMMAR.replace('"Rotor"', '"Thruster"'))
-        assert main(["lint", str(bad)]) == 3
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["lint", str(tmp_path / "none.json")]) == 2
@@ -585,7 +461,9 @@ class TestExport:
 
 class TestBench:
     def test_summary_shape(self, demo_path, capsys):
+        started = time.perf_counter()
         rc = main(["bench", demo_path, "--n-half", "1", "--count", "3", "--seed", "9"])
+        wall = time.perf_counter() - started
         captured = capsys.readouterr()
         assert rc == 0
         summary = json.loads(captured.out)
@@ -594,6 +472,7 @@ class TestBench:
         }
         assert summary["n_half"] == 1 and summary["count"] == 3 and summary["seed"] == 9
         assert sum(summary["outcomes"].values()) == 3
+        assert 0 <= summary["seconds"] <= wall + 0.001
         assert "3 designs in " in captured.err
 
     def test_runs_one_batch_and_has_no_matcher_option(self, demo_path, monkeypatch, capsys):
@@ -627,21 +506,9 @@ class TestGridBound:
         assert f"must be <= {MAX_N_HALF}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "command, name", [("replay", "log_2.json"), ("validate", "design_2.json")]
-    )
-    def test_file_n_half_over_max_is_parse_error(
-        self, command, name, demo_path, run_n1, tmp_path, capsys
-    ):
-        obj = json.loads((run_n1 / name).read_text())
-        obj["grid_config"]["n_half"] = MAX_N_HALF + 1
-        doctored = tmp_path / name
-        doctored.write_text(json.dumps(obj))
-        argv = ["replay", str(doctored), demo_path] if command == "replay" else [
-            "validate", str(doctored),
-        ]
-        assert main(argv) == 3
-        assert "n_half must be in" in capsys.readouterr().err
+    def test_n_half_max_is_accepted(self, demo_path):
+        args = cli._build_parser().parse_args(["bench", demo_path, "--n-half", str(MAX_N_HALF)])
+        assert args.n_half == MAX_N_HALF
 
 
 class TestSeedRange:
@@ -664,40 +531,7 @@ class TestSeedRange:
 
 
 class TestNonUtf8Input:
-    """An input file that is not UTF-8 is unparseable content: exit 3."""
-
-    @pytest.fixture(scope="class")
-    def files(self, tmp_path_factory, demo_path, run42) -> dict[str, str]:
-        bad = tmp_path_factory.mktemp("non_utf8") / "bad.json"
-        bad.write_bytes(b'{"name": "\xff"}')
-        return {
-            "bad": str(bad),
-            "grammar": demo_path,
-            "log": str(run42 / "log_42.json"),
-            "design": str(run42 / "design_42.json"),
-        }
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            pytest.param(["generate", "bad", "--out-dir", "{tmp}"], id="generate-grammar"),
-            pytest.param(["replay", "bad", "grammar"], id="replay-log"),
-            pytest.param(["replay", "log", "bad"], id="replay-grammar"),
-            pytest.param(["validate", "bad"], id="validate-design"),
-            pytest.param(["validate", "design", "--profile", "bad"], id="validate-profile"),
-            pytest.param(["lint", "bad"], id="lint-grammar"),
-            pytest.param(["assign-dirs", "bad"], id="assign-dirs-grammar"),
-            pytest.param(["export", "bad"], id="export-design"),
-            pytest.param(["bench", "bad", "--count", "1"], id="bench-grammar"),
-        ],
-    )
-    def test_is_a_parse_error(self, argv, files, tmp_path, capsys):
-        rc = main([files.get(a, a).replace("{tmp}", str(tmp_path)) for a in argv])
-        captured = capsys.readouterr()
-        assert rc == EXIT_PARSE
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error:") and "not UTF-8" in captured.err
+    """Input files are read as UTF-8; one that is not is a row of ``PARSE_ERRORS``."""
 
     def test_grammar_is_read_as_utf8_whatever_the_locale(self, tmp_path):
         grammar = json.loads(demo_uav_text())
@@ -710,6 +544,135 @@ class TestNonUtf8Input:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def _doctored(name, change):
+    """The JSON file ``name`` of ``inputs``, as text, after ``change(obj)``."""
+
+    def text(inputs):
+        obj = json.loads(Path(inputs[name]).read_text())
+        change(obj)
+        return json.dumps(obj)
+
+    return text
+
+
+def _n_half_over_max(obj):
+    obj["grid_config"]["n_half"] = MAX_N_HALF + 1
+
+
+REPLAY = ["replay", "input", "grammar"]
+PROFILE = ["validate", "design", "--profile", "input"]
+
+# (id, argv, content, stderr fragment) per unparseable input. The content
+# (text, bytes, or a function of ``inputs``) is written to the file "input";
+# the other argv words that are keys of ``inputs`` name those files.
+PARSE_ERRORS = [
+    ("grammar-not-json", ["generate", "input", "--out-dir", "out"], "{not json",
+     "error: syntax at $"),
+    ("grammar-unknown-symbol", ["lint", "input"],
+     EDGE_TO_EMPTY_GRAMMAR.replace('"Rotor"', '"Thruster"'), "unknown-symbol"),
+    ("log-wrong-format", REPLAY, '{"format": "something-else"}',
+     "not a gridgram-log-v1 document"),
+    ("log-non-hex-fingerprint", REPLAY,
+     _doctored("n1-log", lambda o: o.__setitem__("grammar_fingerprint", 5)),
+     "64 lowercase hex digits"),
+    *[
+        (f"log-{name}", REPLAY, _doctored("seed7-log", change), "malformed log")
+        for name, change in [
+            ("short-pre-state",
+             lambda o: o["steps"][3].__setitem__("pre_state", ["Unoccupied"] * 6)),
+            ("steps-object", lambda o: o.__setitem__("steps", {})),
+            ("steps-string", lambda o: o.__setitem__("steps", "")),
+            ("point-object",
+             lambda o: o["steps"][3].__setitem__("point", dict.fromkeys("xyz", 0))),
+            ("pre-state-object", lambda o: o["steps"][3].__setitem__(
+                "pre_state", dict.fromkeys(log_edits.SEVEN_LABELS)
+            )),
+        ]
+    ],
+    ("log-n-half-over-max", REPLAY, _doctored("n1-log", _n_half_over_max), "n_half must be in"),
+    ("design-wrong-format", ["validate", "input"], '{"format": "wrong"}',
+     "not a gridgram-design-v1 document"),
+    *[
+        (f"design-{text}", ["validate", "input"], text,
+         "error: not a gridgram-design-v1 document\n")
+        for text in ("[]", "3")
+    ],
+    ("design-n-half-over-max", ["validate", "input"], _doctored("n1-design", _n_half_over_max),
+     "n_half must be in"),
+    ("design-cells-list", ["validate", "input"],
+     _doctored("n1-design", lambda o: o.__setitem__("cells", list(o["cells"]))),
+     "cells must be a string of 27 symbol letters"),
+    ("profile-unknown-key", PROFILE, '{"frobnicate": true}',
+     "unknown profile key(s) ['frobnicate']"),
+    ("profile-non-boolean-flag", PROFILE, '{"require_complete": "no", "require_connected": 0}',
+     "require_complete must be true or false"),
+    ("profile-not-an-object", PROFILE, "[1, 2]", "profile must be a JSON object"),
+    ("profile-not-json", PROFILE, "not json", "profile is not valid JSON"),
+    *[
+        (f"profile-counts-{counts}", PROFILE, f'{{"counts": {counts}}}', fragment)
+        for counts, fragment in [
+            ("[]", "counts must be an object"),
+            ("0", "counts must be an object"),
+            ("false", "counts must be an object"),
+            ('""', "counts must be an object"),
+            ("null", "counts must be an object"),
+            ('{"Boundary": [0, null]}', "'Boundary': never stored at a grid point"),
+            ('{"Rotor": [5, 2]}', "'Rotor': min 5 exceeds max 2"),
+            ('{"Rotor": [-3, null]}', "'Rotor': bounds must be >= 0"),
+            ('{"Rotor": [null, -1]}', "'Rotor': bounds must be >= 0"),
+        ]
+    ],
+    *[
+        (f"non-utf8-{name}", argv, b'{"name": "\xff"}', "not UTF-8")
+        for name, argv in [
+            ("generate-grammar", ["generate", "input", "--out-dir", "out"]),
+            ("replay-log", REPLAY),
+            ("replay-grammar", ["replay", "log", "input"]),
+            ("validate-design", ["validate", "input"]),
+            ("validate-profile", PROFILE),
+            ("lint-grammar", ["lint", "input"]),
+            ("assign-dirs-grammar", ["assign-dirs", "input"]),
+            ("export-design", ["export", "input"]),
+            ("bench-grammar", ["bench", "input", "--count", "1"]),
+        ]
+    ],
+]
+
+
+class TestParseErrors:
+    """Unparseable input content exits 3 with one ``error:`` line and no output."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, demo_path, seed7_log, run42, run_n1) -> dict[str, str]:
+        seed7 = tmp_path_factory.mktemp("seed7") / "log_7.json"
+        seed7.write_text(serialize_log(seed7_log))
+        return {
+            "grammar": demo_path,
+            "log": str(run42 / "log_42.json"),
+            "design": str(run42 / "design_42.json"),
+            "n1-log": str(run_n1 / "log_2.json"),
+            "n1-design": str(run_n1 / "design_2.json"),
+            "seed7-log": str(seed7),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, content, fragment",
+        [e[1:] for e in PARSE_ERRORS],
+        ids=[e[0] for e in PARSE_ERRORS],
+    )
+    def test_exits_3(self, inputs, tmp_path, capsys, argv, content, fragment):
+        path = tmp_path / "input.json"
+        if callable(content):
+            content = content(inputs)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        files = {**inputs, "input": str(path), "out": str(tmp_path / "out")}
+        rc = main([files.get(a, a) for a in argv])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (EXIT_PARSE, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert fragment in err
 
 
 class TestUsage:
@@ -741,14 +704,6 @@ class TestUsage:
                 cli._build_parser().parse_args(shlex.split(command)[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {command}")
-
-    def test_module_entry_point(self, demo_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gridgram", "lint", demo_path],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
 
 
 # Runs ``python -m gridgram`` with the given arguments, then writes the

@@ -44,7 +44,6 @@ from gridgram.grammar import (
     Rule,
     parse_grammar,
 )
-from gridgram.rulesets import demo_uav_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,7 +150,7 @@ def member_key(member: ConjunctiveContract) -> int:
     code = 0
     covered = 0
     for c in member.assumptions:
-        for slot in c.dirs.to_ints():
+        for slot in c.dirs.ints:
             code |= c.symbol << (3 * slot)
             covered += 1
     if covered != 7:
@@ -165,11 +164,6 @@ def encode_state_key(key: int, assignment: DirectionAssignment) -> int:
     for d in Direction:
         code |= ((key >> (3 * d)) & 7) << (3 * assignment.slot_of[d])
     return code
-
-
-@pytest.fixture(scope="module")
-def demo():
-    return parse_grammar(demo_uav_text())
 
 
 class TestDirectionAssignment:
@@ -210,7 +204,7 @@ class TestIntervalSet:
         s = IntervalSet.from_ints(ints)
         assert s.intervals == intervals
         assert s.count == len(intervals)
-        assert s.to_ints() == frozenset(ints)
+        assert s.ints == frozenset(ints)
 
     @pytest.mark.parametrize(
         "intervals",
@@ -222,7 +216,7 @@ class TestIntervalSet:
 
     @given(ints=st.sets(st.integers(min_value=0, max_value=6)))
     def test_round_trip(self, ints):
-        assert IntervalSet.from_ints(ints).to_ints() == frozenset(ints)
+        assert IntervalSet.from_ints(ints).ints == frozenset(ints)
 
     def test_text(self):
         assert IntervalSet.from_ints({0, 1, 2, 3, 5, 6}).text() == "0-3,5-6"
@@ -257,7 +251,7 @@ class TestEncodeDecode:
         enc = encode_context(state, assignment)
         seen: set[int] = set()
         for c in enc:
-            ints = c.dirs.to_ints()
+            ints = c.dirs.ints
             assert not (ints & seen)
             seen |= ints
         assert seen == set(range(7))

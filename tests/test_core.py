@@ -78,8 +78,8 @@ class TestSymbol:
         assert Symbol.UNOCCUPIED in NONTERMINALS
         assert not Symbol.UNOCCUPIED.is_terminal
         for s in (Symbol.FUSELAGE, Symbol.ROTOR, Symbol.WING, Symbol.CONNECTOR):
-            assert s.is_terminal and s.is_component
-        assert Symbol.EMPTY.is_terminal and not Symbol.EMPTY.is_component
+            assert s.is_terminal and s in COMPONENTS
+        assert Symbol.EMPTY.is_terminal and Symbol.EMPTY not in COMPONENTS
         assert not Symbol.BOUNDARY.is_terminal
         assert Symbol.BOUNDARY not in NONTERMINALS
         assert Symbol.BOUNDARY not in STORABLE
@@ -129,7 +129,7 @@ class TestState:
         )
         assert s.ego is Symbol.UNOCCUPIED
         assert s.at(Direction.REAR) is Symbol.BOUNDARY
-        assert State.from_labels(s.labels()) == s
+        assert State.from_labels([x.label for x in s.symbols]) == s
 
 
 class TestGridConfig:

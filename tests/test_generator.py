@@ -21,7 +21,6 @@ from gridgram.generator import (
     RULE_STRATEGIES,
     Design,
     DesignFormatError,
-    DerivationLog,
     DerivationStep,
     Engine,
     GenerationConfig,
@@ -31,7 +30,6 @@ from gridgram.generator import (
     ReplayError,
     generate,
     parse_log,
-    replay,
     resolve_workers,
     run_batch,
     serialize_log,
@@ -102,11 +100,6 @@ CORNER_ONLY_GRAMMAR = json.dumps(
 
 
 @pytest.fixture(scope="module")
-def demo():
-    return parse_grammar(demo_uav_text())
-
-
-@pytest.fixture(scope="module")
 def weighted_demo(demo):
     """The demo rules with unequal weights, so ``weighted`` draws are not uniform."""
     return replace(
@@ -143,10 +136,6 @@ def genuine(demo):
 def seed13_design(demo):
     design, _ = generate(demo, GridConfig(2), GenerationConfig(seed=13))
     return design
-
-
-def _reconfigured(log, **changes):
-    return replace(log, gen_config=replace(log.gen_config, **changes))
 
 
 def _count_runs(monkeypatch) -> list:
@@ -468,22 +457,6 @@ class TestEngineMatchesStepLoop:
             steps.append(s)
         return canvas.grid, steps
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 42, 10**12])
-    def test_demo_engine_equals_step_loop(self, demo, seed):
-        gcfg = GenerationConfig(seed=seed)
-        design, log = generate(demo, GridConfig(2), gcfg)
-        grid, steps = self._run_with_step(demo, GridConfig(2), gcfg)
-        assert isinstance(design, Grid) and design == grid
-        assert steps == list(log.steps)
-
-    @pytest.mark.parametrize("rule_strategy", ["uniform-random", "weighted"])
-    def test_strategies_agree_too(self, demo, rule_strategy):
-        gcfg = GenerationConfig(seed=9, rule_strategy=rule_strategy, max_steps=40)
-        design, log = generate(demo, GridConfig(2), gcfg)
-        grid, steps = self._run_with_step(demo, GridConfig(2), gcfg)
-        assert isinstance(design, Grid) and design == grid
-        assert steps == list(log.steps)
-
     def test_rejected_point_draw_is_redrawn(self, fill):
         # This seed's first output, 2**64 - 1, is rejected by below(27); the
         # first point is the second draw mod 27 (cell 22), not cell 24.
@@ -496,19 +469,32 @@ class TestEngineMatchesStepLoop:
 
     # Rule weights are read only by the weighted strategy, so the weighted
     # copy of the demo grammar is run with that strategy alone.
-    @pytest.mark.parametrize("max_steps", [None, 1, 40])
-    @pytest.mark.parametrize("n_half", [0, 1, 2, 3])
     @pytest.mark.parametrize(
-        "grammar_name, point_strategy, rule_strategy",
-        [("demo", p, r) for p in POINT_STRATEGIES for r in RULE_STRATEGIES]
-        + [("weighted_demo", p, "weighted") for p in POINT_STRATEGIES],
+        "grammar_name, point_strategy, rule_strategy, n_half, max_steps, seed",
+        [
+            (g, p, r, n_half, max_steps, 11)
+            for g, p, r in (
+                [("demo", p, r) for p in POINT_STRATEGIES for r in RULE_STRATEGIES]
+                + [("weighted_demo", p, "weighted") for p in POINT_STRATEGIES]
+            )
+            for n_half in (0, 1, 2, 3)
+            for max_steps in (None, 1, 40)
+        ]
+        + [
+            ("demo", "uniform-random-frontier", "uniform-random", 2, None, seed)
+            for seed in (0, 1, 2, 3, 17, 42, 10**12)
+        ]
+        + [
+            ("demo", "uniform-random-frontier", r, 2, 40, 9)
+            for r in ("uniform-random", "weighted")
+        ],
     )
     def test_every_strategy_pair_agrees(
-        self, request, grammar_name, point_strategy, rule_strategy, n_half, max_steps
+        self, request, grammar_name, point_strategy, rule_strategy, n_half, max_steps, seed
     ):
         grammar = request.getfixturevalue(grammar_name)
         gcfg = GenerationConfig(
-            seed=11, point_strategy=point_strategy, rule_strategy=rule_strategy,
+            seed=seed, point_strategy=point_strategy, rule_strategy=rule_strategy,
             max_steps=max_steps,
         )
         design, log = generate(grammar, GridConfig(n_half), gcfg)
@@ -522,112 +508,6 @@ class TestReplayAndVerify:
         demo, design, log = seed7_run
         again = parse_log(serialize_log(log))
         assert verify_log(again, demo) == design
-
-    def test_wrong_grammar_is_a_fingerprint_error(self, seed7_run, fill):
-        _, _, log = seed7_run
-        with pytest.raises(ReplayError) as e:
-            replay(log, fill)
-        assert e.value.kind == "fingerprint"
-
-    @staticmethod
-    def _tamper_step(log, i, **kw):
-        steps = list(log.steps)
-        steps[i] = replace(steps[i], **kw)
-        return replace(log, steps=tuple(steps))
-
-    def test_index_tamper_reports_the_step(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = self._tamper_step(log, 3, index=5)
-        with pytest.raises(ReplayError) as e:
-            replay(bad, demo)
-        assert (e.value.kind, e.value.step) == ("index", 3)
-
-    def test_out_of_grid_point_tamper(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = self._tamper_step(log, 2, point=(9, 9, 9))
-        with pytest.raises(ReplayError) as e:
-            replay(bad, demo)
-        assert (e.value.kind, e.value.step) == ("point", 2)
-
-    def test_moved_point_fails_the_pre_state_check(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = self._tamper_step(log, 0, point=(0, 0, 0))
-        with pytest.raises(ReplayError) as e:
-            replay(bad, demo)
-        assert (e.value.kind, e.value.step) == ("pre-state", 0)
-
-    def test_pre_state_tamper(self, seed7_run):
-        demo, _, log = seed7_run
-        entries = list(log.steps[0].pre_state.symbols)
-        entries[1] = Symbol.EMPTY if entries[1] != Symbol.EMPTY else Symbol.ROTOR
-        bad = self._tamper_step(log, 0, pre_state=State(tuple(entries)))
-        with pytest.raises(ReplayError) as e:
-            replay(bad, demo)
-        assert (e.value.kind, e.value.step) == ("pre-state", 0)
-
-    def test_unknown_rule_name_tamper(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = self._tamper_step(log, 1, rule_name="nonexistent_rule")
-        with pytest.raises(ReplayError) as e:
-            replay(bad, demo)
-        assert (e.value.kind, e.value.step) == ("rule-missing", 1)
-
-    def test_swapped_rule_name_fails_to_match(self, seed7_run):
-        demo, _, log = seed7_run
-        # cap_front needs a Rotor or Wing in front; the seed corner has none.
-        bad = self._tamper_step(log, 0, rule_name="cap_front")
-        with pytest.raises(ReplayError) as e:
-            replay(bad, demo)
-        assert (e.value.kind, e.value.step) == ("no-match", 0)
-
-    def test_design_hash_tamper(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = replace(log, design_hash="0" * 64)
-        with pytest.raises(ReplayError) as e:
-            verify_log(bad, demo)
-        assert e.value.kind == "design-hash"
-
-    def test_outcome_tamper(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = replace(log, outcome="stuck")
-        with pytest.raises(ReplayError) as e:
-            verify_log(bad, demo)
-        assert e.value.kind == "outcome"
-
-    def test_log_hash_tamper(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = replace(log, log_hash="f" * 64)
-        with pytest.raises(ReplayError) as e:
-            verify_log(bad, demo)
-        assert e.value.kind == "log-hash"
-
-    def test_truncated_log_fails_verification(self, seed7_run):
-        demo, _, log = seed7_run
-        bad = replace(log, steps=log.steps[:-1])
-        with pytest.raises(ReplayError):
-            verify_log(bad, demo)
-
-    @pytest.mark.parametrize(
-        "forge",
-        [
-            lambda log, g: _reconfigured(log, seed=log.gen_config.seed + 1),
-            lambda log, g: _reconfigured(log, point_strategy="scanline"),
-            lambda log, g: _reconfigured(log, max_steps=3),
-            # The honest 10-step log, relabelled as an uncapped run.
-            lambda log, g: replace(
-                generate(g, log.grid_config, replace(log.gen_config, max_steps=10))[1],
-                gen_config=log.gen_config,
-            ),
-        ],
-        ids=["seed", "point-strategy", "max-steps", "truncated-step-limit"],
-    )
-    def test_forged_and_rehashed_log_diverges(self, seed7_run, forge):
-        demo, _, log = seed7_run
-        forged = forge(log, demo)
-        forged = replace(forged, log_hash=encode_oracle.log_hash(forged))
-        with pytest.raises(ReplayError) as e:
-            verify_log(forged, demo)
-        assert e.value.kind == "divergence"
 
 
 class TestLogTextVerification:
@@ -1030,12 +910,19 @@ class TestValidateDesign:
         assert not report.passed
         assert [c.check for c in report.failures()] == ["complete"]
 
-    def test_disconnected_components_fail(self):
+    @pytest.mark.parametrize(
+        "flags, failed",
+        [
+            (["require_connected", "forbid_isolated"], {"connected", "no-isolated"}),
+            (["require_connected"], {"connected"}),
+        ],
+    )
+    def test_disconnected_components_fail(self, flags, failed):
         report = validate_design(
             self._design({(-1, -1, -1): Symbol.FUSELAGE, (1, 1, 1): Symbol.ROTOR}),
-            {"require_connected": True, "forbid_isolated": True},
+            dict.fromkeys(flags, True),
         )
-        assert {c.check for c in report.failures()} == {"connected", "no-isolated"}
+        assert {c.check for c in report.failures()} == failed
 
     def test_single_node_is_connected_and_not_isolated(self):
         report = validate_design(
