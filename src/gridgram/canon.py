@@ -16,8 +16,9 @@ shows up as a difference. Designs and logs have one encoder each,
 ``encode_design`` and ``encode_log``; the log encoder writes the whole text
 and computes log_hash itself unless handed a recorded one. They write the
 bytes ``canonical_json`` would write for the artifact's plain-data form,
-but from cached fragments: coordinates per point, labels per packed
-pre-state key, JSON per rule name. Their cells, steps, nodes and edges are
+but from cached fragments: coordinates per point, labels per part of a
+packed pre-state key (``state_labels``, two tables of fixed size), JSON
+per rule name. Their cells, steps, nodes and edges are
 integers and fixed labels because the constructors of ``GridConfig``,
 ``GenerationConfig`` and ``DerivationStep`` refuse anything else, so they
 are not walked again.
@@ -36,8 +37,10 @@ LOG_FORMAT = "gridgram-log-v1"
 DESIGN_FORMAT = "gridgram-design-v1"
 CELL_LETTERS = "FRWCEU"  # indexed by Symbol code
 
-#: One log step; fill with (index, ``x,y,z``, pre-state JSON, rule JSON).
-STEP_JSON = '{"index":%d,"point":[%s],"pre_state":%s,"rule":%s}'
+#: One log step; fill with (index, ``x,y,z``, ``head[key & 511]``,
+#: ``tail[key >> 9]``, rule JSON), where ``head, tail = state_labels()`` and
+#: ``key`` is the packed pre-state.
+STEP_JSON = '{"index":%d,"point":[%s],"pre_state":["%s","%s"],"rule":%s}'
 
 _CELL_TABLE = bytes.maketrans(bytes(range(len(CELL_LETTERS))), CELL_LETTERS.encode())
 _CODE_TABLE = bytes.maketrans(CELL_LETTERS.encode(), bytes(range(len(CELL_LETTERS))))
@@ -108,13 +111,17 @@ def point_coords(n_half: int) -> list[str]:
     return [xyz(p) for p in GridConfig(n_half).points()]
 
 
-def state_json(key: int, memo: dict[int, str]) -> str:
-    """The labels of the packed state ``key`` as a JSON list, memoized in ``memo``."""
-    text = memo.get(key)
-    if text is None:
-        labels = '","'.join(_LABELS[(key >> (3 * d)) & 7] for d in range(7))
-        text = memo[key] = f'["{labels}"]'
-    return text
+@cache
+def state_labels() -> tuple[list[str], list[str]]:
+    """The label fragments of packed pre-state keys, built on first use.
+
+    A key's labels, joined with ``","``, are ``head[key & 511]`` (ego, front,
+    rear) and then ``tail[key >> 9]`` (left, right, top, bottom): one list of
+    512 and one of 4,096 entries, whatever the number of keys encoded.
+    """
+    one = _LABELS + ["?"]  # code 7 is no symbol's
+    two = [f'{a}","{b}' for b in one for a in one]
+    return [f'{a}","{b}' for b in two for a in one], [f'{a}","{b}' for b in two for a in two]
 
 
 def encode_design(

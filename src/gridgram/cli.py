@@ -8,7 +8,10 @@ problems; 3 unparseable input content; 4 a batch worker process died
 Machine-readable results go to standard output (JSON, one object per line
 where a command reports per-item results); progress and error text goes to
 standard error. Output files are byte-identical across identical invocations,
-and each is written whole: to a temp file beside it, then renamed into place.
+and each is written whole: to a temp file beside it, then renamed into place
+(``generator.write_text``). ``generate`` has every batch process write the
+files of the designs it derives (``run_batch``'s ``out_dir``) and prints the
+result lines in seed order once the batch is done.
 
 ``generate`` accepts ``--matcher direct|contract`` and ignores it: both
 names derive through the one compiled match table. ``bench`` times one
@@ -23,10 +26,8 @@ worker, ``replay`` and ``validate`` load neither.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,15 +39,18 @@ from gridgram.generator import (
     RULE_STRATEGIES,
     Design,
     DesignFormatError,
+    FileAccessError,
     GenerationConfig,
     LintFailedError,
     LogFormatError,
     ProfileFormatError,
     ReplayError,
     WorkerDiedError,
+    os_reason,
     run_batch,
     validate_design,
     verify_log_text,
+    write_text,
 )
 from gridgram.grammar import (
     Grammar,
@@ -63,10 +67,6 @@ EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 
 
-class FileAccessError(Exception):
-    """A named file could not be read or written (usage-level problem)."""
-
-
 class FileDecodeError(Exception):
     """A named input file is not UTF-8 text (unparseable content)."""
 
@@ -75,33 +75,11 @@ def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        reason = e.strerror or str(e)
-        raise FileAccessError(f"cannot read {what} {path!r}: {reason}") from None
+        raise FileAccessError(f"cannot read {what} {path!r}: {os_reason(e)}") from None
     except UnicodeDecodeError as e:
         raise FileDecodeError(
             f"{what} {path!r} is not UTF-8 text: {e.reason} at byte {e.start}"
         ) from None
-
-
-def _write_text(path: Path, text: str, what: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it onto ``path``.
-
-    ``path`` is never half-written. Any exception, Ctrl-C included, removes
-    the temp file; only a process killed outright leaves it. The rename
-    replaces ``path`` itself, so a read-only or symlinked ``path`` is
-    replaced, not written through. Nothing is synced to disk.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException as e:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        if isinstance(e, OSError):
-            reason = e.strerror or str(e)
-            raise FileAccessError(f"cannot write {what} {str(path)!r}: {reason}") from None
-        raise
 
 
 def _positive_int(text: str) -> int:
@@ -153,15 +131,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        reason = e.strerror or str(e)
         raise FileAccessError(
-            f"cannot create output directory {args.out_dir!r}: {reason}"
+            f"cannot create output directory {args.out_dir!r}: {os_reason(e)}"
         ) from None
     started = time.perf_counter()
-    items = run_batch(grammar, GridConfig(args.n_half), configs)
+    items = run_batch(grammar, GridConfig(args.n_half), configs, out_dir=out_dir)
     for item in items:
-        _write_text(out_dir / f"design_{item.seed}.json", item.design_text + "\n", "design file")
-        _write_text(out_dir / f"log_{item.seed}.json", item.log_text + "\n", "log file")
         _emit(
             {
                 "seed": item.seed,
@@ -258,7 +233,7 @@ def cmd_assign_dirs(args: argparse.Namespace) -> int:
         "contexts": sum(r.context_count() for r in grammar.rules),
     }
     if args.out is not None:
-        _write_text(Path(args.out), canonical_json(result) + "\n", "output file")
+        write_text(Path(args.out), canonical_json(result) + "\n", "output file")
     _emit(result)
     return EXIT_OK
 

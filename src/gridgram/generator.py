@@ -25,7 +25,8 @@ Among the rules matching that point's state, in grammar order:
 - first-match takes the first.
 
 A finished derivation has one shape per use. Batches and verification
-return a ``BatchItem``: the canonical texts plus the figures a report needs.
+return a ``BatchItem``: the canonical texts (none once a batch has written
+them to files) plus the figures a report needs.
 A ``Design`` is the ``core.Grid`` of the result with its encoder, and a
 ``DerivationLog`` is the parsed log, kept for the library calls
 (``generate``, ``parse_log``, ``verify_log``) and for naming the first fault
@@ -45,7 +46,8 @@ A design holds the engine's arrays as they are, so ``Design.serialize`` is
 the one path to the design encoder. A log is encoded from ``run``'s raw
 steps (``Engine.log_text``), where ``canon.encode_log`` computes log_hash,
 or from the parsed object (``serialize_log``), which passes its recorded
-log_hash. Batch workers encode where they derive and return text.
+log_hash. Each batch process encodes where it derives, and either writes
+the files itself or returns the texts (``run_batch``).
 
 Every derivation in the package runs on ``shared_engine``: one engine per
 process, kept for the last (grammar fingerprint, grid config) used, so
@@ -54,11 +56,13 @@ repeated derivations and verifications reuse its tables and warm memo.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
+from pathlib import Path
 
 from gridgram.canon import (
     DESIGN_FORMAT,
@@ -71,7 +75,7 @@ from gridgram.canon import (
     encode_log,
     point_coords,
     sha256_hex,
-    state_json,
+    state_labels,
     xyz,
 )
 from gridgram.core import (
@@ -140,6 +144,10 @@ class DesignFormatError(GeneratorError):
 
 class ProfileFormatError(GeneratorError):
     """A validation profile is malformed."""
+
+
+class FileAccessError(Exception):
+    """A named file could not be read or written (usage-level problem)."""
 
 
 class WorkerDiedError(GeneratorError):
@@ -307,14 +315,14 @@ class Design(Grid):
 
 def serialize_log(log: DerivationLog) -> str:
     rules: dict[str, str] = {}
-    states: dict[int, str] = {}
+    head, tail = state_labels()
     steps = []
     for s in log.steps:
         rule = rules.get(s.rule_name)
         if rule is None:
             rule = rules[s.rule_name] = json.dumps(s.rule_name)
-        state = state_json(s.pre_state.key, states)
-        steps.append(STEP_JSON % (s.index, xyz(s.point), state, rule))
+        key = s.pre_state.key
+        steps.append(STEP_JSON % (s.index, xyz(s.point), head[key & 511], tail[key >> 9], rule))
     return encode_log(
         log.grammar_fingerprint, log.grid_config, log.gen_config.to_obj(),
         log.outcome, log.design_hash, steps, log.log_hash,
@@ -421,8 +429,15 @@ class Engine:
         side = grid_config.side
         count = grid_config.point_count
         table = MatchTable.from_grammar(grammar) if match_fn is None else match_fn.table
-        # Packed state key -> ascending indices of the rules matching it.
-        self._match_list = table.rules_matching
+        rules_matching = table.rules_matching
+        distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def match_list(key: int) -> tuple[int, ...]:
+            """Ascending indices of the rules matching ``key``; equal results are one tuple."""
+            rules = rules_matching(key)
+            return distinct.setdefault(rules, rules)
+
+        self._match_list = match_list
         self._weights = [r.weight for r in grammar.rules]
         # Matching-rule tuple -> running sums of its rules' weights.
         self._cum_weights: dict[tuple[int, ...], list[int]] = {}
@@ -438,7 +453,6 @@ class Engine:
             (int(r.production.symbol), offsets[r.production.direction]) for r in grammar.rules
         ]
         self._rule_json = [json.dumps(r.name) for r in grammar.rules]
-        self._state_text: dict[int, str] = {}  # pre-state JSON by key, filled by log_text
 
         # Per point: the initial all-Unoccupied key, and in ``_updates[i]``,
         # for each in-grid neighbor q in Direction order, (q, shift, clear
@@ -466,7 +480,7 @@ class Engine:
                             key |= B << shift
                     base.append(key)
                     updates.append(tuple(update))
-        self._memo: dict[int, tuple[int, ...]] = {}
+        self._memo: dict[int, tuple[int, ...]] = {}  # packed state key -> match_list(key)
         # nearest-to-origin visits points by (x*x + y*y + z*z, index) (the
         # sort is stable); rank inverts that order.
         dist2 = [x * x + y * y + z * z for (x, y, z) in grid_config.points()]
@@ -577,9 +591,10 @@ class Engine:
     ) -> str:
         """Canonical log text, log_hash included, straight from ``run``'s raw steps."""
         coords = point_coords(self.grid_config.n_half)
-        rules, states = self._rule_json, self._state_text
+        rules = self._rule_json
+        head, tail = state_labels()
         steps = [
-            STEP_JSON % (i, coords[pi], states.get(key) or state_json(key, states), rules[ri])
+            STEP_JSON % (i, coords[pi], head[key & 511], tail[key >> 9], rules[ri])
             for i, (pi, ri, key) in enumerate(raw_steps)
         ]
         return encode_log(
@@ -611,8 +626,8 @@ def shared_engine(grammar: Grammar, grid_config: GridConfig) -> Engine:
     relints and rebuilds nothing while the key stays the same, and its memo
     stays warm. A new key drops the old engine before the new one is built;
     a build that fails keeps nothing. Output never depends on the slot:
-    every memo, running-sum and pre-state text entry is a pure function of
-    its key, and the key holds everything else the engine reads.
+    every memo and running-sum entry is a pure function of its key, and the
+    key holds everything else the engine reads.
     """
     key = (grammar.fingerprint, grid_config)
     engine = _shared.get(key)
@@ -865,18 +880,45 @@ def resolve_workers() -> int:
     return max(1, min(requested, MAX_WORKERS))
 
 
+def os_reason(e: OSError) -> str:
+    """The reason an ``OSError`` gives: its ``strerror``, else its text."""
+    return e.strerror or str(e)
+
+
+def write_text(path: Path, text: str, what: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it onto ``path``.
+
+    ``path`` is never half-written. Any exception, Ctrl-C included, removes
+    the temp file; only a process killed outright leaves it. The rename
+    replaces ``path`` itself, so a read-only or symlinked ``path`` is
+    replaced, not written through. Nothing is synced to disk. An ``OSError``
+    becomes a ``FileAccessError`` naming ``what`` and ``path``.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(e, OSError):
+            raise FileAccessError(f"cannot write {what} {str(path)!r}: {os_reason(e)}") from None
+        raise
+
+
 @dataclass(frozen=True, slots=True)
 class BatchItem:
     """One derivation of a batch, encoded where it ran.
 
     ``design_text`` and ``log_text`` are the canonical file contents without
     the trailing newline (``Design.parse(design_text)`` rebuilds the design);
-    ``log_text`` is None when logs were not asked for.
+    ``log_text`` is None when logs were not asked for, and both are None
+    once written to files (``run_batch``'s ``out_dir``).
     ``counts`` maps each storable symbol's label to its count.
     """
 
     seed: int
-    design_text: str
+    design_text: str | None
     design_hash: str
     log_text: str | None
     counts: dict[str, int]
@@ -903,14 +945,36 @@ def _batch_item(engine: Engine, cfg: GenerationConfig, run: tuple, want_logs: bo
 
 
 def _derive(
-    grammar: Grammar, grid_config: GridConfig, configs: list[GenerationConfig], want_logs: bool
+    grammar: Grammar,
+    grid_config: GridConfig,
+    configs: list[GenerationConfig],
+    want_logs: bool,
+    out_dir: Path | None = None,
 ) -> list[BatchItem]:
-    """The batch items of ``configs``, derived on this process's ``shared_engine``."""
+    """The batch items of ``configs``, derived on this process's ``shared_engine``.
+
+    With ``out_dir``, each item's files are written as it is made and the
+    item keeps no texts.
+    """
     engine = shared_engine(grammar, grid_config)
-    return [_batch_item(engine, cfg, engine.run(cfg), want_logs) for cfg in configs]
+    items = []
+    for cfg in configs:
+        item = _batch_item(engine, cfg, engine.run(cfg), want_logs)
+        if out_dir is not None:
+            write_text(out_dir / f"design_{cfg.seed}.json", item.design_text + "\n", "design file")
+            if want_logs:
+                write_text(out_dir / f"log_{cfg.seed}.json", item.log_text + "\n", "log file")
+            item = replace(item, design_text=None, log_text=None)
+        items.append(item)
+    return items
 
 
 def _batch_worker(args) -> list[BatchItem]:
+    """One pool worker's slice; ``run_batch`` derives its own with ``_derive``.
+
+    Only pool workers call this: the benchmark's tracer wraps it as the
+    entry of a forked worker.
+    """
     return _derive(*args)
 
 
@@ -919,39 +983,53 @@ def run_batch(
     grid_config: GridConfig,
     configs: list[GenerationConfig],
     want_logs: bool = True,
+    out_dir: Path | None = None,
 ) -> list[BatchItem]:
     """Independent derivations, results in input order.
 
     ``resolve_workers()`` sets how many processes derive. With more than
-    one, each takes one contiguous slice of ``configs`` of at most
-    ``ceil(len(configs) / workers)`` configs; the slices come back in input
-    order. Each derivation is a pure function of its config, so scheduling
-    cannot change results.
+    one, ``configs`` is cut into contiguous slices of at most
+    ``ceil(len(configs) / workers)`` configs. This process derives the
+    first slice itself, after handing the others to a pool of one worker
+    process each, so n processes cost n - 1 starts. Each derivation is a
+    pure function of its config, so scheduling cannot change results.
 
-    Every process derives on its ``shared_engine``: the inline path on this
-    process's, and each worker on the one it forked with when the key
-    matches, else on one it builds.
+    With ``out_dir`` (an existing directory), every process writes the
+    ``design_<seed>.json`` and ``log_<seed>.json`` of each item it makes
+    with ``write_text``, and the items come back without texts: no design
+    or log text crosses a process boundary. A file that cannot be written
+    raises ``FileAccessError``, from whichever process wrote it.
+
+    Every process derives on its ``shared_engine``: this one on its own,
+    and each worker on the one it forked with when the key matches, else on
+    one it builds (always, under a start method other than ``fork``, such
+    as Python 3.14's default ``forkserver``).
 
     Only the multi-worker path imports ``concurrent.futures``, so an inline
     batch never loads the pool or ``multiprocessing``. A worker that dies
-    raises ``WorkerDiedError`` with the pool's message.
+    raises ``WorkerDiedError`` with the pool's message; files already
+    written stay, each whole.
     """
     nworkers = min(resolve_workers(), len(configs)) if configs else 1
     if nworkers <= 1:
-        return _derive(grammar, grid_config, configs, want_logs)
+        return _derive(grammar, grid_config, configs, want_logs, out_dir)
 
     # Hash the grammar here, once: the pickled copies carry the fingerprint
     # that keys each worker's engine.
     grammar.fingerprint
     size = -(-len(configs) // nworkers)
     jobs = [
-        (grammar, grid_config, configs[i:i + size], want_logs)
-        for i in range(0, len(configs), size)
+        (grammar, grid_config, configs[i:i + size], want_logs, out_dir)
+        for i in range(size, len(configs), size)
     ]
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     try:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            return [item for part in pool.map(_batch_worker, jobs) for item in part]
+            parts = pool.map(_batch_worker, jobs)
+            items = _derive(grammar, grid_config, configs[:size], want_logs, out_dir)
+            for part in parts:
+                items += part
+            return items
     except BrokenExecutor as e:
         raise WorkerDiedError(str(e)) from e

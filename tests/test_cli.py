@@ -251,6 +251,71 @@ class TestGenerate:
             main(["generate", demo_path, "--n-half", "1", "--seed", "7", "--out-dir", str(out)])
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ((Path, "read_text"), "error: cannot read grammar file"),
+            ((os, "replace"), "error: cannot write design file"),
+            ((Path, "mkdir"), "error: cannot create output directory"),
+        ],
+        ids=["read", "write", "mkdir"],
+    )
+    def test_an_oserror_without_strerror_is_reported_by_its_text(
+        self, demo_path, tmp_path, monkeypatch, capsys, target, message
+    ):
+        def fail(*args, **kwargs):
+            raise OSError("no errno here")
+
+        monkeypatch.setattr(*target, fail)
+        out = tmp_path / "out"
+        rc = main(["generate", demo_path, "--n-half", "1", "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(message)
+        assert captured.err.endswith(": no errno here\n")
+
+    def test_unwritable_file_in_a_worker_slice_is_usage_error(
+        self, demo_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
+        (tmp_path / "design_9.json").mkdir()  # seeds 7 and 8 are this process's slice
+        rc = main([
+            "generate", demo_path, "--n-half", "1", "--seed", "7", "--count", "3",
+            "--out-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write design file")
+        assert "design_9.json" in captured.err
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+    def test_a_worker_dying_mid_slice_leaves_only_whole_files(
+        self, demo_path, tmp_path, monkeypatch, capsys
+    ):
+        parent, write = os.getpid(), generator.write_text
+
+        def die_before_a_worker_log(path, text, what):
+            if os.getpid() != parent and path.name.startswith("log_"):
+                os._exit(1)
+            write(path, text, what)
+
+        monkeypatch.setattr(generator, "write_text", die_before_a_worker_log)
+        monkeypatch.setenv("GRIDGRAM_THREADS", "2")
+        rc = main([
+            "generate", demo_path, "--n-half", "1", "--count", "3", "--out-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INTERNAL, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "design_0.json", "design_1.json", "design_2.json", "log_0.json", "log_1.json",
+        ]
+        for path in tmp_path.glob("design_*.json"):
+            Design.parse(path.read_text())
+        for path in tmp_path.glob("log_*.json"):
+            assert main(["replay", str(path), demo_path]) == 0
+
     def test_dead_worker_is_internal_error(self, demo_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(generator, "_batch_worker", _die)
         monkeypatch.setenv("GRIDGRAM_THREADS", "2")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgram import generator
+from gridgram import canon, generator
 from gridgram.canon import canonical_json, encode_log, sha256_hex
 from gridgram.core import Direction, Grid, GridConfig, State, Symbol, neighbor
 from gridgram.generator import (
@@ -634,9 +634,18 @@ class TestSharedEngine:
             # Forked workers inherit both the warm engine and this patch, so
             # a worker that built its own engine would fail.
             monkeypatch.setattr(Engine, "__init__", None)
+        derived = []  # seeds this process derives; a worker appends to its own copy
+        derive = generator._derive
+
+        def recording_derive(grammar, grid_config, slice_, *rest):
+            derived.append([cfg.seed for cfg in slice_])
+            return derive(grammar, grid_config, slice_, *rest)
+
+        monkeypatch.setattr(generator, "_derive", recording_derive)
         monkeypatch.setenv("GRIDGRAM_THREADS", "2")
         parallel = run_batch(demo, grid, configs)
-        assert bool(generator._shared) == warm  # the parent derives nothing itself
+        assert derived == [[0, 1, 2]]  # the parent derived the first slice itself
+        assert list(generator._shared) == [(demo.fingerprint, grid)]
         monkeypatch.setenv("GRIDGRAM_THREADS", "1")
         assert parallel == run_batch(demo, grid, configs)
 
@@ -1027,7 +1036,7 @@ class TestRunBatch:
         monkeypatch.setenv("GRIDGRAM_THREADS", "4")
         configs = [GenerationConfig(seed=s) for s in range(5)]
         items = run_batch(demo, GridConfig(1), configs)
-        assert started == [3]  # slices of 2, 2 and 1 config
+        assert started == [2]  # slices of 2 (this process), 2 and 1 config
         assert [i.seed for i in items] == list(range(5))
 
     def test_duplicate_seeds_keep_input_order(self, demo, monkeypatch):
@@ -1057,6 +1066,41 @@ class TestRunBatch:
     def test_resolve_workers_is_capped(self, monkeypatch):
         monkeypatch.setenv("GRIDGRAM_THREADS", "100000")
         assert resolve_workers() == MAX_WORKERS
+
+
+class TestBoundedMemory:
+    """What a batch keeps does not grow with the number of designs it makes."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_items_written_to_out_dir_carry_no_texts(self, demo, monkeypatch, tmp_path, workers):
+        configs = [GenerationConfig(seed=s) for s in range(3)]
+        monkeypatch.setenv("GRIDGRAM_THREADS", "1")
+        texts = run_batch(demo, GridConfig(1), configs)
+        monkeypatch.setenv("GRIDGRAM_THREADS", workers)
+        written = run_batch(demo, GridConfig(1), configs, out_dir=tmp_path)
+        assert written == [replace(i, design_text=None, log_text=None) for i in texts]
+        for item in texts:
+            assert (tmp_path / f"design_{item.seed}.json").read_text() == item.design_text + "\n"
+            assert (tmp_path / f"log_{item.seed}.json").read_text() == item.log_text + "\n"
+        assert len(list(tmp_path.iterdir())) == 6
+
+    def test_pre_state_fragment_tables_stay_bounded(self, demo, monkeypatch):
+        monkeypatch.setenv("GRIDGRAM_THREADS", "1")
+        items = run_batch(demo, GridConfig(3), [GenerationConfig(seed=s) for s in range(200)])
+        steps = [step for item in items for step in json.loads(item.log_text)["steps"]]
+        pre_states = {tuple(step["pre_state"]) for step in steps}
+        # More distinct pre-states than the two tables can hold together.
+        assert len(pre_states) > 512 + 4096
+        head, tail = canon.state_labels()
+        assert (len(head), len(tail)) == (512, 4096)
+
+    def test_equal_memo_values_are_one_tuple(self, demo, cold):
+        engine = shared_engine(demo, GridConfig(3))
+        for seed in range(50):
+            engine.run(GenerationConfig(seed=seed))
+        values = list(engine._memo.values())
+        assert len(values) > 10 * len(set(values))
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 _ODD_UNIT = 'a"b\\c-\u00b5m-\u7ffc'
