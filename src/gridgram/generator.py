@@ -94,7 +94,7 @@ from gridgram.grammar import (
     MatchTable,
     lint_grammar_errors,
 )
-from gridgram.rng import SplitMix64
+from gridgram.rng import SPAN, draws
 
 POINT_STRATEGIES = ("uniform-random-frontier", "scanline", "nearest-to-origin")
 RULE_STRATEGIES = ("uniform-random", "weighted", "first-match")
@@ -498,7 +498,8 @@ class Engine:
         of Unoccupied points are kept current, because a key is read only
         at an Unoccupied point. A production's edge joins the rewritten cell
         and the cell its ``_prod`` offset away, written smaller index first:
-        the pair is ordered by the offset's sign.
+        the pair is ordered by the offset's sign. Only a strategy pair that
+        draws binds ``rng.draws``; its draw sites apply ``below(n)`` inline.
         """
         memo, match_list = self._memo, self._match_list
         updates, prod = self._updates, self._prod
@@ -508,10 +509,11 @@ class Engine:
         U = int(Symbol.UNOCCUPIED)
         cells = bytearray([U]) * count
         edges: set[tuple[int, int]] = set()
-        below = SplitMix64(gen_config.seed).below
         point_random = gen_config.point_strategy == "uniform-random-frontier"
         rule_random = gen_config.rule_strategy == "uniform-random"
         weighted = gen_config.rule_strategy == "weighted"
+        if point_random or rule_random or weighted:
+            draw = draws(gen_config.seed)
         # Each step rewrites one Unoccupied point, so no run has more steps.
         max_steps = count if gen_config.max_steps is None else gen_config.max_steps
         if gen_config.point_strategy == "nearest-to-origin":
@@ -534,18 +536,40 @@ class Engine:
         for _ in range(max_steps):
             if not flist:
                 break
-            pi = order[flist[below(len(flist)) if point_random else 0]]
+            # Each draw site is ``below(n)``: draw again while v - v % n > 2^64 - n.
+            if point_random:
+                n = len(flist)
+                v = draw()
+                r = v % n
+                while v - r > SPAN - n:
+                    v = draw()
+                    r = v % n
+                pi = order[flist[r]]
+            else:
+                pi = order[flist[0]]
             key = keys[pi]
             applicable = memo[key]
             if rule_random:
-                ri = applicable[below(len(applicable))]
+                n = len(applicable)
+                v = draw()
+                r = v % n
+                while v - r > SPAN - n:
+                    v = draw()
+                    r = v % n
+                ri = applicable[r]
             elif weighted:
                 cum = cum_weights.get(applicable)
                 if cum is None:
                     cum = cum_weights[applicable] = list(
                         accumulate(weights[r] for r in applicable)
                     )
-                ri = applicable[bisect_right(cum, below(cum[-1]))]
+                n = cum[-1]
+                v = draw()
+                r = v % n
+                while v - r > SPAN - n:
+                    v = draw()
+                    r = v % n
+                ri = applicable[bisect_right(cum, r)]
             else:
                 ri = applicable[0]
             steps.append((pi, ri, key))

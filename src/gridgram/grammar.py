@@ -27,6 +27,9 @@ from gridgram.core import COMPONENTS, NONTERMINALS, TERMINALS, Direction, State,
 #: held by a pattern; WILDCARD_EGO names the terminals in that refusal.
 WILDCARD_EGO = frozenset(s for s in Symbol if s is not Symbol.BOUNDARY)
 WILDCARD_NON_EGO = frozenset(Symbol)
+#: The largest rule weight, so that a weighted draw's total stays within the
+#: 2^64 that ``below`` accepts for any grammar of fewer than 2^32 rules.
+MAX_WEIGHT = 1 << 32
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 _DIRECTION_LABELS = tuple((d, d.label) for d in Direction)
@@ -137,8 +140,9 @@ class Rule:
 
     Only nonterminals are rewritten, so every pattern's ego set holds
     nonterminals only (``ContextPattern`` checks it). ``weight`` feeds the
-    weighted rule-selection strategy and is a positive integer so random
-    draws stay exact.
+    weighted rule-selection strategy and is an integer in [1, 2^32]
+    (``MAX_WEIGHT``), so random draws stay exact and a weighted total stays
+    within the 2^64 that ``below`` takes.
     """
 
     name: str
@@ -151,8 +155,8 @@ class Rule:
             raise TypeError(f"rule name must be a string, got {self.name!r}")
         if type(self.weight) is not int:
             raise TypeError(f"rule {self.name}: weight must be an integer, got {self.weight!r}")
-        if self.weight < 1:
-            raise ValueError(f"rule {self.name}: weight must be a positive integer")
+        if not 1 <= self.weight <= MAX_WEIGHT:
+            raise ValueError(f"rule {self.name}: weight must be in [1, 2**32]")
 
     def matches(self, state: State) -> bool:
         return any(pat.admits(state) for pat in self.omega)
@@ -443,9 +447,9 @@ def _rule_from_obj(robj: dict, rname: str, rpath: str) -> Rule:
         )
 
     weight = robj.get("weight", 1)
-    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+    if type(weight) is not int or not 1 <= weight <= MAX_WEIGHT:
         raise GrammarParseError(
-            "format", f"weight must be a positive integer, got {weight!r}", f"{rpath}.weight"
+            "format", f"weight must be an integer in [1, 2**32], got {weight!r}", f"{rpath}.weight"
         )
     return Rule(rname, tuple(patterns), Production(psym, pdir), weight)
 

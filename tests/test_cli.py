@@ -637,6 +637,11 @@ PARSE_ERRORS = [
      "error: syntax at $"),
     ("grammar-unknown-symbol", ["lint", "input"],
      EDGE_TO_EMPTY_GRAMMAR.replace('"Rotor"', '"Thruster"'), "unknown-symbol"),
+    # A weighted draw over more than 2**64 would never end; the parse refuses it.
+    ("grammar-weight-over-cap",
+     ["generate", "input", "--rule-strategy", "weighted", "--out-dir", "out"],
+     demo_uav_text().replace('"seed_fuselage",', f'"seed_fuselage", "weight": {2**64 + 1},'),
+     "$.rules[0].weight"),
     ("log-wrong-format", REPLAY, '{"format": "something-else"}',
      "not a gridgram-log-v1 document"),
     ("log-non-hex-fingerprint", REPLAY,

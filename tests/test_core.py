@@ -22,7 +22,7 @@ from gridgram.core import (
     neighbor,
 )
 from gridgram.grammar import ContextPattern, Production, Rule
-from gridgram.rng import SplitMix64
+from gridgram.rng import SplitMix64, draws
 from step_oracle import Canvas, choice_index, empty_grid
 
 
@@ -349,6 +349,25 @@ class TestGrid:
 # SplitMix64 finaliser), which below(n) rejects for every n > 1.
 REJECTED_FIRST = 0x31628AF67B2131AB
 
+_M64 = (1 << 64) - 1
+
+
+def reference_u64s(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64, one scalar finaliser call each."""
+    out, state = [], seed & _M64
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def reference_below(values, n: int) -> int:
+    """The README rule: draw again while v >= 2^64 - (2^64 mod n), then v mod n."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    return next(v for v in values if v < limit) % n
+
 
 class TestSplitMix64:
     def test_published_vectors_seed_zero(self):
@@ -375,6 +394,22 @@ class TestSplitMix64:
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
 
+    # 520 outputs cross the block boundaries after outputs 256 and 512.
+    @given(st.sampled_from([0, REJECTED_FIRST, 2**64 - 1, -1]) | st.integers(0, 2**64 - 1))
+    def test_block_stream_matches_scalar_finaliser(self, seed):
+        draw, r = draws(seed), SplitMix64(seed)
+        expected = reference_u64s(seed, 520)
+        assert [draw() for _ in range(520)] == expected
+        assert [r.next_u64() for _ in range(520)] == expected
+
+    @pytest.mark.parametrize("n", [1, 3, 2**63 + 5, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("seed", [REJECTED_FIRST, 0, 99])
+    def test_below_matches_readme_rule(self, n, seed):
+        r, ref = SplitMix64(seed), iter(reference_u64s(seed, 2000))
+        assert [r.below(n) for _ in range(40)] == [reference_below(ref, n) for _ in range(40)]
+        # Both consumed the same draws.
+        assert r.next_u64() == next(ref)
+
     @given(st.integers(0, 2**64 - 1), st.integers(1, 1000))
     def test_below_in_range_and_deterministic(self, seed, n):
         a = SplitMix64(seed)
@@ -390,6 +425,11 @@ class TestSplitMix64:
             r.below(0)
         with pytest.raises(ValueError):
             r.below(-3)
+
+    def test_below_rejects_n_over_2_64(self):
+        # Every draw would be rejected, so it would never return.
+        with pytest.raises(ValueError):
+            SplitMix64(0).below(2**64 + 1)
 
     def test_below_covers_small_range(self):
         r = SplitMix64(7)

@@ -114,6 +114,28 @@ def fill():
 
 
 @pytest.fixture(scope="module")
+def fill3(fill):
+    """Three rules matching every Unoccupied point, weighted 1, 1 and 3."""
+    rule = fill.rules[0]
+    return replace(
+        fill,
+        rules=tuple(replace(rule, name=f"fill_{k}", weight=w) for k, w in enumerate((1, 1, 3))),
+    )
+
+
+@pytest.fixture(scope="module")
+def corners4():
+    """Four rules of weight 1, matching only at the (-n,-n,-n) and (n,n,n) corners."""
+    doc = json.loads(CORNER_ONLY_GRAMMAR)
+    rule = doc["rules"][0]
+    low = rule["contexts"][0]
+    high = {**low, "rear": "*", "left": "*", "bottom": "*",
+            "front": "Boundary", "right": "Boundary", "top": "Boundary"}
+    doc["rules"] = [{**rule, "name": f"corner_{k}", "contexts": [low, high]} for k in range(4)]
+    return parse_grammar(json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
 def seed7_run(demo):
     design, log = generate(demo, GridConfig(2), GenerationConfig(seed=7))
     return demo, design, log
@@ -464,6 +486,45 @@ class TestEngineMatchesStepLoop:
         design, log = generate(fill, GridConfig(1), gcfg)
         assert log.steps[0].point == GridConfig(1).points()[22]
         grid, steps = self._run_with_step(fill, GridConfig(1), gcfg)
+        assert design == grid
+        assert steps == list(log.steps)
+
+    # With scanline the first draw is the rule draw. Its 2**64 - 1 is rejected
+    # by below(3) and by below(5) (the total weight), and would have taken
+    # fill_0; the second draw is 1 mod 3 (fill_1) and 3 mod 5 (fill_2).
+    @pytest.mark.parametrize(
+        "rule_strategy, first_rule", [("uniform-random", "fill_1"), ("weighted", "fill_2")]
+    )
+    def test_rejected_rule_draw_is_redrawn(self, fill3, rule_strategy, first_rule):
+        gcfg = GenerationConfig(
+            seed=0x31628AF67B2131AB, point_strategy="scanline", rule_strategy=rule_strategy
+        )
+        design, log = generate(fill3, GridConfig(1), gcfg)
+        assert log.steps[0].rule_name == first_rule
+        grid, steps = self._run_with_step(fill3, GridConfig(1), gcfg)
+        assert design == grid
+        assert steps == list(log.steps)
+
+    # below(n) keeps 2**64 - 1 when n is a power of two: over the two corners
+    # and the four rules (total weight 4) every draw site takes the first
+    # draw, and the rule of the first row is the second draw's 1 mod 4.
+    @pytest.mark.parametrize(
+        "point_strategy, rule_strategy, first_point, first_rule",
+        [
+            ("uniform-random-frontier", "uniform-random", (1, 1, 1), "corner_1"),
+            ("scanline", "uniform-random", (-1, -1, -1), "corner_3"),
+            ("scanline", "weighted", (-1, -1, -1), "corner_3"),
+        ],
+    )
+    def test_top_draw_is_kept_for_a_power_of_two(
+        self, corners4, point_strategy, rule_strategy, first_point, first_rule
+    ):
+        gcfg = GenerationConfig(
+            seed=0x31628AF67B2131AB, point_strategy=point_strategy, rule_strategy=rule_strategy
+        )
+        design, log = generate(corners4, GridConfig(1), gcfg)
+        assert (log.steps[0].point, log.steps[0].rule_name) == (first_point, first_rule)
+        grid, steps = self._run_with_step(corners4, GridConfig(1), gcfg)
         assert design == grid
         assert steps == list(log.steps)
 

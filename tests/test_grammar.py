@@ -110,6 +110,7 @@ class TestParse:
             (lambda d: d["rules"][0].update(weight=0), "format"),
             (lambda d: d["rules"][0].update(weight=1.5), "format"),
             (lambda d: d["rules"][0].update(weight=True), "format"),
+            (lambda d: d["rules"][0].update(weight=2**32 + 1), "format"),
             (lambda d: d["rules"][0]["contexts"][0].update(front=[]), "format"),
             (lambda d: d["rules"][0].update(name="r0\n"), "format"),
         ],
@@ -170,12 +171,13 @@ class TestParse:
             (lambda r: r["produce"].update(symbol="Unoccupied"), "production-not-terminal",
              "$.rules[1].produce.symbol"),
             (lambda r: r.update(weight=0), "format", "$.rules[1].weight"),
+            (lambda r: r.update(weight=2**64 + 1), "format", "$.rules[1].weight"),
             (lambda r: r.update(name="good_rule"), "duplicate-rule-name", "$.rules[1]"),
         ],
         ids=[
             "format", "unknown-symbol", "unknown-production-symbol", "unknown-direction",
             "ego-not-nonterminal", "empty-with-connection", "production-not-terminal",
-            "weight", "duplicate-rule-name",
+            "weight", "weight-over-cap", "duplicate-rule-name",
         ],
     )
     def test_semantic_error_reports_rule_line(self, mutate, kind, path):
@@ -215,6 +217,14 @@ class TestRoundTrip:
         assert "weight" not in grammar_to_obj(g1)["rules"][0]
         for weight in (2.0, True, "2"):
             with pytest.raises(TypeError):
+                replace(g.rules[0], weight=weight)
+
+    def test_weight_cap_is_2_32(self):
+        # A weighted draw over more than 2**64 would never end.
+        g = parse_grammar(one_rule_text(weight=2**32))
+        assert g.rules[0].weight == 2**32
+        for weight in (0, 2**32 + 1, 2**64 + 1):
+            with pytest.raises(ValueError):
                 replace(g.rules[0], weight=weight)
 
 
