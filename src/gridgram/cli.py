@@ -15,7 +15,7 @@ result lines in seed order once the batch is done.
 
 ``generate`` accepts ``--matcher direct|contract`` and ignores it: both
 names derive through the one compiled match table. ``bench`` times one
-batch and prints one flat JSON summary.
+batch, which writes no files, and prints one flat JSON summary.
 
 A process imports only what its command runs: ``gridgram.constraint_matcher``
 is imported by ``assign-dirs`` alone, and the process pool only by a batch
@@ -265,7 +265,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     grammar = _grammar(_read_text(args.grammar, "grammar file"))
     configs = [GenerationConfig(seed=args.seed + i) for i in range(args.count)]
     started = time.perf_counter()
-    items = run_batch(grammar, GridConfig(args.n_half), configs, want_logs=False)
+    items = run_batch(grammar, GridConfig(args.n_half), configs)
     elapsed = time.perf_counter() - started
     outcomes: dict[str, int] = {}
     for item in items:

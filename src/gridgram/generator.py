@@ -25,8 +25,7 @@ Among the rules matching that point's state, in grammar order:
 - first-match takes the first.
 
 A finished derivation has one shape per use. Batches and verification
-return a ``BatchItem``: the canonical texts (none once a batch has written
-them to files) plus the figures a report needs.
+return a ``BatchItem``: the figures a report needs, never the texts.
 A ``Design`` is the ``core.Grid`` of the result with its encoder, and a
 ``DerivationLog`` is the parsed log, kept for the library calls
 (``generate``, ``parse_log``, ``verify_log``) and for naming the first fault
@@ -46,8 +45,8 @@ A design holds the engine's arrays as they are, so ``Design.serialize`` is
 the one path to the design encoder. A log is encoded from ``run``'s raw
 steps (``Engine.log_text``), where ``canon.encode_log`` computes log_hash,
 or from the parsed object (``serialize_log``), which passes its recorded
-log_hash. Each batch process encodes where it derives, and either writes
-the files itself or returns the texts (``run_batch``).
+log_hash. Each batch process encodes where it derives and writes the files
+itself (``run_batch``'s ``out_dir``).
 
 Every derivation in the package runs on ``shared_engine``: one engine per
 process, kept for the last (grammar fingerprint, grid config) used, so
@@ -60,7 +59,7 @@ import contextlib
 import json
 import os
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -677,9 +676,9 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
     The log verifies only if ``text``, less at most one trailing newline, is
     exactly the canonical log its recorded configs derive: the fingerprint
     is checked, the engine re-runs the configs into the item ``run_batch``
-    would make for them, and the item's log text is compared with ``text``
-    as one string. That comparison covers the steps, the design hash, the
-    outcome and the log hash together.
+    would make for them, and the log text it would write is compared with
+    ``text`` as one string. That comparison covers the steps, the design
+    hash, the outcome and the log hash together.
 
     A foreign fingerprint is refused, once the whole log has parsed, before
     any engine is built. Otherwise the log is parsed into objects only when
@@ -709,12 +708,13 @@ def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
         raise ReplayError("fingerprint", None, "log was produced by a different grammar")
     engine = shared_engine(grammar, grid_config)
     run = engine.run(gen_config)
-    item = _batch_item(engine, gen_config, run, want_logs=True)
-    if text.removesuffix("\n") == item.log_text:
+    item, _ = _encode(engine, gen_config, run)
+    cells, _, raw_steps, outcome = run
+    log_text = engine.log_text(gen_config, raw_steps, outcome, item.design_hash)
+    if text.removesuffix("\n") == log_text:
         return run, item
 
     log = _log_from_obj(obj, header)
-    cells, _, raw_steps, outcome = run
     pts, rules = grid_config.points(), grammar.rules
     for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
         if s.index != i:
@@ -757,7 +757,7 @@ def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
         )
     # Everything but log_hash now equals the derived log, so the texts differ
     # exactly when the recorded log_hash is wrong.
-    if serialize_log(log) != item.log_text:
+    if serialize_log(log) != log_text:
         raise ReplayError("log-hash", None, "log content does not hash to log_hash")
     raise ReplayError(
         "non-canonical", None,
@@ -932,63 +932,55 @@ def write_text(path: Path, text: str, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class BatchItem:
-    """One derivation of a batch, encoded where it ran.
+    """One derivation of a batch or a verification: the figures a report needs.
 
-    ``design_text`` and ``log_text`` are the canonical file contents without
-    the trailing newline (``Design.parse(design_text)`` rebuilds the design);
-    ``log_text`` is None when logs were not asked for, and both are None
-    once written to files (``run_batch``'s ``out_dir``).
-    ``counts`` maps each storable symbol's label to its count.
+    A batch writes the texts to files (``run_batch``'s ``out_dir``); an item
+    never carries them. ``counts`` maps each storable symbol's label to its
+    count.
     """
 
     seed: int
-    design_text: str | None
     design_hash: str
-    log_text: str | None
     counts: dict[str, int]
     step_count: int
     outcome: str
 
 
-def _batch_item(engine: Engine, cfg: GenerationConfig, run: tuple, want_logs: bool) -> BatchItem:
-    """Encode ``run``, the result of ``engine.run(cfg)``, as a batch item."""
+def _encode(engine: Engine, cfg: GenerationConfig, run: tuple) -> tuple[BatchItem, str]:
+    """The batch item of ``run``, the result of ``engine.run(cfg)``, and its design text."""
     cells, edges, raw_steps, outcome = run
     design = engine.to_design(cells, edges)
     design_text = design.serialize()
-    design_hash = sha256_hex(design_text)
-    log_text = engine.log_text(cfg, raw_steps, outcome, design_hash) if want_logs else None
-    return BatchItem(
+    item = BatchItem(
         seed=cfg.seed,
-        design_text=design_text,
-        design_hash=design_hash,
-        log_text=log_text,
+        design_hash=sha256_hex(design_text),
         counts={s.label: n for s, n in design.counts().items()},
         step_count=len(raw_steps),
         outcome=outcome,
     )
+    return item, design_text
 
 
 def _derive(
     grammar: Grammar,
     grid_config: GridConfig,
     configs: list[GenerationConfig],
-    want_logs: bool,
     out_dir: Path | None = None,
 ) -> list[BatchItem]:
     """The batch items of ``configs``, derived on this process's ``shared_engine``.
 
-    With ``out_dir``, each item's files are written as it is made and the
-    item keeps no texts.
+    With ``out_dir``, each item's design and log files are written as it is
+    made; without it, no log is encoded.
     """
     engine = shared_engine(grammar, grid_config)
     items = []
     for cfg in configs:
-        item = _batch_item(engine, cfg, engine.run(cfg), want_logs)
+        run = engine.run(cfg)
+        item, design_text = _encode(engine, cfg, run)
         if out_dir is not None:
-            write_text(out_dir / f"design_{cfg.seed}.json", item.design_text + "\n", "design file")
-            if want_logs:
-                write_text(out_dir / f"log_{cfg.seed}.json", item.log_text + "\n", "log file")
-            item = replace(item, design_text=None, log_text=None)
+            write_text(out_dir / f"design_{cfg.seed}.json", design_text + "\n", "design file")
+            log_text = engine.log_text(cfg, run[2], run[3], item.design_hash)
+            write_text(out_dir / f"log_{cfg.seed}.json", log_text + "\n", "log file")
         items.append(item)
     return items
 
@@ -1006,7 +998,6 @@ def run_batch(
     grammar: Grammar,
     grid_config: GridConfig,
     configs: list[GenerationConfig],
-    want_logs: bool = True,
     out_dir: Path | None = None,
 ) -> list[BatchItem]:
     """Independent derivations, results in input order.
@@ -1020,9 +1011,11 @@ def run_batch(
 
     With ``out_dir`` (an existing directory), every process writes the
     ``design_<seed>.json`` and ``log_<seed>.json`` of each item it makes
-    with ``write_text``, and the items come back without texts: no design
-    or log text crosses a process boundary. A file that cannot be written
-    raises ``FileAccessError``, from whichever process wrote it.
+    with ``write_text``; a seed that repeats in ``configs`` raises
+    ``ValueError`` before anything is derived. Without it, nothing is
+    written and no log is encoded. No design or log text crosses a process
+    boundary. A file that cannot be written raises ``FileAccessError``, from
+    whichever process wrote it.
 
     Every process derives on its ``shared_engine``: this one on its own,
     and each worker on the one it forked with when the key matches, else on
@@ -1034,16 +1027,22 @@ def run_batch(
     raises ``WorkerDiedError`` with the pool's message; files already
     written stay, each whole.
     """
+    if out_dir is not None:
+        seen = set()
+        for cfg in configs:
+            if cfg.seed in seen:
+                raise ValueError(f"seed {cfg.seed} repeats: its files in out_dir would collide")
+            seen.add(cfg.seed)
     nworkers = min(resolve_workers(), len(configs)) if configs else 1
     if nworkers <= 1:
-        return _derive(grammar, grid_config, configs, want_logs, out_dir)
+        return _derive(grammar, grid_config, configs, out_dir)
 
     # Hash the grammar here, once: the pickled copies carry the fingerprint
     # that keys each worker's engine.
     grammar.fingerprint
     size = -(-len(configs) // nworkers)
     jobs = [
-        (grammar, grid_config, configs[i:i + size], want_logs, out_dir)
+        (grammar, grid_config, configs[i:i + size], out_dir)
         for i in range(size, len(configs), size)
     ]
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -1051,7 +1050,7 @@ def run_batch(
     try:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = pool.map(_batch_worker, jobs)
-            items = _derive(grammar, grid_config, configs[:size], want_logs, out_dir)
+            items = _derive(grammar, grid_config, configs[:size], out_dir)
             for part in parts:
                 items += part
             return items

@@ -12,6 +12,7 @@ import copy
 import itertools
 import json
 import random
+import shutil
 import time
 from itertools import product
 
@@ -105,19 +106,25 @@ def random_assignment(rnd: random.Random) -> DirectionAssignment:
 
 
 @pytest.fixture(scope="module")
-def bench_run(demo):
-    """1000 seeded derivations at n_half=3 with the direct matcher, timed."""
+def bench_run(demo, tmp_path_factory):
+    """1000 seeded derivations at n_half=3 with the direct matcher, written to files, timed.
+
+    The files (about 60 MB) are removed once the module's tests are done.
+    """
     configs = [GenerationConfig(seed=s) for s in range(1000)]
+    out_dir = tmp_path_factory.mktemp("bench")
     started = time.perf_counter()
-    items = run_batch(demo, GridConfig(3), configs, want_logs=False)
+    items = run_batch(demo, GridConfig(3), configs, out_dir=out_dir)
     elapsed = time.perf_counter() - started
-    return items, elapsed
+    yield items, elapsed, out_dir
+    shutil.rmtree(out_dir)
 
 
 @pytest.fixture(scope="module")
 def bench_designs(bench_run):
-    """The designs of ``bench_run``, parsed back from their canonical text."""
-    return [Design.parse(item.design_text) for item in bench_run[0]]
+    """The designs of ``bench_run``, parsed back from their files."""
+    items, _, out_dir = bench_run
+    return [Design.parse((out_dir / f"design_{item.seed}.json").read_text()) for item in items]
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +172,7 @@ EQUIV_GRAMMAR = Grammar("equiv10", "1", EQUIV_RULES)
 
 
 def test_criterion_1_throughput(bench_run, bench_designs, demo_path, capsys):
-    items, batch_s = bench_run
+    items, batch_s, _ = bench_run
     started = time.perf_counter()
     rc = cli_main(["bench", demo_path, "--n-half", "3", "--count", "1000"])
     cli_s = time.perf_counter() - started

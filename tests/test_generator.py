@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
+import itertools
 import json
 import os
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,11 +17,15 @@ from hypothesis import strategies as st
 
 from gridgram import canon, generator
 from gridgram.canon import canonical_json, encode_log, sha256_hex
-from gridgram.core import Direction, Grid, GridConfig, State, Symbol, neighbor
+from gridgram.core import (
+    COMPONENTS, NEIGHBOR_DIRECTIONS, TERMINALS, Direction, Grid, GridConfig, State, Symbol,
+    neighbor,
+)
 from gridgram.generator import (
     MAX_WORKERS,
     POINT_STRATEGIES,
     RULE_STRATEGIES,
+    BatchItem,
     Design,
     DesignFormatError,
     DerivationStep,
@@ -38,7 +45,9 @@ from gridgram.generator import (
     verify_log,
     verify_log_text,
 )
-from gridgram.grammar import lint_errors, lint_grammar, parse_grammar
+from gridgram.grammar import (
+    ContextPattern, Grammar, Production, Rule, lint_errors, lint_grammar, parse_grammar,
+)
 from gridgram.rng import SplitMix64
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
 import encode_oracle
@@ -195,6 +204,50 @@ def _worker_requiring_fingerprint(args):
 
 def _to_float(values, i):
     values[i] = float(values[i])
+
+
+@st.composite
+def lint_clean_grammars(draw) -> Grammar:
+    """Random grammars that ``Engine`` accepts.
+
+    1-8 random rules, and 80% of the time an unconditional seed rule at a
+    random place among them. Each of a pattern's six neighbor entries is the
+    whole alphabet or a random subset of it, except that the entry in the
+    direction a production connects to admits components only (which keeps
+    the grammar lint-clean). Empty connects at ego; weights are 1, 2, 3 or 7.
+    """
+    ego = frozenset({Symbol.UNOCCUPIED})
+    terminals = st.sampled_from(sorted(TERMINALS))
+    weights = st.sampled_from((1, 2, 3, 7))
+
+    def entry(pool):
+        return draw(st.just(frozenset(pool)) | st.frozensets(st.sampled_from(pool), min_size=1))
+
+    rules = []
+    for i in range(draw(st.integers(1, 8))):
+        symbol = draw(terminals)
+        edge = Direction.EGO if symbol is Symbol.EMPTY else draw(st.sampled_from(Direction))
+        omega = tuple(
+            ContextPattern((ego, *(
+                entry(sorted(COMPONENTS) if d is edge else tuple(Symbol))
+                for d in NEIGHBOR_DIRECTIONS
+            )))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+        rules.append(Rule(f"r{i}", omega, Production(symbol, edge), draw(weights)))
+    if draw(st.sampled_from((True, True, True, True, False))):
+        anything = ContextPattern((ego, *[frozenset(Symbol)] * 6))
+        seed_rule = Rule("seed", (anything,), Production(draw(terminals), Direction.EGO),
+                         draw(weights))
+        rules.insert(draw(st.integers(0, len(rules))), seed_rule)
+    return Grammar("random", "1", tuple(rules))
+
+
+def _written(grammar, grid_config, configs, out_dir: Path):
+    """``run_batch`` into the new directory ``out_dir``: its items, and each file's text."""
+    out_dir.mkdir()
+    items = run_batch(grammar, grid_config, configs, out_dir=out_dir)
+    return items, {f.name: f.read_text() for f in out_dir.iterdir()}
 
 
 class TestGenerationConfig:
@@ -563,6 +616,35 @@ class TestEngineMatchesStepLoop:
         assert isinstance(design, Grid) and design == grid
         assert steps == list(log.steps)
 
+    @settings(max_examples=4, deadline=None)
+    @given(
+        grammar=lint_clean_grammars(),
+        seed=st.integers(0, (1 << 64) - 10),
+        max_steps=st.none() | st.integers(1, 40),
+    )
+    def test_random_grammars_agree_with_the_oracle(
+        self, tmp_path_factory, grammar, seed, max_steps
+    ):
+        """Every strategy pair at n_half 1 and 2; each written log verifies."""
+        assert not lint_errors(lint_grammar(grammar))
+        for n_half in (1, 2):
+            grid = GridConfig(n_half)
+            configs = [
+                GenerationConfig(seed + k, p, r, max_steps)
+                for k, (p, r) in enumerate(itertools.product(POINT_STRATEGIES, RULE_STRATEGIES))
+            ]
+            out_dir = tmp_path_factory.mktemp("random") / "out"
+            items, files = _written(grammar, grid, configs, out_dir)
+            for cfg, item in zip(configs, items):
+                design, log = generate(grammar, grid, cfg)
+                oracle_grid, oracle_steps = self._run_with_step(grammar, grid, cfg)
+                assert design == oracle_grid
+                assert list(log.steps) == oracle_steps
+                log_text = files[f"log_{cfg.seed}.json"]
+                assert log_text == serialize_log(log) + "\n"
+                assert verify_log_text(log_text, grammar) == item
+                assert (item.design_hash, item.step_count) == (design.hash, len(oracle_steps))
+
 
 class TestReplayAndVerify:
     def test_verify_round_trip_through_text(self, seed7_run):
@@ -578,10 +660,10 @@ class TestLogTextVerification:
         log, text = genuine
         for candidate in (text, text + "\n"):
             item = verify_log_text(candidate, demo)
-            assert (item.step_count, item.outcome, item.design_hash, item.log_text) == (
-                len(log.steps), log.outcome, log.design_hash, text
+            assert (item.step_count, item.outcome, item.design_hash) == (
+                len(log.steps), log.outcome, log.design_hash
             )
-            assert Design.parse(item.design_text).hash == item.design_hash
+            assert verify_log(log, demo).hash == item.design_hash
 
     def test_genuine_text_gives_the_batch_item(self, demo, genuine):
         log, text = genuine
@@ -1064,18 +1146,41 @@ class TestValidateDesign:
 
 
 class TestRunBatch:
-    def test_parallel_equals_inline(self, demo, monkeypatch):
+    def test_parallel_equals_inline(self, demo, monkeypatch, tmp_path):
         configs = [GenerationConfig(seed=s) for s in range(6)]
         monkeypatch.setenv("GRIDGRAM_THREADS", "1")
-        inline = run_batch(demo, GridConfig(1), configs)
+        inline = _written(demo, GridConfig(1), configs, tmp_path / "inline")
         monkeypatch.setenv("GRIDGRAM_THREADS", "2")
-        parallel = run_batch(demo, GridConfig(1), configs)
-        assert len(inline) == len(parallel) == 6
-        for a, b in zip(inline, parallel):
-            assert a.seed == b.seed
-            assert a.outcome == b.outcome
-            assert a.design_text == b.design_text
-            assert a.log_text == b.log_text
+        parallel = _written(demo, GridConfig(1), configs, tmp_path / "parallel")
+        assert [i.seed for i in inline[0]] == list(range(6))
+        assert len(inline[1]) == 12
+        assert inline == parallel
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_out_dir_gets_the_canonical_texts(self, demo, monkeypatch, tmp_path, workers):
+        configs = [GenerationConfig(seed=s) for s in range(3)]
+        monkeypatch.setenv("GRIDGRAM_THREADS", workers)
+        items, files = _written(demo, GridConfig(1), configs, tmp_path / "out")
+        expected = {}
+        for cfg, item in zip(configs, items):
+            design, log = generate(demo, GridConfig(1), cfg)
+            assert item.design_hash == design.hash == sha256_hex(design.serialize())
+            expected[f"design_{cfg.seed}.json"] = design.serialize() + "\n"
+            expected[f"log_{cfg.seed}.json"] = serialize_log(log) + "\n"
+        assert files == expected
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_repeated_seeds_under_out_dir_are_refused(
+        self, demo, monkeypatch, tmp_path, workers
+    ):
+        # Two different designs of seed 5: the second would overwrite the first's files.
+        configs = [GenerationConfig(5, "scanline", "first-match"), GenerationConfig(5)]
+        runs = _count_runs(monkeypatch)
+        monkeypatch.setenv("GRIDGRAM_THREADS", workers)
+        with pytest.raises(ValueError, match="seed 5 repeats"):
+            run_batch(demo, GridConfig(2), configs, out_dir=tmp_path)
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_receive_the_grammar_already_hashed(self, monkeypatch):
         grammar = parse_grammar(demo_uav_text())  # fingerprint not read yet
@@ -1105,12 +1210,14 @@ class TestRunBatch:
         configs = [GenerationConfig(seed=s) for s in (5, 5, 3)]
         items = run_batch(demo, GridConfig(1), configs)
         assert [i.seed for i in items] == [5, 5, 3]
-        assert items[0].design_text == items[1].design_text
+        assert items[0] == items[1]
 
-    def test_want_logs_false(self, demo):
-        items = run_batch(demo, GridConfig(1), [GenerationConfig(seed=1)], want_logs=False)
-        assert items[0].log_text is None
+    def test_without_out_dir_no_log_is_encoded_or_written(self, demo, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(Engine, "log_text", None)
+        items = run_batch(demo, GridConfig(1), [GenerationConfig(seed=1)])
         assert items[0].step_count > 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_batch(self, demo, monkeypatch):
         monkeypatch.setenv("GRIDGRAM_THREADS", "4")
@@ -1132,23 +1239,22 @@ class TestRunBatch:
 class TestBoundedMemory:
     """What a batch keeps does not grow with the number of designs it makes."""
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_items_written_to_out_dir_carry_no_texts(self, demo, monkeypatch, tmp_path, workers):
-        configs = [GenerationConfig(seed=s) for s in range(3)]
-        monkeypatch.setenv("GRIDGRAM_THREADS", "1")
-        texts = run_batch(demo, GridConfig(1), configs)
-        monkeypatch.setenv("GRIDGRAM_THREADS", workers)
-        written = run_batch(demo, GridConfig(1), configs, out_dir=tmp_path)
-        assert written == [replace(i, design_text=None, log_text=None) for i in texts]
-        for item in texts:
-            assert (tmp_path / f"design_{item.seed}.json").read_text() == item.design_text + "\n"
-            assert (tmp_path / f"log_{item.seed}.json").read_text() == item.log_text + "\n"
-        assert len(list(tmp_path.iterdir())) == 6
+    def test_a_batch_item_carries_no_texts(self, demo):
+        assert [f.name for f in dataclasses.fields(BatchItem)] == [
+            "seed", "design_hash", "counts", "step_count", "outcome",
+        ]
+        items = run_batch(demo, GridConfig(3), [GenerationConfig(seed=s) for s in range(4)])
+        # A design text alone is about 6 KB at n_half 3.
+        assert max(len(pickle.dumps(item)) for item in items) < 512
 
-    def test_pre_state_fragment_tables_stay_bounded(self, demo, monkeypatch):
+    def test_pre_state_fragment_tables_stay_bounded(self, demo, monkeypatch, tmp_path):
         monkeypatch.setenv("GRIDGRAM_THREADS", "1")
-        items = run_batch(demo, GridConfig(3), [GenerationConfig(seed=s) for s in range(200)])
-        steps = [step for item in items for step in json.loads(item.log_text)["steps"]]
+        configs = [GenerationConfig(seed=s) for s in range(200)]
+        _, files = _written(demo, GridConfig(3), configs, tmp_path / "out")
+        steps = [
+            step for name, text in files.items() if name.startswith("log_")
+            for step in json.loads(text)["steps"]
+        ]
         pre_states = {tuple(step["pre_state"]) for step in steps}
         # More distinct pre-states than the two tables can hold together.
         assert len(pre_states) > 512 + 4096
@@ -1173,20 +1279,21 @@ class TestEncodersMatchOracle:
     @pytest.mark.parametrize(
         "n_half, unit", [(0, None), (1, _ODD_UNIT), (2, None), (3, _ODD_UNIT)]
     )
-    def test_bytes_equal_the_oracle(self, demo, monkeypatch, n_half, unit):
+    def test_bytes_equal_the_oracle(self, demo, monkeypatch, tmp_path, n_half, unit):
         grid = GridConfig(n_half, unit)
+        # Two configs per (pair, max_steps), each with its own seed, so that
+        # no two configs write the same files.
         configs = [
-            GenerationConfig(seed, point, rule, max_steps)
-            for point in POINT_STRATEGIES
-            for rule in RULE_STRATEGIES
-            for max_steps in (None, 1, 7)
-            for seed in (n_half, 1000 + n_half)
+            GenerationConfig(n_half + 1000 * k, point, rule, max_steps)
+            for k, (point, rule, max_steps, _) in enumerate(
+                itertools.product(POINT_STRATEGIES, RULE_STRATEGIES, (None, 1, 7), range(2))
+            )
         ]
         monkeypatch.setenv("GRIDGRAM_THREADS", "1")
-        inline = run_batch(demo, grid, configs)
+        inline, files = _written(demo, grid, configs, tmp_path / "inline")
         monkeypatch.setenv("GRIDGRAM_THREADS", "2")
-        parallel = run_batch(demo, grid, configs)
-        for cfg, a, b in zip(configs, inline, parallel):
+        assert _written(demo, grid, configs, tmp_path / "parallel") == (inline, files)
+        for cfg, item in zip(configs, inline):
             design, log = generate(demo, grid, cfg)
             expected_design = encode_oracle.design_text(design)
             expected_log = encode_oracle.log_text(log)
@@ -1195,12 +1302,12 @@ class TestEncodersMatchOracle:
             assert design.serialize() == expected_design
             assert design.hash == encode_oracle.design_hash(design)
             assert serialize_log(log) == expected_log
-            for item in (a, b):
-                assert Design.parse(item.design_text) == design
-                assert item.design_text == expected_design
-                assert item.design_hash == log.design_hash
-                assert item.log_text == expected_log
-                assert item.counts == {s.label: n for s, n in design.counts().items()}
+            design_text = files[f"design_{cfg.seed}.json"]
+            assert Design.parse(design_text) == design
+            assert design_text == expected_design + "\n"
+            assert files[f"log_{cfg.seed}.json"] == expected_log + "\n"
+            assert item.design_hash == log.design_hash
+            assert item.counts == {s.label: n for s, n in design.counts().items()}
 
     def test_log_hash_is_computed_only_when_not_given(self, seed7_run):
         _, _, log = seed7_run
@@ -1242,24 +1349,26 @@ class TestGoldens:
 
     @pytest.mark.parametrize("n_half", [3, 5])
     @pytest.mark.parametrize("grammar_name", ["demo", "weighted_demo"])
-    def test_strategy_pair_hashes_are_stable(self, request, monkeypatch, grammar_name, n_half):
+    def test_strategy_pair_hashes_are_stable(
+        self, request, monkeypatch, tmp_path, grammar_name, n_half
+    ):
         """Design and log hashes of every strategy pair, frozen for 3 seeds."""
         frozen = json.loads((GOLDEN / "strategy_pairs.json").read_text())
         grammar = request.getfixturevalue(grammar_name)
         if grammar_name == "weighted_demo":
             assert [r.weight for r in grammar.rules] == frozen["weighted_demo rule weights"]
-        configs = [
-            GenerationConfig(seed=seed, point_strategy=p, rule_strategy=r)
-            for p in POINT_STRATEGIES for r in RULE_STRATEGIES for seed in frozen["seeds"]
-        ]
         monkeypatch.setenv("GRIDGRAM_THREADS", "1")
-        items = run_batch(grammar, GridConfig(n_half), configs)
-        got = {
-            f"{n_half}/{c.point_strategy}/{c.rule_strategy}/{c.seed}": {
-                "design": item.design_hash, "log": sha256_hex(item.log_text),
-            }
-            for c, item in zip(configs, items)
-        }
+        got = {}
+        # The pinned seeds repeat across pairs, so each pair writes to its own directory.
+        for p, r in itertools.product(POINT_STRATEGIES, RULE_STRATEGIES):
+            configs = [GenerationConfig(seed, p, r) for seed in frozen["seeds"]]
+            items, files = _written(grammar, GridConfig(n_half), configs, tmp_path / f"{p}-{r}")
+            for seed, item in zip(frozen["seeds"], items):
+                design, log = (files[f"{kind}_{seed}.json"] for kind in ("design", "log"))
+                assert sha256_hex(design.removesuffix("\n")) == item.design_hash
+                got[f"{n_half}/{p}/{r}/{seed}"] = {
+                    "design": item.design_hash, "log": sha256_hex(log.removesuffix("\n")),
+                }
         want = {
             k: v for k, v in frozen["grammars"][grammar_name].items()
             if k.startswith(f"{n_half}/")
