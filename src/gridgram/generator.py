@@ -707,8 +707,7 @@ def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
         _log_from_obj(obj, header)  # a malformed log is a format error first
         raise ReplayError("fingerprint", None, "log was produced by a different grammar")
     engine = shared_engine(grammar, grid_config)
-    run = engine.run(gen_config)
-    item, _ = _encode(engine, gen_config, run)
+    run, item, _ = _derive_one(engine, gen_config)
     cells, _, raw_steps, outcome = run
     log_text = engine.log_text(gen_config, raw_steps, outcome, item.design_hash)
     if text.removesuffix("\n") == log_text:
@@ -946,8 +945,9 @@ class BatchItem:
     outcome: str
 
 
-def _encode(engine: Engine, cfg: GenerationConfig, run: tuple) -> tuple[BatchItem, str]:
-    """The batch item of ``run``, the result of ``engine.run(cfg)``, and its design text."""
+def _derive_one(engine: Engine, cfg: GenerationConfig) -> tuple[tuple, BatchItem, str]:
+    """``engine.run(cfg)``, the batch item it makes, and its design text."""
+    run = engine.run(cfg)
     cells, edges, raw_steps, outcome = run
     design = engine.to_design(cells, edges)
     design_text = design.serialize()
@@ -958,7 +958,7 @@ def _encode(engine: Engine, cfg: GenerationConfig, run: tuple) -> tuple[BatchIte
         step_count=len(raw_steps),
         outcome=outcome,
     )
-    return item, design_text
+    return run, item, design_text
 
 
 def _derive(
@@ -975,8 +975,7 @@ def _derive(
     engine = shared_engine(grammar, grid_config)
     items = []
     for cfg in configs:
-        run = engine.run(cfg)
-        item, design_text = _encode(engine, cfg, run)
+        run, item, design_text = _derive_one(engine, cfg)
         if out_dir is not None:
             write_text(out_dir / f"design_{cfg.seed}.json", design_text + "\n", "design file")
             log_text = engine.log_text(cfg, run[2], run[3], item.design_hash)
@@ -1027,12 +1026,10 @@ def run_batch(
     raises ``WorkerDiedError`` with the pool's message; files already
     written stay, each whole.
     """
-    if out_dir is not None:
-        seen = set()
-        for cfg in configs:
-            if cfg.seed in seen:
-                raise ValueError(f"seed {cfg.seed} repeats: its files in out_dir would collide")
-            seen.add(cfg.seed)
+    seeds = [cfg.seed for cfg in configs]
+    if out_dir is not None and len(set(seeds)) < len(seeds):
+        seed = next(s for s in seeds if seeds.count(s) > 1)
+        raise ValueError(f"seed {seed} repeats: its files in out_dir would collide")
     nworkers = min(resolve_workers(), len(configs)) if configs else 1
     if nworkers <= 1:
         return _derive(grammar, grid_config, configs, out_dir)

@@ -4,38 +4,36 @@
 # that fails.
 #
 # Usage: tests/cli_smoke.sh OUTDIR
-# OUTDIR receives the generated files. PYTHON names the interpreter
-# (default: python). The package is run from this checkout's src/, without
-# writing bytecode.
+# OUTDIR receives the generated files. The package is run by the `python`
+# on PATH from this checkout's src/, without writing bytecode.
 set -eu
 mkdir -p "$1"
 out=$(cd "$1" && pwd)
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1
-py=${PYTHON:-python}
 grammar=src/gridgram/rulesets/demo_uav.json
 
 # Two processes: this one writes seeds 0 and 1, its one worker seed 2.
-GRIDGRAM_THREADS=2 "$py" -m gridgram generate "$grammar" --n-half 2 --count 3 --out-dir "$out"
-"$py" -m gridgram replay "$out/log_0.json" "$grammar"
-"$py" -m gridgram replay "$out/log_2.json" "$grammar"
+GRIDGRAM_THREADS=2 python -m gridgram generate "$grammar" --n-half 2 --count 3 --out-dir "$out"
+python -m gridgram replay "$out/log_0.json" "$grammar"
+python -m gridgram replay "$out/log_2.json" "$grammar"
 test -z "$(find "$out" -name '.*.tmp')"
-"$py" -m gridgram validate "$out/design_1.json"
-"$py" -m gridgram lint "$grammar"
-"$py" -m gridgram assign-dirs "$grammar"
-"$py" -m gridgram export "$out/design_0.json" --format dot
-"$py" -m gridgram bench "$grammar" --n-half 2 --count 2
-"$py" -m gridgram generate "$grammar" --n-half 2 --count 2 --rule-strategy weighted --out-dir "$out/weighted"
+python -m gridgram validate "$out/design_1.json"
+python -m gridgram lint "$grammar"
+python -m gridgram assign-dirs "$grammar"
+python -m gridgram export "$out/design_0.json" --format dot
+python -m gridgram bench "$grammar" --n-half 2 --count 2
+python -m gridgram generate "$grammar" --n-half 2 --count 2 --rule-strategy weighted --out-dir "$out/weighted"
 # A rule weight past 2**64 exits 3 at parse, not a hang in the weighted draw.
-"$py" -c 'import json, sys; o = json.load(open(sys.argv[1])); [r.update(weight=2**64 + 1) for r in o["rules"]]; open(sys.argv[2], "w").write(json.dumps(o))' "$grammar" "$out/heavy.json"
-rc=0; timeout 60 "$py" -m gridgram generate "$out/heavy.json" --rule-strategy weighted --out-dir "$out/heavy" || rc=$?
+python -c 'import json, sys; o = json.load(open(sys.argv[1])); [r.update(weight=2**64 + 1) for r in o["rules"]]; open(sys.argv[2], "w").write(json.dumps(o))' "$grammar" "$out/heavy.json"
+rc=0; timeout 60 python -m gridgram generate "$out/heavy.json" --rule-strategy weighted --out-dir "$out/heavy" || rc=$?
 test "$rc" = 3
 # The reject paths: a log naming a rule that does not match, and a
 # design that is not a JSON object.
-"$py" -c 'import json, sys; o = json.load(open(sys.argv[1])); o["steps"][5]["rule"] = "cap_front"; open(sys.argv[2], "w").write(json.dumps(o))' "$out/log_0.json" "$out/bad_log.json"
-rc=0; "$py" -m gridgram replay "$out/bad_log.json" "$grammar" 2> "$out/err.txt" || rc=$?
+python -c 'import json, sys; o = json.load(open(sys.argv[1])); o["steps"][5]["rule"] = "cap_front"; open(sys.argv[2], "w").write(json.dumps(o))' "$out/log_0.json" "$out/bad_log.json"
+rc=0; python -m gridgram replay "$out/bad_log.json" "$grammar" 2> "$out/err.txt" || rc=$?
 test "$rc" = 1
 case "$(cat "$out/err.txt")" in "replay failed: no-match at step 5: "*) ;; *) cat "$out/err.txt"; exit 1 ;; esac
 echo '[]' > "$out/bad_design.json"
-rc=0; "$py" -m gridgram validate "$out/bad_design.json" || rc=$?
+rc=0; python -m gridgram validate "$out/bad_design.json" || rc=$?
 test "$rc" = 3

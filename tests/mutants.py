@@ -10,14 +10,14 @@ timeout counts as a kill. The file is restored after every mutant.
 Usage (from the repository root, with a throwaway copy that includes
 ``perfbench/``)::
 
-    python tests/mutants.py COPY src/gridgram/generator.py _encode _derive run_batch \\
-        [--lines 712] [--lines 758-760] [--timeout 300]
+    python tests/mutants.py COPY src/gridgram/generator.py _derive_one _derive run_batch \\
+        [--lines 713] [--lines 759]
 
 ``FUNCTION`` names select whole top-level functions or methods
 (``Engine.run``); each ``--lines A[-B]`` adds the sites on those lines. The
-test command is tier-1 with ``-x -q -p no:cacheprovider --hypothesis-seed=0``.
-The file is rewritten with ``ast.unparse``, so the unmutated rewrite must
-pass first. Prints one line per mutant and a final count; the survivors are
+test command is tier-1 with ``-x -q -p no:cacheprovider --hypothesis-seed=0``,
+stopped after ``TIMEOUT`` seconds. The file is rewritten with
+``ast.unparse``, so the unmutated rewrite must pass first. Prints one line per mutant and a final count; the survivors are
 the lines marked ``SURVIVED``. Not collected by pytest.
 """
 
@@ -40,6 +40,7 @@ COMMAND = [
     sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
     "--continue-on-collection-errors", "--hypothesis-seed=0",
 ]
+TIMEOUT = 300  # seconds per suite run
 
 
 def _functions(tree: ast.Module, names: list[str]) -> list[ast.AST]:
@@ -92,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("file", help="the source file, relative to the repository root")
     ap.add_argument("functions", nargs="*")
     ap.add_argument("--lines", action="append", default=[], help="A[-B]: also these lines")
-    ap.add_argument("--timeout", type=int, default=300)
     args = ap.parse_args(argv)
     if args.copy.resolve() == Path(__file__).resolve().parents[1]:
         raise SystemExit("refusing to mutate the checkout itself; pass a copy")
@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     def suite_fails() -> bool:
         try:
             done = subprocess.run(
-                COMMAND, cwd=args.copy, env=env, timeout=args.timeout,
+                COMMAND, cwd=args.copy, env=env, timeout=TIMEOUT,
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
             return done.returncode != 0

@@ -10,11 +10,16 @@
 # packages borrows the pure-Python ones of the first interpreter that has
 # them, linked into a temporary directory on PYTHONPATH. Where pytest still
 # does not import (pytest 9 on 3.10 also needs exceptiongroup), tier-1 is
-# reported as skipped. Exits 1 if any check that ran failed.
+# reported as skipped. Exits 1 if any check that ran failed, or if pyenv
+# lists no Python 3.10-3.13, so an exit of 0 means some interpreter ran.
 set -u
 cd "$(dirname "$0")/.."
-root=$(pyenv root)
+root=$(pyenv root) || { echo "pyenv root failed" >&2; exit 1; }
 versions=$(pyenv versions --bare | grep -E '^3\.1[0-3]\.[0-9]+$')
+if [ -z "$versions" ]; then
+    echo "pyenv lists no Python 3.10-3.13" >&2
+    exit 1
+fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -62,7 +67,7 @@ for v in $versions; do
     summary+=$'\n'"$v:"
     echo "== Python $v"
     run bytes env PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1 "$py" tests/byte_checks.py
-    run cli env PYTHON="$py" bash tests/cli_smoke.sh "$tmp/cli-$v"
+    run cli env PATH="$root/versions/$v/bin:$PATH" bash tests/cli_smoke.sh "$tmp/cli-$v"
     if imports_tests "$py"; then
         extra=""
     elif imports_tests "$py" "$shim"; then
