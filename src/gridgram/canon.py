@@ -1,4 +1,4 @@
-"""Canonical JSON serialization and hashing, and one text encoder per artifact.
+"""Canonical JSON serialization and hashing, one text encoder per artifact, one JSON reader.
 
 Every hashed artifact (grammars, designs, derivation logs) is serialized the
 same way: sorted keys, no whitespace, ASCII. Floats are rejected outright so
@@ -13,7 +13,7 @@ writes the same bytes: ``serialize_grammar`` and so ``Grammar.fingerprint``
 the comparison in ``Design.parse``, where the document read from disk is
 dumped and compared with the design's own encoding, so that a float there
 shows up as a difference. Designs and logs have one encoder each,
-``encode_design`` and ``encode_log``; the log encoder writes the whole text
+``encode_design`` and ``encode_log``; the log encoder renders every step
 and computes log_hash itself unless handed a recorded one. They write the
 bytes ``canonical_json`` would write for the artifact's plain-data form,
 but from cached fragments: coordinates per point, labels per part of a
@@ -22,14 +22,18 @@ per rule name. Their cells, steps, nodes and edges are
 integers and fixed labels because the constructors of ``GridConfig``,
 ``GenerationConfig`` and ``DerivationStep`` refuse anything else, so they
 are not walked again.
+
+Every JSON input (grammar, log, design, profile) is read by ``load_json``,
+which turns any text it cannot read into the caller's format error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from functools import cache
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from gridgram.core import COMPONENTS, STORABLE, GridConfig, Point, Symbol
 
@@ -37,10 +41,8 @@ LOG_FORMAT = "gridgram-log-v1"
 DESIGN_FORMAT = "gridgram-design-v1"
 CELL_LETTERS = "FRWCEU"  # indexed by Symbol code
 
-#: One log step; fill with (index, ``x,y,z``, ``head[key & 511]``,
-#: ``tail[key >> 9]``, rule JSON), where ``head, tail = state_labels()`` and
-#: ``key`` is the packed pre-state.
-STEP_JSON = '{"index":%d,"point":[%s],"pre_state":["%s","%s"],"rule":%s}'
+#: One log step: index, ``x,y,z``, the two ``state_labels`` parts, rule JSON.
+_STEP_JSON = '{"index":%d,"point":[%s],"pre_state":["%s","%s"],"rule":%s}'
 
 _CELL_TABLE = bytes.maketrans(bytes(range(len(CELL_LETTERS))), CELL_LETTERS.encode())
 _CODE_TABLE = bytes.maketrans(CELL_LETTERS.encode(), bytes(range(len(CELL_LETTERS))))
@@ -149,20 +151,24 @@ def encode_design(
 
 
 def encode_log(
-    fingerprint: str,
-    grid_config: GridConfig,
-    generation_config: dict,
-    outcome: str,
-    design_hash: str,
-    steps: list[str],
-    log_hash: str | None = None,
+    fingerprint: str, grid_config: GridConfig, generation_config: dict, outcome: str,
+    design_hash: str, steps: Iterable[tuple], coords, rules, log_hash: str | None = None,
 ) -> str:
     """Canonical log text.
 
-    ``steps`` holds each step's ``STEP_JSON`` text. ``log_hash`` is the
-    SHA-256 of the log written without that field; it is computed when not
-    given, and a given one (a parsed log's recorded value) is written as is.
+    ``steps`` yields ``(index, (point, rule, key))`` per step: the index
+    written, the keys of its ``x,y,z`` text in ``coords`` and of its rule
+    name's JSON in ``rules``, and its packed pre-state key, whose labels
+    are ``low[key & 511]`` (ego, front, rear) and ``high[key >> 9]`` of
+    ``state_labels()``. ``log_hash`` is the SHA-256 of the log written
+    without that field; it is computed when not given, and a given one (a
+    parsed log's recorded value) is written as is.
     """
+    low, high = state_labels()
+    steps_text = ",".join([
+        _STEP_JSON % (i, coords[p], low[key & 511], high[key >> 9], rules[r])
+        for i, (p, r, key) in steps
+    ])
     head = canonical_json({
         "design_hash": design_hash,
         "format": LOG_FORMAT,
@@ -172,7 +178,30 @@ def encode_log(
         "outcome": outcome,
     })
     cut = head.rindex(',"outcome":')
-    head, tail = head[:cut], f'{head[cut:-1]},"steps":[{",".join(steps)}]}}'
+    head, tail = head[:cut], f'{head[cut:-1]},"steps":[{steps_text}]}}'
     if log_hash is None:
         log_hash = sha256_hex(head + tail)
     return f'{head},"log_hash":{json.dumps(log_hash)}{tail}'
+
+
+def load_json(text: str, error: Callable[[str, int | None, int | None], Exception]) -> Any:
+    """The value of the JSON ``text``; text it cannot read raises ``error(reason, line, col)``.
+
+    Line and column are None for the two reasons with no position: nesting
+    deeper than the parser's recursion limit, and an integer with more
+    digits than ``sys.get_int_max_str_digits()``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(e.msg, e.lineno, e.colno) from None
+    except RecursionError:
+        raise error("nested too deeply", None, None) from None
+    except ValueError:  # the one other refusal: an integer over the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise error(f"an integer has more than {limit} digits", None, None) from None
+
+
+def json_error(cls: type[Exception], what: str):
+    """A ``load_json`` error: ``cls`` of ``what: reason``, and ``(line n)`` where known."""
+    return lambda reason, line, _col: cls(f"{what}: {reason}" + (f" (line {line})" if line else ""))

@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from gridgram.canon import canonical_json
+from gridgram.canon import canonical_json, json_error, load_json
 from gridgram.core import MAX_N_HALF, GridConfig
 from gridgram.generator import (
     POINT_STRATEGIES,
@@ -178,12 +178,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     profile: dict = {}
     if args.profile is not None:
         text = _read_text(args.profile, "profile file")
-        try:
-            profile = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ProfileFormatError(
-                f"profile is not valid JSON: {e.msg} (line {e.lineno})"
-            ) from None
+        profile = load_json(text, json_error(ProfileFormatError, "profile is not valid JSON"))
         if not isinstance(profile, dict):
             raise ProfileFormatError("profile must be a JSON object")
     report = validate_design(design, profile)

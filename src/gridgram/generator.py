@@ -42,11 +42,13 @@ verification, accepted or rejected, derives once.
 
 Designs and logs are written by the one encoder each in ``gridgram.canon``.
 A design holds the engine's arrays as they are, so ``Design.serialize`` is
-the one path to the design encoder. A log is encoded from ``run``'s raw
-steps (``Engine.log_text``), where ``canon.encode_log`` computes log_hash,
-or from the parsed object (``serialize_log``), which passes its recorded
-log_hash. Each batch process encodes where it derives and writes the files
-itself (``run_batch``'s ``out_dir``).
+the one path to the design encoder. ``canon.encode_log`` renders every log
+step: ``Engine.log_text`` hands it ``run``'s raw steps, and ``serialize_log``
+a parsed log's steps with their recorded indices and log_hash. Each batch
+process encodes where it derives and writes the files itself
+(``run_batch``'s ``out_dir``). Logs and designs are read back by one helper
+(``_document``), which checks the format tag and the top-level keys, and
+every JSON text goes through ``canon.load_json``.
 
 Every derivation in the package runs on ``shared_engine``: one engine per
 process, kept for the last (grammar fingerprint, grid config) used, so
@@ -66,15 +68,15 @@ from pathlib import Path
 from gridgram.canon import (
     DESIGN_FORMAT,
     LOG_FORMAT,
-    STEP_JSON,
     cells_from_text,
     cells_text,
     compact_json,
     encode_design,
     encode_log,
+    json_error,
+    load_json,
     point_coords,
     sha256_hex,
-    state_labels,
     xyz,
 )
 from gridgram.core import (
@@ -234,6 +236,23 @@ def _exact(value: object, kind: type):
     return value
 
 
+_DESIGN_KEYS = frozenset({"format", "grid_config", "cells", "components", "counts"})
+_LOG_KEYS = frozenset({
+    "format", "grammar_fingerprint", "grid_config", "generation_config",
+    "steps", "outcome", "design_hash", "log_hash",
+})
+
+
+def _document(text: str, fmt: str, keys: frozenset[str], error: type[Exception]) -> dict:
+    """The object of ``text``: a ``fmt`` document with exactly ``keys``, else ``error``."""
+    obj = load_json(text, json_error(error, "not valid JSON"))
+    if not isinstance(obj, dict) or obj.get("format") != fmt:
+        raise error(f"not a {fmt} document")
+    if obj.keys() != keys:
+        raise error("unexpected or missing top-level keys")
+    return obj
+
+
 def _from_fields(cls, obj: object, what: str):
     """``cls(**obj)`` for an object whose keys are exactly ``cls``'s fields."""
     names = {f.name for f in fields(cls)}
@@ -268,12 +287,8 @@ class Design(Grid):
     @classmethod
     def parse(cls, text: str) -> Design:
         """Rebuild a design from its text, verifying internal consistency."""
+        obj = _document(text, DESIGN_FORMAT, _DESIGN_KEYS, DesignFormatError)
         try:
-            obj = json.loads(text)
-            if not isinstance(obj, dict) or obj.get("format") != DESIGN_FORMAT:
-                raise DesignFormatError(f"not a {DESIGN_FORMAT} document")
-            if obj.keys() != {"format", "grid_config", "cells", "components", "counts"}:
-                raise DesignFormatError("unexpected or missing top-level keys")
             cfg = _from_fields(GridConfig, obj["grid_config"], "grid_config")
             cells_text = obj["cells"]
             if not isinstance(cells_text, str) or len(cells_text) != cfg.point_count:
@@ -304,50 +319,25 @@ class Design(Grid):
                     "components or counts do not match the cell contents"
                 )
             return design
-        except DesignFormatError:
-            raise
-        except json.JSONDecodeError as e:
-            raise DesignFormatError(f"not valid JSON: {e.msg} (line {e.lineno})") from None
         except (KeyError, TypeError, ValueError) as e:
             raise DesignFormatError(f"malformed design: {e}") from None
 
 
 def serialize_log(log: DerivationLog) -> str:
-    rules: dict[str, str] = {}
-    head, tail = state_labels()
-    steps = []
-    for s in log.steps:
-        rule = rules.get(s.rule_name)
-        if rule is None:
-            rule = rules[s.rule_name] = json.dumps(s.rule_name)
-        key = s.pre_state.key
-        steps.append(STEP_JSON % (s.index, xyz(s.point), head[key & 511], tail[key >> 9], rule))
+    steps = log.steps
     return encode_log(
         log.grammar_fingerprint, log.grid_config, log.gen_config.to_obj(),
-        log.outcome, log.design_hash, steps, log.log_hash,
+        log.outcome, log.design_hash,
+        [(s.index, (s.point, s.rule_name, s.pre_state.key)) for s in steps],
+        {s.point: xyz(s.point) for s in steps},
+        {r: json.dumps(r) for r in {s.rule_name for s in steps}},
+        log.log_hash,
     )
 
 
-_LOG_KEYS = frozenset({
-    "format", "grammar_fingerprint", "grid_config", "generation_config",
-    "steps", "outcome", "design_hash", "log_hash",
-})
-
-
-def _load_log(text: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise LogFormatError(f"not valid JSON: {e.msg} (line {e.lineno})") from None
-
-
-def _log_header(obj: object) -> tuple[str, GridConfig, GenerationConfig]:
+def _log_header(obj: dict) -> tuple[str, GridConfig, GenerationConfig]:
     """The fingerprint and both configs of a loaded log; the steps are not read."""
     try:
-        if not isinstance(obj, dict) or obj.get("format") != LOG_FORMAT:
-            raise LogFormatError(f"not a {LOG_FORMAT} document")
-        if obj.keys() != _LOG_KEYS:
-            raise LogFormatError("unexpected or missing top-level keys")
         if obj["outcome"] not in OUTCOMES:
             raise LogFormatError(f"unknown outcome {obj['outcome']!r}")
         for h in (obj["grammar_fingerprint"], obj["design_hash"], obj["log_hash"]):
@@ -358,8 +348,6 @@ def _log_header(obj: object) -> tuple[str, GridConfig, GenerationConfig]:
             _from_fields(GridConfig, obj["grid_config"], "grid_config"),
             GenerationConfig.from_obj(obj["generation_config"]),
         )
-    except LogFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as e:
         raise LogFormatError(f"malformed log: {e}") from None
 
@@ -380,8 +368,6 @@ def _log_from_obj(obj: dict, header: tuple) -> DerivationLog:
                     pre_state=State.from_labels(_exact(s["pre_state"], list)),
                 )
             )
-    except LogFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as e:
         raise LogFormatError(f"malformed log: {e}") from None
     return DerivationLog(
@@ -397,7 +383,7 @@ def _log_from_obj(obj: dict, header: tuple) -> DerivationLog:
 
 def parse_log(text: str) -> DerivationLog:
     """Structural parse only; hash and replay verification is verify_log's job."""
-    obj = _load_log(text)
+    obj = _document(text, LOG_FORMAT, _LOG_KEYS, LogFormatError)
     return _log_from_obj(obj, _log_header(obj))
 
 
@@ -613,16 +599,10 @@ class Engine:
         design_hash: str,
     ) -> str:
         """Canonical log text, log_hash included, straight from ``run``'s raw steps."""
-        coords = point_coords(self.grid_config.n_half)
-        rules = self._rule_json
-        head, tail = state_labels()
-        steps = [
-            STEP_JSON % (i, coords[pi], head[key & 511], tail[key >> 9], rules[ri])
-            for i, (pi, ri, key) in enumerate(raw_steps)
-        ]
         return encode_log(
             self.grammar.fingerprint, self.grid_config, gen_config.to_obj(),
-            outcome, design_hash, steps,
+            outcome, design_hash, enumerate(raw_steps),
+            point_coords(self.grid_config.n_half), self._rule_json,
         )
 
     def to_log(
@@ -700,7 +680,7 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
 
 def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
     """``verify_log_text``; also returns the ``run`` result it verified against."""
-    obj = _load_log(text)
+    obj = _document(text, LOG_FORMAT, _LOG_KEYS, LogFormatError)
     header = _log_header(obj)
     fingerprint, grid_config, gen_config = header
     if fingerprint != grammar.fingerprint:

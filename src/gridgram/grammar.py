@@ -12,14 +12,13 @@ bit-vectors, so matching a state costs seven lookups and an AND.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from typing import Iterator
 
-from gridgram.canon import compact_json, sha256_hex
+from gridgram.canon import compact_json, load_json, sha256_hex
 from gridgram.core import COMPONENTS, NONTERMINALS, TERMINALS, Direction, State, Symbol
 
 #: What "*" means per direction: ego never admits Boundary. ``ContextPattern``
@@ -346,10 +345,7 @@ def parse_grammar(text: str) -> Grammar:
     An error inside a rule reports the line of the rule's name (of its
     second occurrence for a duplicate name), looked up only once raised.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GrammarParseError("syntax", e.msg, "$", e.lineno, e.colno) from None
+    doc = load_json(text, lambda msg, line, col: GrammarParseError("syntax", msg, "$", line, col))
     if not isinstance(doc, dict):
         raise GrammarParseError("format", "top level must be an object", "$", 1)
     try:

@@ -37,3 +37,9 @@ case "$(cat "$out/err.txt")" in "replay failed: no-match at step 5: "*) ;; *) ca
 echo '[]' > "$out/bad_design.json"
 rc=0; python -m gridgram validate "$out/bad_design.json" || rc=$?
 test "$rc" = 3
+# A log nested 100,000 deep exits 3 with an error line, not a traceback,
+# at the stack depth of a fresh process.
+python -c 'import sys; open(sys.argv[1], "w").write("[" * 100000 + "]" * 100000)' "$out/deep_log.json"
+rc=0; python -m gridgram replay "$out/deep_log.json" "$grammar" 2> "$out/err.txt" || rc=$?
+test "$rc" = 3
+if grep -q Traceback "$out/err.txt"; then cat "$out/err.txt"; exit 1; fi

@@ -694,6 +694,21 @@ PARSE_ERRORS = [
             ('{"Rotor": [null, -1]}', "'Rotor': bounds must be >= 0"),
         ]
     ],
+    # JSON no reader takes in: nesting past the recursion limit, and an
+    # integer past the digit limit of int conversion.
+    *[
+        (f"{name}-{cause}", argv, content, f"error: {prefix}{fragment}")
+        for name, argv, prefix in [
+            ("grammar", ["lint", "input"], "syntax at $: "),
+            ("log", REPLAY, "not valid JSON: "),
+            ("design", ["export", "input"], "not valid JSON: "),
+            ("profile", PROFILE, "profile is not valid JSON: "),
+        ]
+        for cause, content, fragment in [
+            ("nested-too-deep", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+            ("long-integer", "9" * 5000, "an integer has more than"),
+        ]
+    ],
     *[
         (f"non-utf8-{name}", argv, b'{"name": "\xff"}', "not UTF-8")
         for name, argv in [

@@ -1314,9 +1314,13 @@ class TestEncodersMatchOracle:
     def test_log_hash_is_computed_only_when_not_given(self, seed7_run):
         _, _, log = seed7_run
         obj = encode_oracle.log_obj(log)
+        # Step k's point and rule are entry k of the two lists.
         fields = (
             log.grammar_fingerprint, log.grid_config, obj["generation_config"],
-            log.outcome, log.design_hash, [canonical_json(s) for s in obj["steps"]],
+            log.outcome, log.design_hash,
+            [(s.index, (k, k, s.pre_state.key)) for k, s in enumerate(log.steps)],
+            [",".join(map(str, s["point"])) for s in obj["steps"]],
+            [json.dumps(s["rule"]) for s in obj["steps"]],
         )
         assert encode_log(*fields) == encode_oracle.log_text(log)
         recorded = replace(log, log_hash="f" * 64)
