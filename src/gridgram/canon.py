@@ -10,18 +10,21 @@ JSON output (result lines, validation reports, lint findings). Where the
 constructors already refuse floats the walk is skipped and ``compact_json``
 writes the same bytes: ``serialize_grammar`` and so ``Grammar.fingerprint``
 (``Grammar`` and ``Rule`` admit only string names and integer weights), and
-the comparison in ``Design.parse``, where the document read from disk is
-dumped and compared with the design's own encoding, so that a float there
-shows up as a difference. Designs and logs have one encoder each,
-``encode_design`` and ``encode_log``; the log encoder renders every step
-and computes log_hash itself unless handed a recorded one. They write the
-bytes ``canonical_json`` would write for the artifact's plain-data form,
-but from cached fragments: coordinates per point, labels per part of a
-packed pre-state key (``state_labels``, two tables of fixed size), JSON
-per rule name. Their cells, steps, nodes and edges are
-integers and fixed labels because the constructors of ``GridConfig``,
-``GenerationConfig`` and ``DerivationStep`` refuse anything else, so they
-are not walked again.
+the comparison in ``Design.parse``. There a text that is the design's own
+encoding needs no dump; any other text's document is dumped and compared
+with that encoding, so that a float there shows up as a difference.
+Designs and logs have one encoder each, ``encode_design`` and
+``encode_log``; the log encoder renders every step and computes log_hash
+itself unless handed a recorded one. They write the bytes
+``canonical_json`` would write for the artifact's plain-data form, but
+from cached fragments: coordinates per point, labels per part of a packed
+pre-state key (``state_labels``, two tables of fixed size), JSON per rule
+name. Their cells, steps, nodes and edges are integers and fixed labels
+because the constructors of ``GridConfig``, ``GenerationConfig`` and
+``DerivationStep`` refuse anything else, so they are not walked again.
+``"steps"`` sorts after every other log key, so a log's header is the
+text before its first ``,"steps":[``, which is all a verifier reads of a
+log it accepts.
 
 Every JSON input (grammar, log, design, profile) is read by ``load_json``,
 which turns any text it cannot read into the caller's format error.

@@ -8,7 +8,7 @@ as the sentinel symbol ``Boundary`` when a neighborhood is read, but
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
 from itertools import product
@@ -125,7 +125,7 @@ STORABLE = TERMINALS | NONTERMINALS
 
 _SYMBOLS_BY_LABEL = {s.label: s for s in Symbol}
 _SYMBOLS = list(Symbol)  # indexed by code
-_COMPONENT_CODES = frozenset(int(s) for s in COMPONENTS)
+COMPONENT_CODES = frozenset(int(s) for s in COMPONENTS)
 _STORABLE_CODES = frozenset(int(s) for s in STORABLE)
 
 
@@ -177,6 +177,16 @@ def _points(n_half: int) -> tuple[Point, ...]:
     return tuple(product(range(-n_half, n_half + 1), repeat=3))
 
 
+@cache
+def point_index(n_half: int) -> dict[Point, int]:
+    """The cell index of every in-grid point, built once per grid size.
+
+    Keys are tuples of ints; ``(1.0, 0, 0)`` and ``(True, 0, 0)`` hash
+    alike, so a caller with outside input checks the types first.
+    """
+    return {p: i for i, p in enumerate(_points(n_half))}
+
+
 def neighbor(p: Point, d: Direction) -> Point:
     """The point one lattice step from ``p`` in direction ``d`` (p itself for ego).
 
@@ -195,15 +205,23 @@ class State:
     Indexed by Direction. The ego entry is never Boundary; non-ego entries are
     Boundary exactly where the neighbor falls outside the grid. Concrete rule
     contexts reuse this type.
+
+    ``key`` is the packed 21-bit encoding, 3 bits per direction in canonical
+    order. It is computed once, on construction, and takes no part in
+    equality, hashing or ``repr``.
     """
 
     symbols: tuple[Symbol, ...]
+    key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.symbols) != 7:
             raise ValueError(f"state needs 7 symbols, got {len(self.symbols)}")
         if self.symbols[Direction.EGO] is Symbol.BOUNDARY:
             raise ValueError("ego symbol may not be Boundary")
+        a, b, c, d, e, f, g = self.symbols
+        key = a | b << 3 | c << 6 | d << 9 | e << 12 | f << 15 | g << 18
+        object.__setattr__(self, "key", key)
 
     def at(self, d: Direction) -> Symbol:
         return self.symbols[d]
@@ -211,14 +229,6 @@ class State:
     @property
     def ego(self) -> Symbol:
         return self.symbols[Direction.EGO]
-
-    @property
-    def key(self) -> int:
-        """Packed 21-bit encoding: 3 bits per direction in canonical order."""
-        k = 0
-        for i, s in enumerate(self.symbols):
-            k |= s << (3 * i)
-        return k
 
     @classmethod
     def from_key(cls, key: int) -> State:
@@ -287,7 +297,7 @@ class Grid:
         return [
             (p, _SYMBOLS[c])
             for p, c in zip(self.points(), self._cells)
-            if c in _COMPONENT_CODES
+            if c in COMPONENT_CODES
         ]
 
     def audit(self) -> list[str]:
@@ -310,7 +320,7 @@ class Grid:
                 if abs(p[0] - q[0]) + abs(p[1] - q[1]) + abs(p[2] - q[2]) != 1:
                     problems.append(f"edge {p}-{q} joins non-adjacent points")
                 for end, c in ((p, cells[a]), (q, cells[b])):
-                    if c not in _COMPONENT_CODES:
+                    if c not in COMPONENT_CODES:
                         problems.append(f"edge endpoint {end} holds {_label(c)}")
         return problems
 

@@ -34,11 +34,16 @@ of a log that fails.
 Logs carry hashes of their own content and of the produced design.
 Verification (``verify_log_text``) re-runs the engine on the log's recorded
 configs, encodes that run exactly as ``run_batch`` does, and requires the
-log's text to be the log it writes (one trailing newline allowed). Only a
-log that fails is parsed into objects, so that the first fault can be
-named; one with no fault but other bytes (whitespace, key order) is refused
-as non-canonical. Naming the fault reads the run already made, so each
-verification, accepted or rejected, derives once.
+log's text to be the log it writes (one trailing newline allowed). An
+accepted log is read only as far as its header: ``encode_log`` writes
+``"steps"`` last, so the configs come from the text before the first
+``,"steps":[``, and the one string comparison accepts the whole text. Any
+other log is loaded whole and judged on the configs it records. Only a log
+that fails is parsed into objects, so that the first fault can be named;
+one with no fault but other bytes (whitespace, key order) is refused as
+non-canonical. Naming the fault reads the run already made, so each
+verification derives once unless the whole text records other configs
+than its header slice.
 
 Designs and logs are written by the one encoder each in ``gridgram.canon``.
 A design holds the engine's arrays as they are, so ``Design.serialize`` is
@@ -48,7 +53,9 @@ a parsed log's steps with their recorded indices and log_hash. Each batch
 process encodes where it derives and writes the files itself
 (``run_batch``'s ``out_dir``). Logs and designs are read back by one helper
 (``_document``), which checks the format tag and the top-level keys, and
-every JSON text goes through ``canon.load_json``.
+every JSON text goes through ``canon.load_json``. ``Design.parse`` accepts a
+text that is the design's own encoding as it is, and compares the loaded
+document with that encoding only when the two texts differ.
 
 Every derivation in the package runs on ``shared_engine``: one engine per
 process, kept for the last (grammar fingerprint, grid config) used, so
@@ -80,6 +87,7 @@ from gridgram.canon import (
     xyz,
 )
 from gridgram.core import (
+    COMPONENT_CODES,
     Direction,
     Grid,
     GridConfig,
@@ -89,6 +97,7 @@ from gridgram.core import (
     Point,
     State,
     Symbol,
+    point_index,
 )
 from gridgram.grammar import (
     Grammar,
@@ -299,22 +308,26 @@ class Design(Grid):
                 cells = cells_from_text(cells_text)
             except ValueError as e:
                 raise DesignFormatError(str(e)) from None
+            index = point_index(cfg.n_half)
             edges = set()
             for end_a, end_b in obj["components"]["edges"]:
                 a, b = tuple(end_a), tuple(end_b)
                 if len(a) != 3 or len(b) != 3 or set(map(type, a + b)) != {int}:
                     raise TypeError(f"edge ends must be integer points, got {[end_a, end_b]!r}")
-                if not (cfg.contains(a) and cfg.contains(b)):
+                i, j = index.get(a), index.get(b)
+                if i is None or j is None:
                     raise DesignFormatError(f"edge {a}-{b} leaves the grid")
-                i, j = cfg.index_of(a), cfg.index_of(b)
                 edges.add((i, j) if i <= j else (j, i))
             design = cls(cfg, cells, edges)
             problems = design.audit()
             if problems:
                 raise DesignFormatError("; ".join(problems))
+            # A text that is the design's own encoding (one trailing newline
+            # allowed) is accepted as it is; any other is compared as data.
             # The encoder writes integers only, so a float, NaN or boolean
-            # anywhere in ``obj`` makes the two texts differ.
-            if compact_json(obj) != design.serialize():
+            # anywhere in ``obj`` makes the two differ.
+            canonical = design.serialize()
+            if text.removesuffix("\n") != canonical and compact_json(obj) != canonical:
                 raise DesignFormatError(
                     "components or counts do not match the cell contents"
                 )
@@ -658,19 +671,26 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
     is checked, the engine re-runs the configs into the item ``run_batch``
     would make for them, and the log text it would write is compared with
     ``text`` as one string. That comparison covers the steps, the design
-    hash, the outcome and the log hash together.
+    hash, the outcome and the log hash together. An accepted log is read
+    only as far as its header, the text before the first ``,"steps":[``:
+    a text equal to the canonical log of that header is that log.
 
-    A foreign fingerprint is refused, once the whole log has parsed, before
-    any engine is built. Otherwise the log is parsed into objects only when
-    the comparison fails, and the first fault is named by the ordered checks:
+    When the header slice does not load, names another grammar or leads to
+    a text that differs, the whole text is loaded. A foreign fingerprint is
+    refused once the whole log has parsed, with no engine built unless the
+    header slice named this grammar. Otherwise the log is parsed into
+    objects and judged on a run of the configs the whole text records (the
+    slice's run when they are the same); the first fault is named by the
+    ordered checks:
     the steps in order, then a log that stops early or runs on
     (``divergence`` where the shorter one ends), design hash, outcome, log
     hash. At the first step that differs from the run, its index, point,
     pre-state (read off the run's cells as they stood before that step) and
     rule are checked before it is called ``divergence``. The checks read
-    only the run already made, so every log, accepted or rejected, is
-    derived once. A log that passes all of them differs from the canonical
-    text only in its rendering (whitespace, key order): ``non-canonical``.
+    only the run already made, so a log is derived once unless a header
+    key written again after ``"steps"`` changes its configs. A log that
+    passes all of them differs from the canonical text only in its
+    rendering (whitespace, key order): ``non-canonical``.
 
     The engine is ``shared_engine``'s, so verifying many logs of one grammar
     and grid size builds one engine and keeps its memo warm.
@@ -678,20 +698,52 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
     return _verify(text, grammar)[1]
 
 
+def _head(text: str) -> tuple | None:
+    """The ``_log_header`` of ``text`` read only up to its first ``,"steps":[``.
+
+    ``encode_log`` writes ``"steps"`` last, so in a canonical log that slice,
+    closed with ``}``, is the whole header. None on any doubt: no such
+    slice, or one that does not load or is not a well-formed header.
+    """
+    cut = text.find(',"steps":[')
+    if cut == -1:
+        return None
+    try:
+        return _log_header(load_json(text[:cut] + "}", json_error(LogFormatError, "")))
+    except LogFormatError:
+        return None
+
+
+def _rederive(grammar: Grammar, header: tuple) -> tuple[tuple, BatchItem, str]:
+    """The ``run`` result and batch item of ``header``'s configs, and their log text."""
+    _, grid_config, gen_config = header
+    engine = shared_engine(grammar, grid_config)
+    run, item, _ = _derive_one(engine, gen_config)
+    return run, item, engine.log_text(gen_config, run[2], run[3], item.design_hash)
+
+
 def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
     """``verify_log_text``; also returns the ``run`` result it verified against."""
+    head = _head(text)
+    if head is not None and head[0] == grammar.fingerprint:
+        # Equal to the canonical log of the header it was derived from, the
+        # text is that log, and the whole-text checks below would accept it.
+        run, item, log_text = _rederive(grammar, head)
+        if text.removesuffix("\n") == log_text:
+            return run, item
+
     obj = _document(text, LOG_FORMAT, _LOG_KEYS, LogFormatError)
     header = _log_header(obj)
-    fingerprint, grid_config, gen_config = header
+    fingerprint, grid_config, _ = header
     if fingerprint != grammar.fingerprint:
         _log_from_obj(obj, header)  # a malformed log is a format error first
         raise ReplayError("fingerprint", None, "log was produced by a different grammar")
-    engine = shared_engine(grammar, grid_config)
-    run, item, _ = _derive_one(engine, gen_config)
+    # A canonical text has a head equal to its header, so a text whose
+    # header differs (or whose head did not read) is never canonical: the
+    # run that names its fault is of the configs the whole text records.
+    if header != head:
+        run, item, log_text = _rederive(grammar, header)
     cells, _, raw_steps, outcome = run
-    log_text = engine.log_text(gen_config, raw_steps, outcome, item.design_hash)
-    if text.removesuffix("\n") == log_text:
-        return run, item
 
     log = _log_from_obj(obj, header)
     pts, rules = grid_config.points(), grammar.rules
@@ -796,8 +848,13 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
     checks: list[CheckResult] = []
     counts = design.counts()
     if profile.get("require_connected") or profile.get("forbid_isolated"):
-        nodes = [p for p, _ in design.component_points()]
-        edges = design.edges()
+        # Each component cell's neighbours along the index edges, by cell index.
+        adj: dict[int, list[int]] = {
+            i: [] for i, c in enumerate(design._cells) if c in COMPONENT_CODES
+        }
+        for a, b in design._edges:
+            adj[a].append(b)
+            adj[b].append(a)
 
     if profile.get("require_complete"):
         left = counts[Symbol.UNOCCUPIED]
@@ -805,24 +862,17 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
             CheckResult("complete", left == 0, f"{left} nonterminal point(s) remain")
         )
     if profile.get("require_connected"):
-        reached = _connected_component(nodes, edges)
-        ok = len(reached) == len(nodes)
+        reached = _reached(adj)
         checks.append(
             CheckResult(
-                "connected", ok,
-                f"{len(reached)} of {len(nodes)} component point(s) in one component",
+                "connected", reached == len(adj),
+                f"{reached} of {len(adj)} component point(s) in one component",
             )
         )
     if profile.get("forbid_isolated"):
-        degree = {p: 0 for p in nodes}
-        for a, b in edges:
-            degree[a] += 1
-            degree[b] += 1
-        isolated = [p for p, d in degree.items() if d == 0] if len(nodes) > 1 else []
+        isolated = sum(not ends for ends in adj.values()) if len(adj) > 1 else 0
         checks.append(
-            CheckResult(
-                "no-isolated", not isolated, f"{len(isolated)} isolated component point(s)"
-            )
+            CheckResult("no-isolated", not isolated, f"{isolated} isolated component point(s)")
         )
     count_bounds = profile.get("counts", {})
     if not isinstance(count_bounds, dict):
@@ -853,21 +903,19 @@ def validate_design(design: Design, profile: dict) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def _connected_component(nodes: list[Point], edges: list[tuple[Point, Point]]) -> set[Point]:
-    if not nodes:
-        return set()
-    adj: dict[Point, list[Point]] = {p: [] for p in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
+def _reached(adj: dict[int, list[int]]) -> int:
+    """How many nodes of ``adj`` its first node reaches, itself included."""
+    if not adj:
+        return 0
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
     while stack:
         for q in adj[stack.pop()]:
             if q not in seen:
                 seen.add(q)
                 stack.append(q)
-    return seen
+    return len(seen)
 
 
 #: Most worker processes a batch uses, whatever is requested.

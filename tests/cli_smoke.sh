@@ -43,3 +43,12 @@ python -c 'import sys; open(sys.argv[1], "w").write("[" * 100000 + "]" * 100000)
 rc=0; python -m gridgram replay "$out/deep_log.json" "$grammar" 2> "$out/err.txt" || rc=$?
 test "$rc" = 3
 if grep -q Traceback "$out/err.txt"; then cat "$out/err.txt"; exit 1; fi
+# A header key written again after "steps" is judged as JSON reads it (the
+# last value): the next seed's run refutes the recorded steps.
+python -c 'import json, sys; t = open(sys.argv[1]).read().rstrip("\n"); g = json.loads(t)["generation_config"]; g["seed"] += 1; open(sys.argv[2], "w").write(t[:-1] + ",\"generation_config\":" + json.dumps(g) + "}")' "$out/log_0.json" "$out/restated_log.json"
+rc=0; python -m gridgram replay "$out/restated_log.json" "$grammar" 2> "$out/err.txt" || rc=$?
+test "$rc" = 1
+case "$(cat "$out/err.txt")" in "replay failed: divergence at step "*) ;; *) cat "$out/err.txt"; exit 1 ;; esac
+# A design rendered with other whitespace is read for its content.
+python -c 'import json, sys; open(sys.argv[2], "w").write(json.dumps(json.load(open(sys.argv[1])), indent=1))' "$out/design_1.json" "$out/indented_design.json"
+python -m gridgram validate "$out/indented_design.json"

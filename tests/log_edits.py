@@ -15,6 +15,11 @@ well. Further step edits shift an index, put a point outside the grid and
 name a rule the grammar lacks. The forgeries recompute log_hash, so only
 re-deriving exposes them. ``NON_CANONICAL`` holds renderings of the genuine
 log that differ from its canonical text only in layout.
+
+``MISREAD_HEADERS`` holds texts whose header, read only up to the first
+``,"steps":[``, is not the header the whole text records: a header key
+written again after ``"steps"`` (JSON keeps the last), and a ``"steps"``
+key nested in a config. Each must get the verdict of the whole text.
 """
 
 from __future__ import annotations
@@ -178,4 +183,47 @@ NON_CANONICAL = [
         _reordered(json.loads(text)), separators=(",", ":")
     )),
     ("two-trailing-newlines", lambda text: text + "\n\n"),
+]
+
+
+
+def _restated(change, *keys):
+    """The genuine text, then ``keys`` written again after "steps" as ``change`` leaves them."""
+
+    def edit(log, grammar):
+        text = serialize_log(log)
+        obj = json.loads(text)
+        change(obj, grammar)
+        return text[:-1] + "".join(f',"{k}":{_dumped(obj[k])}' for k in keys) + "}"
+
+    return edit
+
+
+def _foreign_first(edit):
+    """``edit`` with the first fingerprint of its text, the header's, made foreign."""
+
+    def foreign(log, grammar):
+        fp = log.grammar_fingerprint
+        return edit(log, grammar).replace(fp, ("0" if fp[0] != "0" else "1") + fp[1:], 1)
+
+    return foreign
+
+
+def _nested_steps(key):
+    return _field_edit(lambda obj, _grammar: obj[key].update(steps=[]))
+
+
+#: (id, edit, (kind, step)); kind "format" is a ``LogFormatError``.
+MISREAD_HEADERS = [
+    ("seed-restated", _restated(_seed, "generation_config"), ("divergence", 1)),
+    ("outcome-restated", _restated(_outcome, "outcome"), ("outcome", None)),
+    ("fingerprint-restated", _restated(
+        _flip_first("grammar_fingerprint"), "grammar_fingerprint"
+    ), ("fingerprint", None)),
+    # The slice names another grammar; the whole text, this one.
+    ("genuine-fingerprint-restated", _foreign_first(
+        _restated(_seed, "grammar_fingerprint", "generation_config")
+    ), ("divergence", 1)),
+    ("steps-in-grid_config", _nested_steps("grid_config"), ("format", None)),
+    ("steps-in-generation_config", _nested_steps("generation_config"), ("format", None)),
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +124,12 @@ class TestState:
         s = State(syms)
         assert 0 <= s.key < 1 << 21
         assert State.from_key(s.key) == s
+
+    def test_key_is_not_a_field_of_equality_or_repr(self):
+        s = State((Symbol.UNOCCUPIED,) * 7)
+        t = dataclasses.replace(s, symbols=(Symbol.UNOCCUPIED,) + (Symbol.ROTOR,) * 6)
+        assert t.key == State.from_key(t.key).key == 0o1111115 != s.key
+        assert repr(s) == f"State(symbols={s.symbols!r})"
 
     def test_labels_round_trip(self):
         s = State.from_labels(

@@ -26,6 +26,7 @@ from gridgram.generator import (
     POINT_STRATEGIES,
     RULE_STRATEGIES,
     BatchItem,
+    CheckResult,
     Design,
     DesignFormatError,
     DerivationStep,
@@ -668,6 +669,11 @@ class TestLogTextVerification:
         batch = run_batch(demo, log.grid_config, [log.gen_config])
         assert verify_log_text(text, demo) == batch[0]
 
+    def test_genuine_text_is_read_only_as_far_as_its_header(self, demo, genuine, monkeypatch):
+        monkeypatch.setattr(generator, "_document", None)
+        for candidate in (genuine[1], genuine[1] + "\n"):
+            assert verify_log_text(candidate, demo).design_hash == genuine[0].design_hash
+
     def test_genuine_text_is_derived_once(self, demo, genuine, monkeypatch, cold):
         runs = _count_runs(monkeypatch)
         verify_log_text(genuine[1], demo)
@@ -703,6 +709,34 @@ class TestLogTextVerification:
         with pytest.raises(ReplayError) as e:
             verify_log_text(other, demo)
         assert (e.value.kind, e.value.step) == ("non-canonical", None)
+
+    @pytest.mark.parametrize(
+        "edit, verdict",
+        [e[1:] for e in log_edits.MISREAD_HEADERS],
+        ids=[e[0] for e in log_edits.MISREAD_HEADERS],
+    )
+    def test_a_misread_header_gets_the_whole_texts_verdict(
+        self, demo, genuine, edit, verdict, monkeypatch, cold
+    ):
+        text = edit(genuine[0], demo)
+        runs = _count_runs(monkeypatch)
+        if verdict[0] == "format":
+            with pytest.raises(LogFormatError) as e:
+                verify_log_text(text, demo)
+            with pytest.raises(LogFormatError) as whole:
+                parse_log(text)
+            assert str(e.value) == str(whole.value)
+            assert runs == []
+            return
+        with pytest.raises(ReplayError) as e:
+            verify_log_text(text, demo)
+        assert (e.value.kind, e.value.step) == verdict
+        if verdict[0] != "fingerprint":
+            # The last run, which names the fault, is of the configs recorded last.
+            assert runs[-1] == GenerationConfig.from_obj(json.loads(text)["generation_config"])
+        with pytest.raises(ReplayError) as e:
+            verify_log(parse_log(text), demo)
+        assert (e.value.kind, e.value.step) == verdict
 
     @pytest.mark.parametrize("name", ["rule", "log_hash"])
     def test_a_rejected_log_builds_one_engine(self, demo, genuine, monkeypatch, cold, name):
@@ -938,6 +972,20 @@ class TestDesignSerialization:
         assert again == seed13_design
         assert again.hash == seed13_design.hash
 
+    def test_its_own_encoding_is_not_dumped_again(self, seed13_design, monkeypatch):
+        monkeypatch.setattr(generator, "compact_json", None)
+        text = seed13_design.serialize()
+        assert Design.parse(text) == Design.parse(text + "\n") == seed13_design
+
+    @pytest.mark.parametrize(
+        "render",
+        [r for _, r in log_edits.NON_CANONICAL],
+        ids=[name for name, _ in log_edits.NON_CANONICAL],
+    )
+    def test_other_renderings_parse_to_the_same_design(self, seed13_design, render):
+        # Only the content is checked: the text need not be the canonical one.
+        assert Design.parse(render(seed13_design.serialize())) == seed13_design
+
     def test_cells_text_letters(self):
         canvas = Canvas(GridConfig(1), {(0, 0, 0): Symbol.FUSELAGE})
         text = Design(GridConfig(1), canvas.cells, canvas.edges).cells_text()
@@ -1073,6 +1121,12 @@ class TestValidateDesign:
             dict.fromkeys(flags, True),
         )
         assert {c.check for c in report.failures()} == failed
+
+    def test_no_component_points_are_connected(self):
+        report = validate_design(self._design(), {"require_connected": True})
+        assert report.checks == (
+            CheckResult("connected", True, "0 of 0 component point(s) in one component"),
+        )
 
     def test_single_node_is_connected_and_not_isolated(self):
         report = validate_design(
