@@ -17,8 +17,11 @@ Usage (from the repository root, with a throwaway copy that includes
 (``Engine.run``); each ``--lines A[-B]`` adds the sites on those lines. The
 test command is tier-1 with ``-x -q -p no:cacheprovider --hypothesis-seed=0``,
 stopped after ``TIMEOUT`` seconds. The file is rewritten with
-``ast.unparse``, so the unmutated rewrite must pass first. Prints one line per mutant and a final count; the survivors are
-the lines marked ``SURVIVED``. Not collected by pytest.
+``ast.unparse``, so the unmutated rewrite must pass first. Prints one line per
+mutant and a final count; the survivors are the lines marked ``SURVIVED``.
+Each line names the mutant's site index in the whole file, source line, column
+and (in a chained comparison) operator index, so two runs over the same source
+compare with a plain ``diff``. Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -60,18 +63,23 @@ def _functions(tree: ast.Module, names: list[str]) -> list[ast.AST]:
 
 
 def sites(tree: ast.Module, names: list[str], lines: set[int]) -> list[tuple]:
-    """(node, index into its ops or None, line) for every swappable operator in scope."""
+    """(site index, node, index into its ops or None, line) for every swappable operator in scope.
+
+    Site indices count every swappable operator of the file, in scope or
+    not, so a site keeps its index whatever the selection.
+    """
     scope = {id(n) for f in _functions(tree, names) for n in ast.walk(f)}
-    out = []
+    out, n = [], 0
     for node in ast.walk(tree):
-        line = getattr(node, "lineno", None)
-        if id(node) not in scope and line not in lines:
-            continue
         if isinstance(node, ast.Compare):
-            out += [(node, i, line) for i, op in enumerate(node.ops) if type(op) in SWAPS]
-        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)):
-            if type(node.op) in SWAPS:
-                out.append((node, None, line))
+            ops = [i for i, op in enumerate(node.ops) if type(op) in SWAPS]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
+            ops = [None]
+        else:
+            continue
+        if id(node) in scope or node.lineno in lines:
+            out += [(n + j, node, i, node.lineno) for j, i in enumerate(ops)]
+        n += len(ops)
     return out
 
 
@@ -122,12 +130,14 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit("the suite fails on the unmutated rewrite; nothing to audit")
         for k in range(count):
             tree = ast.parse(original)  # a fresh tree per mutant: one swap each
-            node, i, line = sites(tree, args.functions, lines)[k]
+            site, node, i, line = sites(tree, args.functions, lines)[k]
             label = _flip(node, i)
             target.write_text(ast.unparse(tree))
             killed = suite_fails()
             survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED'} line {line} {label}", flush=True)
+            op = "" if i is None else f" op {i}"
+            where = f"site {site} line {line} col {node.col_offset}{op}"
+            print(f"{'killed' if killed else 'SURVIVED'} {where} {label}", flush=True)
     finally:
         target.write_text(original)
     print(f"{count - survivors} of {count} killed")

@@ -1,6 +1,7 @@
 """Release checks for the whole package, one numbered criterion per test.
 
-Each test prints a single ``criterion N: PASS/FAIL (...)`` line; run with
+Each test (each grid size of criterion 2, each grammar of criterion 4)
+prints a single ``criterion N: PASS/FAIL (...)`` line; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines as they happen.
 The heavyweight artifacts (the 1000-design benchmark batch and the 100
 replayed runs) are built once and shared across the tests that audit them.
@@ -9,7 +10,6 @@ replayed runs) are built once and shared across the tests that audit them.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 import random
 import shutil
@@ -22,6 +22,7 @@ from gridgram.cli import main as cli_main
 from gridgram.constraint_matcher import (
     DirectionAssignment,
     compose_matches,
+    contract_match_fn,
     decode_context,
     encode_context,
     optimal_assignment,
@@ -51,10 +52,10 @@ from gridgram.grammar import (
     serialize_grammar,
 )
 from gridgram.rulesets import demo_profile_obj
+from grammar_inputs import interval_count, minimum_intervals, random_grammar
 from step_oracle import empty_grid
 
 U, C, E = Symbol.UNOCCUPIED, Symbol.CONNECTOR, Symbol.EMPTY
-TERMINAL_CHOICES = (Symbol.FUSELAGE, Symbol.ROTOR, Symbol.WING, Symbol.CONNECTOR, Symbol.EMPTY)
 NON_BOUNDARY = tuple(s for s in Symbol if s is not Symbol.BOUNDARY)
 ALL_SYMBOLS = tuple(Symbol)
 
@@ -70,33 +71,6 @@ def pat(**by_label) -> ContextPattern:
     for d in list(Direction)[1:]:
         sets.append(frozenset(by_label.get(d.label, {U})))
     return ContextPattern(tuple(sets))
-
-
-def random_pattern(rnd: random.Random, cap: int) -> ContextPattern:
-    """Random pattern over the full alphabet with a bounded expansion size."""
-    sets = [frozenset({U})]
-    size = 1
-    for _ in range(6):
-        k = rnd.choice((1, 1, 1, 2, 2, 3))
-        while size * k > cap and k > 1:
-            k -= 1
-        chosen = frozenset(rnd.sample(ALL_SYMBOLS, k))
-        size *= len(chosen)
-        sets.append(chosen)
-    return ContextPattern(tuple(sets))
-
-
-def random_rule(rnd: random.Random, name: str, cap: int = 24) -> Rule:
-    omega = tuple(random_pattern(rnd, cap) for _ in range(rnd.choice((1, 1, 2))))
-    symbol = rnd.choice(TERMINAL_CHOICES)
-    direction = Direction.EGO if symbol is Symbol.EMPTY else rnd.choice(list(Direction))
-    return Rule(name, omega, Production(symbol, direction), weight=rnd.choice((1, 2, 3)))
-
-
-def random_grammar(rnd: random.Random, n_rules: int, cap: int = 24) -> Grammar:
-    return Grammar(
-        "fuzz", "1", tuple(random_rule(rnd, f"r{i}", cap) for i in range(n_rules))
-    )
 
 
 def random_assignment(rnd: random.Random) -> DirectionAssignment:
@@ -190,20 +164,20 @@ def test_criterion_1_throughput(bench_run, bench_designs, demo_path, capsys):
                       f"{valid}/1000 complete and valid")
 
 
-def test_criterion_2_grid_point_count():
-    failures = []
-    for n_half in (0, 1, 2, 3, 5):
-        cfg = GridConfig(n_half)
-        expected = (2 * n_half + 1) ** 3
-        listed = len(list(cfg.points()))
-        stored = sum(empty_grid(cfg).counts().values())
-        if not (cfg.point_count == listed == stored == expected):
-            failures.append(n_half)
-    report(2, not failures, "point count is (2n+1)^3 for n in {0,1,2,3,5}"
-           if not failures else f"wrong at n_half={failures}")
+@pytest.mark.parametrize("n_half", (0, 1, 2, 3, 5))
+def test_criterion_2_grid_point_count(n_half):
+    cfg = GridConfig(n_half)
+    expected = (2 * n_half + 1) ** 3
+    listed = len(list(cfg.points()))
+    stored = sum(empty_grid(cfg).counts().values())
+    ok = cfg.point_count == listed == stored == expected
+    report(2, ok, f"point count at n_half={n_half} is {expected}" if ok else
+           f"n_half={n_half}: point_count {cfg.point_count}, {listed} listed, "
+           f"{stored} stored, want {expected}")
 
 
 def test_criterion_3_matcher_equivalence():
+    """Contract composition and the compiled table both agree with ``Rule.matches``."""
     states3 = [State(t) for t in product((U, C, E), repeat=7)]
     assert len(states3) == 2187
 
@@ -221,8 +195,14 @@ def test_criterion_3_matcher_equivalence():
                 if compose_matches(state_u, rule_u) != rule.matches(state):
                     disagreements += 1
                 exhaustive += 1
+    match = contract_match_fn(EQUIV_GRAMMAR)
+    disagreements += sum(
+        match(ri, state.key) != rule.matches(state)
+        for state in states3 for ri, rule in enumerate(EQUIV_RULES)
+    )
 
     pool = random_grammar(random.Random(0xBEEF), 10)
+    pool_match = contract_match_fn(pool)
     pool_assignments = [optimal_assignment(pool)[0],
                         random_assignment(rnd), random_assignment(rnd)]
     pool_unions = {
@@ -237,7 +217,9 @@ def test_criterion_3_matcher_equivalence():
         ri = rnd.randrange(len(pool.rules))
         ai = rnd.randrange(len(pool_assignments))
         state_u = state_to_contract_union(state, pool_assignments[ai])
-        if compose_matches(state_u, pool_unions[(ai, ri)]) != pool.rules[ri].matches(state):
+        want = pool.rules[ri].matches(state)
+        composed = compose_matches(state_u, pool_unions[(ai, ri)])
+        if composed != want or pool_match(ri, state.key) != want:
             random_disagreements += 1
 
     ok = disagreements == 0 and random_disagreements == 0 and exhaustive == 2187 * 10 * 11
@@ -245,45 +227,19 @@ def test_criterion_3_matcher_equivalence():
                   f"{disagreements + random_disagreements} disagreements")
 
 
-def _naive_minimum_intervals(grammar: Grammar) -> int:
-    """Brute-force reference: try all 5040 slot orders, count symbol runs.
-
-    Works straight off the packed context keys so it shares no code with the
-    encoder it checks.
-    """
-    contexts = []
-    for rule in grammar.rules:
-        for key in rule.context_key_set():
-            contexts.append(tuple((key >> (3 * d)) & 7 for d in range(7)))
-    best = None
-    for perm in itertools.permutations(range(7)):
-        total = 0
-        for syms in contexts:
-            slots = [0] * 7
-            for d in range(7):
-                slots[perm[d]] = syms[d]
-            total += 1 + sum(1 for i in range(6) if slots[i] != slots[i + 1])
-        if best is None or total < best:
-            best = total
-    return best
-
-
-def test_criterion_4_assignment_optimality():
-    failures = []
-    slowest = 0.0
-    for seed in (101, 202, 303, 404, 505):
-        rnd = random.Random(seed)
-        grammar = random_grammar(rnd, rnd.choice((3, 4, 5)), cap=20)
-        started = time.perf_counter()
-        _, count = optimal_assignment(grammar)
-        elapsed = time.perf_counter() - started
-        slowest = max(slowest, elapsed)
-        naive = _naive_minimum_intervals(grammar)
-        if count != naive or elapsed >= 5.0:
-            failures.append((seed, count, naive, elapsed))
-    report(4, not failures,
-           f"5 grammars agree with the 5040-way scan, slowest {slowest:.3f}s"
-           if not failures else f"mismatches: {failures}")
+@pytest.mark.parametrize("seed", (101, 202, 303, 404, 505))
+def test_criterion_4_assignment_optimality(seed):
+    rnd = random.Random(seed)
+    grammar = random_grammar(rnd, rnd.choice((3, 4, 5)), cap=20)
+    started = time.perf_counter()
+    best, count = optimal_assignment(grammar)
+    elapsed = time.perf_counter() - started
+    naive = minimum_intervals(grammar)
+    achieved = interval_count(grammar, best.slot_of)
+    ok = count == naive == achieved and elapsed < 5.0
+    report(4, ok, f"grammar {seed} agrees with the 5040-way scan in {elapsed:.3f}s" if ok else
+           f"grammar {seed}: returned {count}, assignment gives {achieved}, "
+           f"scan {naive}, {elapsed:.3f}s")
 
 
 def test_criterion_5_determinism_and_tamper_detection(demo, replay_runs):

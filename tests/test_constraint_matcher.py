@@ -38,12 +38,12 @@ from gridgram.core import Direction, GridConfig, State, Symbol
 from gridgram.generator import POINT_STRATEGIES, RULE_STRATEGIES, Engine, GenerationConfig
 from gridgram.grammar import (
     ContextPattern,
-    Grammar,
     MatchTable,
     Production,
     Rule,
     parse_grammar,
 )
+from grammar_inputs import grammars, interval_count, random_grammar
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,26 +57,6 @@ states_st = st.tuples(
     st.sampled_from(sorted(set(FULL) - {Symbol.BOUNDARY})),
     *[st.sampled_from(FULL) for _ in range(6)],
 ).map(State)
-
-
-_small_sets = st.sets(st.sampled_from(FULL), min_size=1, max_size=3).map(frozenset)
-_small_patterns = st.tuples(
-    st.just(frozenset({Symbol.UNOCCUPIED})), *[_small_sets for _ in range(6)]
-).map(ContextPattern)
-
-
-@st.composite
-def small_grammars(draw):
-    """Up to three rules of one or two (possibly overlapping) small patterns."""
-    rules = tuple(
-        Rule(
-            f"r{i}",
-            tuple(draw(st.lists(_small_patterns, min_size=1, max_size=2))),
-            Production(Symbol.EMPTY, Direction.EGO),
-        )
-        for i in range(draw(st.integers(0, 3)))
-    )
-    return Grammar("t", "1", rules)
 
 
 def grammar_of(rules: list[dict]) -> object:
@@ -95,75 +75,6 @@ def state_with(**kw) -> State:
     for label, sym in kw.items():
         symbols[Direction.from_label(label)] = sym
     return State(tuple(symbols))
-
-
-def random_overlapping_grammar(rng: Random, rules: int) -> object:
-    """Rules of one to three patterns; later patterns widen or shift the first."""
-    labels = [s.label for s in Symbol if s is not Symbol.BOUNDARY]
-    dirs = ("front", "rear", "left", "right", "top", "bottom")
-    out = []
-    for i in range(rules):
-        first = {"ego": "Unoccupied"}
-        for d in dirs:
-            first[d] = rng.sample(labels + ["Boundary"], rng.randint(1, 3))
-        contexts = [first]
-        for _ in range(rng.randint(0, 2)):
-            c = {d: list(v) if isinstance(v, list) else v for d, v in first.items()}
-            for d in rng.sample(dirs, rng.randint(1, 3)):
-                c[d] = rng.choice(["*", rng.sample(labels, rng.randint(1, 4))])
-            contexts.append(c)
-        out.append(
-            {
-                "name": f"r{i}",
-                "contexts": contexts,
-                "produce": {"symbol": "Empty", "connect": "ego"},
-            }
-        )
-    return grammar_of(out)
-
-
-def expanded_contexts(grammar) -> list[tuple[Symbol, ...]]:
-    """Every concrete context of every rule, as direction-indexed symbols."""
-    return [
-        State.from_key(key).symbols
-        for rule in grammar.rules
-        for key in rule.context_key_set()
-    ]
-
-
-def naive_runs(contexts, assignment: DirectionAssignment) -> int:
-    """Independent recount: walk each context's slots, count runs."""
-    order = [assignment.direction_at(s) for s in range(7)]
-    total = 0
-    for symbols in contexts:
-        labels = [symbols[d] for d in order]
-        total += 1 + sum(labels[i] != labels[i - 1] for i in range(1, 7))
-    return total
-
-
-def naive_interval_total(grammar, assignment: DirectionAssignment) -> int:
-    return naive_runs(expanded_contexts(grammar), assignment)
-
-
-def member_key(member: ConjunctiveContract) -> int:
-    """Pack a full-context member's assumption slots into a 21-bit code."""
-    code = 0
-    covered = 0
-    for c in member.assumptions:
-        for slot in c.dirs.ints:
-            code |= c.symbol << (3 * slot)
-            covered += 1
-    if covered != 7:
-        raise MatcherError("member does not constrain every slot")
-    return code
-
-
-def encode_state_key(key: int, assignment: DirectionAssignment) -> int:
-    """Reorder a packed direction-order state key into slot order."""
-    code = 0
-    for d in Direction:
-        code |= ((key >> (3 * d)) & 7) << (3 * assignment.slot_of[d])
-    return code
 
 
 class TestDirectionAssignment:
@@ -359,8 +270,6 @@ class TestRuleUnion:
         assert all(m.production == ProductionGuarantee(Symbol.EMPTY, None) for m in u.members)
 
     def test_empty_expansion_is_an_error(self):
-        from gridgram.grammar import Production, Rule
-
         bare = Rule(
             name="r",
             omega=(),
@@ -463,33 +372,6 @@ class TestCompose:
         with pytest.raises(AssignmentMismatchError):
             compose_matches(s, u)
 
-    def test_exhaustive_two_symbol_equivalence(self):
-        g = grammar_of(
-            [
-                {
-                    "name": "a",
-                    "contexts": [ctx(front="Rotor")],
-                    "produce": {"symbol": "Empty", "connect": "ego"},
-                },
-                {
-                    "name": "b",
-                    "contexts": [ctx(left="Rotor", right="Rotor"), ctx(top="Rotor")],
-                    "produce": {"symbol": "Connector", "connect": "top"},
-                },
-            ]
-        )
-        alphabet = (Symbol.UNOCCUPIED, Symbol.ROTOR)
-        for assignment in (
-            DirectionAssignment.identity(),
-            DirectionAssignment((5, 3, 6, 1, 0, 4, 2)),
-        ):
-            unions = [rule_to_contract_union(r, assignment) for r in g.rules]
-            for combo in product(alphabet, repeat=7):
-                s = State(combo)
-                su = state_to_contract_union(s, assignment)
-                for rule, union in zip(g.rules, unions):
-                    assert compose_matches(su, union) == rule.matches(s)
-
     @given(state=states_st, assignment=assignments_st)
     @settings(max_examples=100, deadline=None)
     def test_verdict_is_assignment_invariant(self, state, assignment):
@@ -501,49 +383,6 @@ class TestCompose:
         assert verdict == rule.matches(state)
 
 
-class TestFusedBackend:
-    def test_table_equals_member_keys_and_direct_matcher(self):
-        g = grammar_of(
-            [
-                {
-                    "name": "a",
-                    "contexts": [ctx(front="Connector")],
-                    "produce": {"symbol": "Rotor", "connect": "front"},
-                },
-                {
-                    "name": "b",
-                    "contexts": [ctx(top=["Connector", "Rotor"], bottom="Unoccupied")],
-                    "produce": {"symbol": "Empty", "connect": "ego"},
-                },
-            ]
-        )
-        a = DirectionAssignment((1, 0, 2, 3, 4, 5, 6))
-        match = contract_match_fn(g, a)
-        for ri, rule in enumerate(g.rules):
-            keys = {member_key(m) for m in rule_to_contract_union(rule, a).members}
-            for combo in product(REDUCED, repeat=7):
-                s = State(combo)
-                got = match(ri, s.key)
-                assert got == (encode_state_key(s.key, a) in keys)
-                assert got == rule.matches(s)
-
-    def test_default_assignment_is_the_optimal_one(self, demo):
-        a, _ = optimal_assignment(demo)
-        match_default = contract_match_fn(demo)
-        match_opt = contract_match_fn(demo, a)
-        probe = state_with(front=Symbol.CONNECTOR)
-        for ri in range(len(demo.rules)):
-            assert match_default(ri, probe.key) == match_opt(ri, probe.key)
-
-    def test_member_key_requires_full_contexts(self):
-        partial = ConjunctiveContract(
-            assumptions=(SymbolConstraint(Symbol.EMPTY, IntervalSet.from_ints({0})),),
-            guarantees=(),
-        )
-        with pytest.raises(MatcherError):
-            member_key(partial)
-
-
 class TestMatchTable:
     """Both matchers derive through one table; the engine only looks it up."""
 
@@ -551,7 +390,7 @@ class TestMatchTable:
         rng = Random(20261018)
         multi = matched = 0
         for _ in range(25):
-            g = random_overlapping_grammar(rng, rng.randint(1, 6))
+            g = random_grammar(rng, rng.randint(1, 6), cap=7**4)
             multi += sum(len(r.omega) > 1 for r in g.rules)
             table = MatchTable.from_grammar(g)
             patterns = [p for r in g.rules for p in r.omega]
@@ -634,17 +473,17 @@ class TestMatchTable:
 
 class TestIntervalTotal:
     @settings(max_examples=40, deadline=None)
-    @given(small_grammars(), assignments_st)
+    @given(grammars(max_rules=3, max_patterns=2, max_set=3), assignments_st)
     def test_equals_the_brute_force_sum(self, g, a):
         brute = sum(
             constraint_count(State.from_key(k), a)
             for r in g.rules for k in r.context_key_set()
         )
         assert interval_total(g, a) == brute
-        assert interval_total(g, a) == naive_interval_total(g, a)
+        assert interval_total(g, a) == interval_count(g, a.slot_of)
 
     @settings(max_examples=15, deadline=None)
-    @given(small_grammars().filter(lambda g: g.rules))
+    @given(grammars(max_rules=3, max_patterns=2, max_set=3).filter(lambda g: g.rules))
     def test_optimal_total_is_the_total_of_the_best(self, g):
         best, total = optimal_assignment(g)
         assert interval_total(g, best) == total
@@ -697,36 +536,6 @@ class TestOptimalAssignment:
         )
         _, total = optimal_assignment(g)
         assert total == 2
-
-    def test_agrees_with_naive_scan_on_random_grammars(self):
-        rng = Random(20240817)
-        labels = [s.label for s in Symbol if s is not Symbol.BOUNDARY]
-        for _ in range(3):
-            rules = []
-            for i in range(rng.randint(2, 4)):
-                contexts = []
-                for _ in range(rng.randint(1, 2)):
-                    c = {"ego": "Unoccupied"}
-                    for d in ("front", "rear", "left", "right", "top", "bottom"):
-                        pool = rng.sample(labels + ["Boundary"], rng.randint(1, 2))
-                        c[d] = pool if len(pool) > 1 else pool[0]
-                    contexts.append(c)
-                rules.append(
-                    {
-                        "name": f"r{i}",
-                        "contexts": contexts,
-                        "produce": {"symbol": "Empty", "connect": "ego"},
-                    }
-                )
-            g = grammar_of(rules)
-            a, total = optimal_assignment(g)
-            contexts = expanded_contexts(g)
-            naive = min(
-                naive_runs(contexts, DirectionAssignment(p))
-                for p in permutations(range(7))
-            )
-            assert total == naive
-            assert naive_interval_total(g, a) == total
 
     def test_empty_grammar_is_an_error(self):
         g = grammar_of([])

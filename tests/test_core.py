@@ -141,14 +141,6 @@ class TestState:
 
 
 class TestGridConfig:
-    @pytest.mark.parametrize(
-        "n,count", [(0, 1), (1, 27), (2, 125), (3, 343), (5, 1331)]
-    )
-    def test_point_count(self, n, count):
-        cfg = GridConfig(n)
-        assert cfg.point_count == count
-        assert len(list(cfg.points())) == count
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             GridConfig(-1)
@@ -233,35 +225,6 @@ class TestGrid:
         assert g.edges() == [(a, b)]
         assert g.audit() == []
 
-    def test_add_edge_errors(self):
-        rotor_front = anywhere(Symbol.ROTOR, Direction.FRONT)
-        symbols = {(1, 0, 0): Symbol.FUSELAGE, (1, 1, 0): Symbol.EMPTY}
-        canvas = Canvas(GridConfig(1), symbols)
-        for p in (
-            (1, 0, 1),  # (2,0,1) is outside
-            (0, 0, 1),  # (1,0,1) is Unoccupied
-            (0, 1, 0),  # (1,1,0) is Empty, not a component
-        ):
-            with pytest.raises(AssertionError):
-                canvas.rewrite(p, rotor_front)
-        assert canvas.grid == Canvas(GridConfig(1), symbols).grid
-        assert canvas.grid.edges() == []
-        canvas.rewrite((0, 0, 0), rotor_front)
-        assert canvas.grid.edges() == [((0, 0, 0), (1, 0, 0))]
-
-    def test_rewrite_edged_point_guard(self):
-        # An edge joins two components, and no rule rewrites a component:
-        # Rule refuses a terminal ego, and a rewrite there does not match.
-        with pytest.raises(ValueError):
-            Rule("r", (ContextPattern((frozenset({Symbol.FUSELAGE}),) + (frozenset(Symbol),) * 6),),
-                 Production(Symbol.EMPTY, Direction.EGO))
-        symbols = {(0, 0, 0): Symbol.FUSELAGE, (1, 0, 0): Symbol.ROTOR}
-        canvas = Canvas(GridConfig(1), symbols, (((0, 0, 0), (1, 0, 0)),))
-        with pytest.raises(AssertionError):
-            canvas.rewrite((0, 0, 0), anywhere(Symbol.EMPTY))
-        assert canvas.grid.symbol_at((0, 0, 0)) is Symbol.FUSELAGE
-        assert canvas.grid.audit() == []
-
     def test_copy_is_independent(self):
         symbols = {(0, 0, 0): Symbol.FUSELAGE}
         g = Canvas(GridConfig(1), symbols)
@@ -300,6 +263,14 @@ class TestGrid:
         ]:
             problems = Canvas(GridConfig(1), symbols, (edge,)).grid.audit()
             assert len(problems) == 1 and problem in problems[0]
+        # Index pairs at either end of the cell store.
+        cells = bytearray([Symbol.FUSELAGE]) * 27
+        for edge, problem in [
+            ((27, 5), "edge 27-5 leaves the grid"),
+            ((5, 27), "edge 5-27 leaves the grid"),
+            ((0, 0), "self-loop at (-1, -1, -1)"),
+        ]:
+            assert Grid(GridConfig(1), cells, {edge}).audit() == [problem]
 
     def test_audit_reports_unknown_symbol_codes(self):
         assert Grid(GridConfig(1), bytearray([9]) * 27, set()).audit() == [

@@ -1,4 +1,5 @@
-"""Rule parsing, wildcard expansion, direct matching, application, and lint."""
+"""Grammar parsing and round trips, pattern contexts, rule matching, the step
+oracle's rule lookup and rewrite, and lint."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridgram.core import Direction, GridConfig, State, Symbol
 from gridgram.grammar import (
@@ -27,6 +27,7 @@ from gridgram.grammar import (
     serialize_grammar,
 )
 from gridgram.rulesets import demo_uav_text
+from grammar_inputs import grammars
 from step_oracle import Canvas, matching_rules
 
 U = Symbol.UNOCCUPIED
@@ -41,7 +42,7 @@ def pattern(ego=frozenset({U}), **overrides) -> ContextPattern:
     return ContextPattern(tuple(sets))
 
 
-def expand(p: ContextPattern) -> frozenset[State]:
+def contexts_of(p: ContextPattern) -> frozenset[State]:
     """All concrete contexts a pattern stands for."""
     return frozenset(State.from_key(k) for k in p.context_keys())
 
@@ -99,11 +100,14 @@ class TestParse:
         [
             (lambda d: d.update(extra=1), "format"),
             (lambda d: d.pop("version"), "format"),
+            (lambda d: d.update(name=1), "format"),
             (lambda d: d["rules"][0].update(note="x"), "format"),
             (lambda d: d["rules"][0]["contexts"][0].pop("top"), "format"),
             (lambda d: d["rules"][0]["contexts"][0].update(above="Empty"), "unknown-direction"),
             (lambda d: d["rules"][0]["contexts"][0].update(front="Engine"), "unknown-symbol"),
             (lambda d: d["rules"][0]["contexts"][0].update(front=["Rotor", "*"]), "unknown-symbol"),
+            (lambda d: d["rules"][0]["contexts"][0].update(front=["Rotor", ["Rotor"]]),
+             "unknown-symbol"),
             (lambda d: d["rules"][0]["produce"].update(symbol="Unoccupied"), "production-not-terminal"),
             (lambda d: d["rules"][0]["produce"].update(symbol="Boundary"), "production-not-terminal"),
             (lambda d: d["rules"][0]["produce"].update(connect="up"), "unknown-direction"),
@@ -228,30 +232,6 @@ class TestRoundTrip:
                 replace(g.rules[0], weight=weight)
 
 
-# Strategy for whole grammars built directly as objects.
-_symbol_sets = st.sets(
-    st.sampled_from(list(Symbol)), min_size=1, max_size=4
-).map(frozenset)
-_patterns = st.tuples(
-    st.just(frozenset({U})), *[_symbol_sets for _ in range(6)]
-).map(ContextPattern)
-_terminals = st.sampled_from(sorted(Symbol.from_label(x) for x in
-                                    ("Fuselage", "Rotor", "Wing", "Connector", "Empty")))
-
-
-@st.composite
-def grammars(draw):
-    n = draw(st.integers(0, 5))
-    rules = []
-    for i in range(n):
-        omega = tuple(draw(st.lists(_patterns, min_size=1, max_size=3)))
-        sym = draw(_terminals)
-        d = Direction.EGO if sym is Symbol.EMPTY else draw(st.sampled_from(list(Direction)))
-        w = draw(st.integers(1, 9))
-        rules.append(Rule(f"rule_{i}", omega, Production(sym, d), w))
-    return Grammar("fuzz", "0", tuple(rules))
-
-
 class TestRoundTripFuzz:
     @settings(max_examples=60, deadline=None)
     @given(grammars())
@@ -308,23 +288,23 @@ class TestDisjointBoxes:
             assert r.context_count() == len(r.context_key_set())
 
 
-class TestExpand:
+class TestContextKeys:
     def test_all_singleton_gives_one(self):
         p = pattern(**{d.label: {U} for d in list(Direction)[1:]})
-        assert expand(p) == frozenset({State((U,) * 7)})
+        assert contexts_of(p) == frozenset({State((U,) * 7)})
 
     def test_pair_gives_two(self):
         p = pattern(
             front={Symbol.FUSELAGE, Symbol.ROTOR},
             **{d.label: {U} for d in list(Direction)[2:]},
         )
-        assert len(expand(p)) == 2
+        assert len(contexts_of(p)) == 2
 
     def test_wildcard_entry_gives_seven(self):
         p = pattern(
             front=WILDCARD_NON_EGO, **{d.label: {U} for d in list(Direction)[2:]}
         )
-        ctxs = expand(p)
+        ctxs = contexts_of(p)
         assert len(ctxs) == 7
         assert {c.at(Direction.FRONT) for c in ctxs} == set(Symbol)
 
@@ -372,7 +352,7 @@ class TestMatches:
                 assert r.matches(s) == (s.key in table)
 
 
-class TestApplicableRules:
+class TestMatchingRules:
     def test_order_preserved_and_filtering(self):
         g = parse_grammar(demo_uav_text())
         grid = Canvas(GridConfig(2)).grid
@@ -394,8 +374,8 @@ class TestApplicableRules:
         assert matching_rules(g, grid.state_of((0, 0, 0))) == []
 
 
-class TestApplyProduction:
-    """Production application, as the reference oracle's ``Canvas.rewrite`` performs it."""
+class TestCanvasRewrite:
+    """The reference oracle's ``Canvas.rewrite``: one production at one point."""
 
     def test_connector_with_edge(self):
         canvas = Canvas(GridConfig(1), {(1, 0, 0): Symbol.FUSELAGE})
@@ -414,14 +394,6 @@ class TestApplyProduction:
         assert canvas.grid.symbol_at((0, 0, 0)) is Symbol.EMPTY
         assert canvas.grid.edges() == []
 
-    def test_non_matching_leaves_grid_unchanged(self):
-        canvas = Canvas(GridConfig(1))
-        r = Rule("r", (pattern(front={Symbol.FUSELAGE}),),
-                 Production(Symbol.CONNECTOR, Direction.FRONT))
-        with pytest.raises(AssertionError):
-            canvas.rewrite((0, 0, 0), r)
-        assert canvas.grid == Canvas(GridConfig(1)).grid
-
     def test_changes_exactly_one_point(self):
         g = parse_grammar(demo_uav_text())
         canvas = Canvas(GridConfig(1))
@@ -431,21 +403,27 @@ class TestApplyProduction:
         diff = [p for p in grid.points() if grid.symbol_at(p) != before.symbol_at(p)]
         assert diff == [(-1, -1, -1)]
 
-    def test_unlinted_edge_target_raises_internal_error(self):
-        # Lint rejects these rules; the rewrite still refuses to write them.
-        symbols = {(1, 0, 0): Symbol.EMPTY}
-        canvas = Canvas(GridConfig(1), symbols)
-        r = Rule("r", (pattern(front={Symbol.EMPTY, Symbol.CONNECTOR}),),
-                 Production(Symbol.ROTOR, Direction.FRONT))
+    @pytest.mark.parametrize(
+        "p, rule",
+        [
+            ((0, -1, 0), Rule("r", (pattern(front={Symbol.FUSELAGE}),),
+                              Production(Symbol.CONNECTOR, Direction.FRONT))),
+            ((1, 0, 1), Rule("r", (pattern(),), Production(Symbol.ROTOR, Direction.FRONT))),
+            ((0, 0, 1), Rule("r", (pattern(),), Production(Symbol.ROTOR, Direction.FRONT))),
+            # Lint rejects this rule; the rewrite still refuses to write it.
+            ((0, 1, 0), Rule("r", (pattern(front={Symbol.EMPTY, Symbol.CONNECTOR}),),
+                             Production(Symbol.ROTOR, Direction.FRONT))),
+            ((1, 0, 0), Rule("r", (pattern(),), Production(Symbol.EMPTY, Direction.EGO))),
+        ],
+        ids=["no-match", "target-outside", "target-unoccupied", "target-empty", "edged-ego"],
+    )
+    def test_refused_rewrite_leaves_the_canvas_unchanged(self, p, rule):
+        symbols = {(1, 0, 0): Symbol.FUSELAGE, (1, 1, 0): Symbol.EMPTY, (1, 0, -1): Symbol.ROTOR}
+        edges = (((1, 0, 0), (1, 0, -1)),)
+        canvas = Canvas(GridConfig(1), symbols, edges)
         with pytest.raises(AssertionError):
-            canvas.rewrite((0, 0, 0), r)
-        assert canvas.grid == Canvas(GridConfig(1), symbols).grid
-        canvas2 = Canvas(GridConfig(1))
-        r2 = Rule("r2", (pattern(front=WILDCARD_NON_EGO),),
-                  Production(Symbol.ROTOR, Direction.FRONT))
-        with pytest.raises(AssertionError):
-            canvas2.rewrite((1, 0, 0), r2)  # edge target out of grid
-        assert canvas2.grid == Canvas(GridConfig(1)).grid
+            canvas.rewrite(p, rule)
+        assert canvas.grid == Canvas(GridConfig(1), symbols, edges).grid
 
 
 class TestLint:
