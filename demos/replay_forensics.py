@@ -12,12 +12,12 @@ that was merely re-indented is refused.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 
 from gridgram.canon import canonical_hash
 from gridgram.core import GridConfig
 from gridgram.generator import (
+    DerivationLog,
     GenerationConfig,
     ReplayError,
     generate,
@@ -66,13 +66,18 @@ def main() -> None:
             where = f" at step {e.step}" if e.step is not None else ""
             print(f"  {label}:\n      caught ({e.kind}{where})")
 
+    def forged(fingerprint: str, gen_config: GenerationConfig, log_hash: str) -> DerivationLog:
+        """The honest log's steps, outcome and design hash under other header values."""
+        return DerivationLog(
+            fingerprint, log.grid_config, gen_config, log.steps, log.outcome,
+            log.design_hash, log_hash,
+        )
+
     # Every recorded step is legal; only re-deriving from the seed exposes it.
-    reseeded = dataclasses.replace(
-        log, gen_config=dataclasses.replace(log.gen_config, seed=args.seed + 1)
-    )
-    content = json.loads(serialize_log(reseeded))
+    reseed = GenerationConfig(seed=args.seed + 1)
+    content = json.loads(serialize_log(forged(log.grammar_fingerprint, reseed, log.log_hash)))
     del content["log_hash"]
-    reseeded = dataclasses.replace(reseeded, log_hash=canonical_hash(content))
+    reseeded = forged(log.grammar_fingerprint, reseed, canonical_hash(content))
     label = "claim another seed and recompute the log hash"
     try:
         verify_log(reseeded, grammar)
@@ -87,7 +92,7 @@ def main() -> None:
     except ReplayError as e:
         print(f"  {label}:\n      caught ({e.kind})")
 
-    wrong = dataclasses.replace(log, grammar_fingerprint="0" * 64)
+    wrong = forged("0" * 64, log.gen_config, log.log_hash)
     try:
         verify_log(wrong, grammar)
         print("  replaying under a different grammar: NOT DETECTED")

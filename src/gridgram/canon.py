@@ -35,8 +35,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections.abc import Callable, Iterable
 from functools import cache
-from typing import Any, Callable, Iterable
 
 from gridgram.core import COMPONENTS, STORABLE, GridConfig, Point, Symbol
 
@@ -55,7 +55,7 @@ _COUNTS_JSON = "{" + ",".join(f'"{s.label}":%d' for s in _COUNT_ORDER) + "}"
 _LABELS = [s.label for s in Symbol]
 
 
-def _reject_floats(obj: Any, path: str = "$") -> None:
+def _reject_floats(obj: object, path: str = "$") -> None:
     if isinstance(obj, float):
         raise ValueError(f"float at {path} not allowed in canonical JSON")
     if isinstance(obj, dict):
@@ -66,12 +66,12 @@ def _reject_floats(obj: Any, path: str = "$") -> None:
             _reject_floats(v, f"{path}[{i}]")
 
 
-def compact_json(obj: Any) -> str:
+def compact_json(obj: object) -> str:
     """``canonical_json`` without the float check, for data that cannot hold floats."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def canonical_json(obj: Any) -> str:
+def canonical_json(obj: object) -> str:
     """Deterministic JSON text: sorted keys, minimal separators, no floats."""
     _reject_floats(obj)
     return compact_json(obj)
@@ -81,7 +81,7 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def canonical_hash(obj: Any) -> str:
+def canonical_hash(obj: object) -> str:
     """sha256 hex digest of the canonical JSON serialization."""
     return sha256_hex(canonical_json(obj))
 
@@ -187,7 +187,7 @@ def encode_log(
     return f'{head},"log_hash":{json.dumps(log_hash)}{tail}'
 
 
-def load_json(text: str, error: Callable[[str, int | None, int | None], Exception]) -> Any:
+def load_json(text: str, error: Callable[[str, int | None, int | None], Exception]) -> object:
     """The value of the JSON ``text``; text it cannot read raises ``error(reason, line, col)``.
 
     Line and column are None for the two reasons with no position: nesting

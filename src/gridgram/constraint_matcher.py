@@ -26,12 +26,11 @@ context of every rule in closed form, and ``optimal_assignment`` scans all
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
 from math import prod
 
-from gridgram.core import Direction, State, Symbol
+from gridgram.core import Direction, Record, State, Symbol, set_value, setter
 from gridgram.grammar import Grammar, MatchTable, Rule
 
 _DIRECTIONS = tuple(Direction)
@@ -49,18 +48,20 @@ class EmptyGrammarError(MatcherError):
     """The grammar expands to no concrete contexts at all."""
 
 
-@dataclass(frozen=True, slots=True)
-class DirectionAssignment:
+class DirectionAssignment(Record):
     """A bijection from directions to integer slots 0..6.
 
     ``slot_of`` is indexed by Direction; ``slot_of[d]`` is d's slot.
     """
 
-    slot_of: tuple[int, ...]
+    __slots__ = _fields = ("slot_of",)
 
-    def __post_init__(self) -> None:
-        if len(self.slot_of) != 7 or sorted(self.slot_of) != list(range(7)):
-            raise ValueError(f"not a bijection onto 0..6: {self.slot_of}")
+    def __init__(self, slot_of: tuple[int, ...]) -> None:
+        if len(slot_of) != 7 or sorted(slot_of) != list(range(7)):
+            raise ValueError(f"not a bijection onto 0..6: {slot_of}")
+        put = setter(self)
+        put("slot_of", slot_of)
+        set_value(self, (slot_of,))
 
     @classmethod
     def identity(cls) -> DirectionAssignment:
@@ -79,26 +80,28 @@ class DirectionAssignment:
         return " ".join(f"{d.label}={self.slot_of[d]}" for d in _DIRECTIONS)
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalSet:
-    """Disjoint, non-adjacent, sorted closed integer intervals within [0,6]."""
+class IntervalSet(Record):
+    """Disjoint, non-adjacent, sorted closed integer intervals within [0,6].
 
-    intervals: tuple[tuple[int, int], ...]
-    ints: frozenset[int] = field(init=False, repr=False, compare=False)
+    ``ints`` holds every covered integer and takes no part in equality,
+    hashing or ``repr``.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("intervals", "ints")
+    _fields = ("intervals",)
+
+    def __init__(self, intervals: tuple[tuple[int, int], ...]) -> None:
         last = -2
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if not (0 <= lo <= hi <= 6):
                 raise ValueError(f"interval [{lo},{hi}] out of range")
             if lo <= last + 1:
                 raise ValueError("intervals must be sorted and maximally merged")
             last = hi
-        object.__setattr__(
-            self,
-            "ints",
-            frozenset(v for lo, hi in self.intervals for v in range(lo, hi + 1)),
-        )
+        put = setter(self)
+        put("intervals", intervals)
+        put("ints", frozenset(v for lo, hi in intervals for v in range(lo, hi + 1)))
+        set_value(self, (intervals,))
 
     @classmethod
     def from_ints(cls, values) -> IntervalSet:
@@ -121,29 +124,35 @@ class IntervalSet:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolConstraint:
+class SymbolConstraint(Record):
     """One symbol pinned to a set of slots: every slot in ``dirs`` holds it."""
 
-    symbol: Symbol
-    dirs: IntervalSet
+    __slots__ = _fields = ("symbol", "dirs")
+
+    def __init__(self, symbol: Symbol, dirs: IntervalSet) -> None:
+        put = setter(self)
+        put("symbol", symbol)
+        put("dirs", dirs)
+        set_value(self, (symbol, dirs))
 
     def text(self) -> str:
         return f"{self.symbol.label} in {{{self.dirs.text()}}}"
 
 
-@dataclass(frozen=True, slots=True)
-class ProductionGuarantee:
+class ProductionGuarantee(Record):
     """What applying a rule promises: the placed symbol, plus an edge slot."""
 
-    ego_symbol: Symbol
-    edge_slot: int | None
+    __slots__ = _fields = ("ego_symbol", "edge_slot")
 
-    def __post_init__(self) -> None:
-        if not self.ego_symbol.is_terminal:
+    def __init__(self, ego_symbol: Symbol, edge_slot: int | None) -> None:
+        if not ego_symbol.is_terminal:
             raise ValueError("a production guarantee places a terminal symbol")
-        if self.edge_slot is not None and not 0 <= self.edge_slot <= 6:
-            raise ValueError(f"edge slot {self.edge_slot} out of range")
+        if edge_slot is not None and not 0 <= edge_slot <= 6:
+            raise ValueError(f"edge slot {edge_slot} out of range")
+        put = setter(self)
+        put("ego_symbol", ego_symbol)
+        put("edge_slot", edge_slot)
+        set_value(self, (ego_symbol, edge_slot))
 
     def text(self) -> str:
         if self.edge_slot is None:
@@ -151,31 +160,42 @@ class ProductionGuarantee:
         return f"produce {self.ego_symbol.label}, edge slot {self.edge_slot}"
 
 
-@dataclass(frozen=True, slots=True)
-class ConjunctiveContract:
+class ConjunctiveContract(Record):
     """A conjunction of interval constraints, split into assume/guarantee."""
 
-    assumptions: tuple[SymbolConstraint, ...]
-    guarantees: tuple[SymbolConstraint, ...]
-    production: ProductionGuarantee | None = None
+    __slots__ = _fields = ("assumptions", "guarantees", "production")
 
-    def __post_init__(self) -> None:
-        for side in (self.assumptions, self.guarantees):
+    def __init__(
+        self,
+        assumptions: tuple[SymbolConstraint, ...],
+        guarantees: tuple[SymbolConstraint, ...],
+        production: ProductionGuarantee | None = None,
+    ) -> None:
+        for side in (assumptions, guarantees):
             syms = [c.symbol for c in side]
             if len(syms) != len(set(syms)):
                 raise ValueError("a symbol may appear at most once per side")
+        put = setter(self)
+        put("assumptions", assumptions)
+        put("guarantees", guarantees)
+        put("production", production)
+        set_value(self, (assumptions, guarantees, production))
 
 
-@dataclass(frozen=True, slots=True)
-class ContractUnion:
+class ContractUnion(Record):
     """A non-empty disjunction of conjunctive contracts, one assignment."""
 
-    assignment: DirectionAssignment
-    members: tuple[ConjunctiveContract, ...]
+    __slots__ = _fields = ("assignment", "members")
 
-    def __post_init__(self) -> None:
-        if not self.members:
+    def __init__(
+        self, assignment: DirectionAssignment, members: tuple[ConjunctiveContract, ...]
+    ) -> None:
+        if not members:
             raise ValueError("a contract union needs at least one member")
+        put = setter(self)
+        put("assignment", assignment)
+        put("members", members)
+        set_value(self, (assignment, members))
 
 
 @cache

@@ -8,7 +8,6 @@ as the sentinel symbol ``Boundary`` when a neighborhood is read, but
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
 from itertools import product
@@ -125,28 +124,85 @@ STORABLE = TERMINALS | NONTERMINALS
 
 _SYMBOLS_BY_LABEL = {s.label: s for s in Symbol}
 _SYMBOLS = list(Symbol)  # indexed by code
+_BOUNDARY = Symbol.BOUNDARY  # a module global reads faster than an enum member
 COMPONENT_CODES = frozenset(int(s) for s in COMPONENTS)
 _STORABLE_CODES = frozenset(int(s) for s in STORABLE)
 
+#: How a record's ``__init__`` sets its slots past ``Record.__setattr__``:
+#: ``put = setter(self)``, then ``put(name, value)`` per slot. Bound once,
+#: it costs less per slot than ``object.__setattr__(self, name, value)``.
+setter = object.__setattr__.__get__
 
-@dataclass(frozen=True, slots=True)
-class GridConfig:
+
+class Record:
+    """Base of the immutable value types: slots set once, compared by ``_fields``.
+
+    A subclass lists its slots in ``__slots__`` and the ones that make up its
+    value, in order, in ``_fields``. Its ``__init__`` checks the arguments,
+    sets every slot with ``setter``, and sets ``_value`` to the tuple of
+    the ``_fields`` values with ``set_value``. Equality (same class only)
+    and hashing compare ``_value``, so they cost a tuple's; ``repr`` is
+    ``Name(f=v, ...)``. Pickling carries every slot of the subclass's
+    ``__slots__`` and runs no check, so a cached slot such as
+    ``Grammar._fingerprint`` survives it.
+    """
+
+    __slots__ = ("_value",)
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._value == other._value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._value))
+        return f"{type(self).__qualname__}({args})"
+
+    def __getstate__(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setstate__(self, state: tuple) -> None:
+        put = setter(self)
+        for name, value in zip(self.__slots__, state):
+            put(name, value)
+        set_value(self, tuple(map(self.__getattribute__, self._fields)))
+
+
+#: How a record's ``__init__`` sets ``_value``: its slot's own setter, which
+#: costs less than ``setter`` and so pays for most of the extra slot.
+set_value = Record._value.__set__
+
+
+class GridConfig(Record):
     """Grid geometry: half-width in lattice units.
 
     ``unit`` is opaque metadata (e.g. a physical spacing like "0.25m") carried
     through serialization and never interpreted.
     """
 
-    n_half: int
-    unit: str | None = None
+    __slots__ = _fields = ("n_half", "unit")
 
-    def __post_init__(self) -> None:
-        if type(self.n_half) is not int:
-            raise TypeError(f"n_half must be an integer, got {self.n_half!r}")
-        if self.unit is not None and type(self.unit) is not str:
-            raise TypeError(f"unit must be a string or None, got {self.unit!r}")
-        if not 0 <= self.n_half <= MAX_N_HALF:
-            raise ValueError(f"n_half must be in [0, {MAX_N_HALF}], got {self.n_half}")
+    def __init__(self, n_half: int, unit: str | None = None) -> None:
+        if type(n_half) is not int:
+            raise TypeError(f"n_half must be an integer, got {n_half!r}")
+        if unit is not None and type(unit) is not str:
+            raise TypeError(f"unit must be a string or None, got {unit!r}")
+        if not 0 <= n_half <= MAX_N_HALF:
+            raise ValueError(f"n_half must be in [0, {MAX_N_HALF}], got {n_half}")
+        put = setter(self)
+        put("n_half", n_half)
+        put("unit", unit)
+        set_value(self, (n_half, unit))
 
     @property
     def side(self) -> int:
@@ -198,8 +254,7 @@ def neighbor(p: Point, d: Direction) -> Point:
     return (p[0] + dx, p[1] + dy, p[2] + dz)
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(Record):
     """The 7-tuple of symbols at a point: ego plus its six axis neighbors.
 
     Indexed by Direction. The ego entry is never Boundary; non-ego entries are
@@ -211,24 +266,26 @@ class State:
     equality, hashing or ``repr``.
     """
 
-    symbols: tuple[Symbol, ...]
-    key: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("symbols", "key")
+    _fields = ("symbols",)
 
-    def __post_init__(self) -> None:
-        if len(self.symbols) != 7:
-            raise ValueError(f"state needs 7 symbols, got {len(self.symbols)}")
-        if self.symbols[Direction.EGO] is Symbol.BOUNDARY:
+    def __init__(self, symbols: tuple[Symbol, ...]) -> None:
+        if len(symbols) != 7:
+            raise ValueError(f"state needs 7 symbols, got {len(symbols)}")
+        a, b, c, d, e, f, g = symbols  # a is the ego: Direction.EGO is 0
+        if a is _BOUNDARY:
             raise ValueError("ego symbol may not be Boundary")
-        a, b, c, d, e, f, g = self.symbols
-        key = a | b << 3 | c << 6 | d << 9 | e << 12 | f << 15 | g << 18
-        object.__setattr__(self, "key", key)
+        put = setter(self)
+        put("symbols", symbols)
+        put("key", a | b << 3 | c << 6 | d << 9 | e << 12 | f << 15 | g << 18)
+        set_value(self, (symbols,))
 
     def at(self, d: Direction) -> Symbol:
         return self.symbols[d]
 
     @property
     def ego(self) -> Symbol:
-        return self.symbols[Direction.EGO]
+        return self.symbols[0]  # Direction.EGO
 
     @classmethod
     def from_key(cls, key: int) -> State:

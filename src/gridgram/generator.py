@@ -68,7 +68,6 @@ import contextlib
 import json
 import os
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -95,9 +94,12 @@ from gridgram.core import (
     NONTERMINALS,
     STORABLE,
     Point,
+    Record,
     State,
     Symbol,
     point_index,
+    set_value,
+    setter,
 )
 from gridgram.grammar import (
     Grammar,
@@ -168,28 +170,36 @@ class WorkerDiedError(GeneratorError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class GenerationConfig:
+class GenerationConfig(Record):
     """One derivation's knobs: seed plus point/rule selection strategies."""
 
-    seed: int
-    point_strategy: str = "uniform-random-frontier"
-    rule_strategy: str = "uniform-random"
-    max_steps: int | None = None
+    __slots__ = _fields = ("seed", "point_strategy", "rule_strategy", "max_steps")
 
-    def __post_init__(self) -> None:
-        if type(self.seed) is not int:
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        if self.max_steps is not None and type(self.max_steps) is not int:
-            raise TypeError(f"max_steps must be an integer or None, got {self.max_steps!r}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.point_strategy not in POINT_STRATEGIES:
-            raise ValueError(f"unknown point strategy {self.point_strategy!r}")
-        if self.rule_strategy not in RULE_STRATEGIES:
-            raise ValueError(f"unknown rule strategy {self.rule_strategy!r}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+    def __init__(
+        self,
+        seed: int,
+        point_strategy: str = "uniform-random-frontier",
+        rule_strategy: str = "uniform-random",
+        max_steps: int | None = None,
+    ) -> None:
+        if type(seed) is not int:
+            raise TypeError(f"seed must be an integer, got {seed!r}")
+        if max_steps is not None and type(max_steps) is not int:
+            raise TypeError(f"max_steps must be an integer or None, got {max_steps!r}")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if point_strategy not in POINT_STRATEGIES:
+            raise ValueError(f"unknown point strategy {point_strategy!r}")
+        if rule_strategy not in RULE_STRATEGIES:
+            raise ValueError(f"unknown rule strategy {rule_strategy!r}")
+        if max_steps is not None and max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+        put = setter(self)
+        put("seed", seed)
+        put("point_strategy", point_strategy)
+        put("rule_strategy", rule_strategy)
+        put("max_steps", max_steps)
+        set_value(self, (seed, point_strategy, rule_strategy, max_steps))
 
     def to_obj(self) -> dict:
         return {
@@ -204,38 +214,57 @@ class GenerationConfig:
         return _from_fields(cls, obj, "generation_config")
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationStep:
+class DerivationStep(Record):
     """One rewrite: which point, which rule, and the state it matched."""
 
-    index: int
-    point: Point
-    rule_name: str
-    pre_state: State
+    __slots__ = _fields = ("index", "point", "rule_name", "pre_state")
 
-    def __post_init__(self) -> None:
-        if type(self.index) is not int:
-            raise TypeError(f"step index must be an integer, got {self.index!r}")
-        p = self.point
-        if type(p) is not tuple or len(p) != 3 or not all(type(c) is int for c in p):
-            raise TypeError(f"point must be a tuple of 3 integers, got {p!r}")
-        if type(self.rule_name) is not str:
-            raise TypeError(f"rule name must be a string, got {self.rule_name!r}")
-        if self.pre_state.ego not in NONTERMINALS:
+    def __init__(self, index: int, point: Point, rule_name: str, pre_state: State) -> None:
+        if type(index) is not int:
+            raise TypeError(f"step index must be an integer, got {index!r}")
+        if type(point) is not tuple or tuple(map(type, point)) != (int, int, int):
+            raise TypeError(f"point must be a tuple of 3 integers, got {point!r}")
+        if type(rule_name) is not str:
+            raise TypeError(f"rule name must be a string, got {rule_name!r}")
+        if pre_state.ego not in NONTERMINALS:
             raise ValueError("recorded pre-state must have a nonterminal ego")
+        put = setter(self)
+        put("index", index)
+        put("point", point)
+        put("rule_name", rule_name)
+        put("pre_state", pre_state)
+        set_value(self, (index, point, rule_name, pre_state))
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationLog:
+class DerivationLog(Record):
     """Replayable record of one derivation, with recorded content hashes."""
 
-    grammar_fingerprint: str
-    grid_config: GridConfig
-    gen_config: GenerationConfig
-    steps: tuple[DerivationStep, ...]
-    outcome: str
-    design_hash: str
-    log_hash: str
+    __slots__ = _fields = (
+        "grammar_fingerprint", "grid_config", "gen_config", "steps", "outcome",
+        "design_hash", "log_hash",
+    )
+
+    def __init__(
+        self,
+        grammar_fingerprint: str,
+        grid_config: GridConfig,
+        gen_config: GenerationConfig,
+        steps: tuple[DerivationStep, ...],
+        outcome: str,
+        design_hash: str,
+        log_hash: str,
+    ) -> None:
+        put = setter(self)
+        put("grammar_fingerprint", grammar_fingerprint)
+        put("grid_config", grid_config)
+        put("gen_config", gen_config)
+        put("steps", steps)
+        put("outcome", outcome)
+        put("design_hash", design_hash)
+        put("log_hash", log_hash)
+        set_value(self, (
+            grammar_fingerprint, grid_config, gen_config, steps, outcome, design_hash, log_hash,
+        ))
 
 
 def _exact(value: object, kind: type):
@@ -264,7 +293,7 @@ def _document(text: str, fmt: str, keys: frozenset[str], error: type[Exception])
 
 def _from_fields(cls, obj: object, what: str):
     """``cls(**obj)`` for an object whose keys are exactly ``cls``'s fields."""
-    names = {f.name for f in fields(cls)}
+    names = set(cls._fields)
     if not isinstance(obj, dict) or obj.keys() != names:
         raise ValueError(f"{what} must have exactly the keys {sorted(names)}")
     return cls(**obj)
@@ -807,19 +836,31 @@ def replay(log: DerivationLog, grammar: Grammar) -> Design:
     return verify_log(log, grammar)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    check: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    """One profile check of ``validate_design``: its name, verdict and finding."""
+
+    __slots__ = _fields = ("check", "passed", "detail")
+
+    def __init__(self, check: str, passed: bool, detail: str) -> None:
+        put = setter(self)
+        put("check", check)
+        put("passed", passed)
+        put("detail", detail)
+        set_value(self, (check, passed, detail))
 
     def to_obj(self) -> dict:
         return {"check": self.check, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
+class ValidationReport(Record):
+    """Every check ``validate_design`` made, in the order it made them."""
+
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        put = setter(self)
+        put("checks", checks)
+        set_value(self, (checks,))
 
     @property
     def passed(self) -> bool:
@@ -957,20 +998,26 @@ def write_text(path: Path, text: str, what: str) -> None:
         raise
 
 
-@dataclass(frozen=True, slots=True)
-class BatchItem:
+class BatchItem(Record):
     """One derivation of a batch or a verification: the figures a report needs.
 
     A batch writes the texts to files (``run_batch``'s ``out_dir``); an item
     never carries them. ``counts`` maps each storable symbol's label to its
-    count.
+    count, so an item is not hashable.
     """
 
-    seed: int
-    design_hash: str
-    counts: dict[str, int]
-    step_count: int
-    outcome: str
+    __slots__ = _fields = ("seed", "design_hash", "counts", "step_count", "outcome")
+
+    def __init__(
+        self, seed: int, design_hash: str, counts: dict[str, int], step_count: int, outcome: str
+    ) -> None:
+        put = setter(self)
+        put("seed", seed)
+        put("design_hash", design_hash)
+        put("counts", counts)
+        put("step_count", step_count)
+        put("outcome", outcome)
+        set_value(self, (seed, design_hash, counts, step_count, outcome))
 
 
 def _derive_one(engine: Engine, cfg: GenerationConfig) -> tuple[tuple, BatchItem, str]:

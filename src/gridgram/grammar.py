@@ -13,13 +13,14 @@ bit-vectors, so matching a state costs seven lookups and an AND.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import product
 from math import prod
-from typing import Iterator
 
 from gridgram.canon import compact_json, load_json, sha256_hex
-from gridgram.core import COMPONENTS, NONTERMINALS, TERMINALS, Direction, State, Symbol
+from gridgram.core import (
+    COMPONENTS, NONTERMINALS, TERMINALS, Direction, Record, State, Symbol, set_value, setter,
+)
 
 #: What "*" means per direction: ego never admits Boundary. ``ContextPattern``
 #: refuses an ego "*" (it admits terminals), so only WILDCARD_NON_EGO is ever
@@ -69,32 +70,33 @@ class GrammarParseError(GrammarError):
         super().__init__(f"{kind} at {where}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class ContextPattern:
+class ContextPattern(Record):
     """Per-direction symbol sets; stands for their Cartesian product.
 
     ``sets`` is Direction-indexed. Every set is non-empty, and the ego set
     admits only nonterminals, because only they are rewritten. ``masks`` is
     the same data as 7 bitmasks (bit i set iff Symbol(i) admitted),
     precomputed for ``admits`` and the linter; the engine matches through
-    ``MatchTable`` instead.
+    ``MatchTable`` instead. It takes no part in equality, hashing or ``repr``.
     """
 
-    sets: tuple[frozenset[Symbol], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("sets", "masks")
+    _fields = ("sets",)
 
-    def __post_init__(self) -> None:
-        if len(self.sets) != 7:
-            raise ValueError(f"pattern needs 7 direction entries, got {len(self.sets)}")
+    def __init__(self, sets: tuple[frozenset[Symbol], ...]) -> None:
+        if len(sets) != 7:
+            raise ValueError(f"pattern needs 7 direction entries, got {len(sets)}")
         for d in Direction:
-            if not self.sets[d]:
+            if not sets[d]:
                 raise ValueError(f"empty symbol set at {d.label}")
-        ego = self.sets[Direction.EGO]
+        ego = sets[Direction.EGO]
         if not ego <= NONTERMINALS:
             bad = sorted(s.label for s in ego - NONTERMINALS)
             raise ValueError(f"ego admits {bad}; only nonterminals are rewritten")
-        masks = tuple(sum(1 << s for s in ss) for ss in self.sets)
-        object.__setattr__(self, "masks", masks)
+        put = setter(self)
+        put("sets", sets)
+        put("masks", tuple(sum(1 << s for s in ss) for ss in sets))
+        set_value(self, (sets,))
 
     def admits(self, state: State) -> bool:
         m = self.masks
@@ -118,23 +120,24 @@ class ContextPattern:
             yield k
 
 
-@dataclass(frozen=True, slots=True)
-class Production:
+class Production(Record):
     """What a matched rule writes: a terminal at ego, plus an edge when
     ``dir`` is not ego (toward the neighbor in that direction)."""
 
-    symbol: Symbol
-    direction: Direction
+    __slots__ = _fields = ("symbol", "direction")
 
-    def __post_init__(self) -> None:
-        if self.symbol not in TERMINALS:
-            raise ValueError(f"production symbol must be terminal, got {self.symbol.label}")
-        if self.symbol is Symbol.EMPTY and self.direction is not Direction.EGO:
+    def __init__(self, symbol: Symbol, direction: Direction) -> None:
+        if symbol not in TERMINALS:
+            raise ValueError(f"production symbol must be terminal, got {symbol.label}")
+        if symbol is Symbol.EMPTY and direction is not Direction.EGO:
             raise ValueError("Empty carries no physical connection; connect must be ego")
+        put = setter(self)
+        put("symbol", symbol)
+        put("direction", direction)
+        set_value(self, (symbol, direction))
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(Record):
     """A named set of context patterns plus one production.
 
     Only nonterminals are rewritten, so every pattern's ego set holds
@@ -144,18 +147,23 @@ class Rule:
     within the 2^64 that ``below`` takes.
     """
 
-    name: str
-    omega: tuple[ContextPattern, ...]
-    production: Production
-    weight: int = 1
+    __slots__ = _fields = ("name", "omega", "production", "weight")
 
-    def __post_init__(self) -> None:
-        if type(self.name) is not str:
-            raise TypeError(f"rule name must be a string, got {self.name!r}")
-        if type(self.weight) is not int:
-            raise TypeError(f"rule {self.name}: weight must be an integer, got {self.weight!r}")
-        if not 1 <= self.weight <= MAX_WEIGHT:
-            raise ValueError(f"rule {self.name}: weight must be in [1, 2**32]")
+    def __init__(
+        self, name: str, omega: tuple[ContextPattern, ...], production: Production, weight: int = 1
+    ) -> None:
+        if type(name) is not str:
+            raise TypeError(f"rule name must be a string, got {name!r}")
+        if type(weight) is not int:
+            raise TypeError(f"rule {name}: weight must be an integer, got {weight!r}")
+        if not 1 <= weight <= MAX_WEIGHT:
+            raise ValueError(f"rule {name}: weight must be in [1, 2**32]")
+        put = setter(self)
+        put("name", name)
+        put("omega", omega)
+        put("production", production)
+        put("weight", weight)
+        set_value(self, (name, omega, production, weight))
 
     def matches(self, state: State) -> bool:
         return any(pat.admits(state) for pat in self.omega)
@@ -201,8 +209,7 @@ def _subtract_box(
     return pieces
 
 
-@dataclass(frozen=True, slots=True)
-class MatchTable:
+class MatchTable(Record):
     """Rule matching compiled into per-direction bit-vectors over patterns.
 
     Patterns are numbered rule by rule, in grammar order. ``cols[d][v]`` has
@@ -213,9 +220,16 @@ class MatchTable:
     and ``later[r]`` keeps only the bits of the rules after rule r.
     """
 
-    cols: tuple[tuple[int, ...], ...]
-    rule_of: tuple[int, ...]
-    later: tuple[int, ...]
+    __slots__ = _fields = ("cols", "rule_of", "later")
+
+    def __init__(
+        self, cols: tuple[tuple[int, ...], ...], rule_of: tuple[int, ...], later: tuple[int, ...]
+    ) -> None:
+        put = setter(self)
+        put("cols", cols)
+        put("rule_of", rule_of)
+        put("later", later)
+        set_value(self, (cols, rule_of, later))
 
     @classmethod
     def from_grammar(cls, grammar: Grammar) -> MatchTable:
@@ -250,32 +264,35 @@ class MatchTable:
         return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Grammar:
+class Grammar(Record):
     """An ordered list of uniquely named rules plus file metadata.
 
     The constructors of ``Grammar`` and ``Rule`` admit only strings for names
     and the version and only integers for weights, so the plain-data form
-    holds no floats and is serialized without walking it.
+    holds no floats and is serialized without walking it. ``_fingerprint``
+    caches ``fingerprint`` and takes no part in equality, hashing or ``repr``.
     """
 
-    name: str
-    version: str
-    rules: tuple[Rule, ...]
-    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "version", "rules", "_fingerprint")
+    _fields = ("name", "version", "rules")
 
-    def __post_init__(self) -> None:
-        for what in ("name", "version"):
-            value = getattr(self, what)
+    def __init__(self, name: str, version: str, rules: tuple[Rule, ...]) -> None:
+        for what, value in (("name", name), ("version", version)):
             if type(value) is not str:
                 raise TypeError(f"grammar {what} must be a string, got {value!r}")
         seen: set[str] = set()
-        for r in self.rules:
+        for r in rules:
             if not isinstance(r, Rule):
                 raise TypeError(f"grammar rules must be Rule objects, got {r!r}")
             if r.name in seen:
                 raise ValueError(f"duplicate rule name {r.name!r}")
             seen.add(r.name)
+        put = setter(self)
+        put("name", name)
+        put("version", version)
+        put("rules", rules)
+        put("_fingerprint", None)
+        set_value(self, (name, version, rules))
 
     def rule_named(self, name: str) -> Rule:
         for r in self.rules:
@@ -289,7 +306,7 @@ class Grammar:
         fp = self._fingerprint
         if fp is None:
             fp = sha256_hex(serialize_grammar(self))
-            object.__setattr__(self, "_fingerprint", fp)
+            setter(self)("_fingerprint", fp)
         return fp
 
 
@@ -484,14 +501,18 @@ def serialize_grammar(grammar: Grammar) -> str:
     return compact_json(grammar_to_obj(grammar))
 
 
-@dataclass(frozen=True, slots=True)
-class LintDiagnostic:
+class LintDiagnostic(Record):
     """One linter finding. ``level`` is "error" or "info"."""
 
-    level: str
-    code: str
-    rule: str | None
-    message: str
+    __slots__ = _fields = ("level", "code", "rule", "message")
+
+    def __init__(self, level: str, code: str, rule: str | None, message: str) -> None:
+        put = setter(self)
+        put("level", level)
+        put("code", code)
+        put("rule", rule)
+        put("message", message)
+        set_value(self, (level, code, rule, message))
 
     def to_obj(self) -> dict:
         return {

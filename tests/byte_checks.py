@@ -17,7 +17,6 @@ import itertools
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from gridgram.generator import (
 )
 from gridgram.grammar import Grammar, parse_grammar
 from gridgram.rulesets import demo_uav_text
+from records import replace
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -15,6 +15,10 @@ grammar=src/gridgram/rulesets/demo_uav.json
 
 # Two processes: this one writes seeds 0 and 1, its one worker seed 2.
 GRIDGRAM_THREADS=2 python -m gridgram generate "$grammar" --n-half 2 --count 3 --out-dir "$out"
+# One process loads neither dataclasses nor inspect (the records need neither).
+python -X importtime -m gridgram generate "$grammar" --n-half 2 --count 1 --out-dir "$out" \
+    2> "$out/importtime.txt"
+if grep -E '\| +(dataclasses|inspect)$' "$out/importtime.txt"; then exit 1; fi
 python -m gridgram replay "$out/log_0.json" "$grammar"
 python -m gridgram replay "$out/log_2.json" "$grammar"
 test -z "$(find "$out" -name '.*.tmp')"

@@ -25,12 +25,12 @@ key nested in a config. Each must get the verdict of the whole text.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from gridgram.core import GridConfig
 from gridgram.generator import GenerationConfig, generate, serialize_log
 
 import encode_oracle
+from records import replace
 
 STEP = 5
 LAST = 124  # the seed-7 log has 125 steps

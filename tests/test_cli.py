@@ -807,9 +807,11 @@ with open(os.environ["GRIDGRAM_MODULES_OUT"], "w") as f:
 raise SystemExit(code)
 """
 
-#: Modules only ``assign-dirs`` or a multi-worker batch uses.
+#: Modules only ``assign-dirs`` or a multi-worker batch uses, and two that no
+#: command loads: the records need neither ``dataclasses`` nor ``inspect``.
 COLD_EXCLUDED = (
     "gridgram.constraint_matcher", "concurrent.futures", "multiprocessing", "logging",
+    "dataclasses", "inspect",
 )
 
 DEMO_ASSIGNMENT_LINE = (
@@ -844,3 +846,4 @@ class TestColdImports:
         out, loaded = run("assign-dirs", demo_path)
         assert out == DEMO_ASSIGNMENT_LINE
         assert "gridgram.constraint_matcher" in loaded.split(",")
+        assert not {"dataclasses", "inspect"} & set(loaded.split(","))

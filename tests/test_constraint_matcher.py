@@ -70,6 +70,11 @@ def ctx(**kw) -> dict:
     return base
 
 
+#: Three fixed entries, so that a ``ctx`` naming one or two more keeps its
+#: wildcards to one or two (7 or 49 contexts, not 7**5).
+SIDES_EMPTY = {"rear": "Empty", "left": "Empty", "right": "Empty"}
+
+
 def state_with(**kw) -> State:
     symbols = [Symbol.UNOCCUPIED] * 7
     for label, sym in kw.items():
@@ -213,8 +218,8 @@ class TestRuleUnion:
                 {
                     "name": "r",
                     "contexts": [
-                        ctx(front="Connector", top=["Unoccupied", "Empty"]),
-                        ctx(front="Connector"),  # overlaps the first
+                        ctx(front="Connector", top=["Unoccupied", "Empty"], **SIDES_EMPTY),
+                        ctx(front="Connector", **SIDES_EMPTY),  # overlaps the first
                     ],
                     "produce": {"symbol": "Rotor", "connect": "front"},
                 }
@@ -246,7 +251,7 @@ class TestRuleUnion:
             [
                 {
                     "name": "r",
-                    "contexts": [ctx(front="Fuselage")],
+                    "contexts": [ctx(front="Fuselage", **SIDES_EMPTY)],
                     "produce": {"symbol": "Connector", "connect": "front"},
                 }
             ]
@@ -261,7 +266,7 @@ class TestRuleUnion:
             [
                 {
                     "name": "r",
-                    "contexts": [ctx()],
+                    "contexts": [ctx(front="Empty", top=["Empty", "Boundary"], **SIDES_EMPTY)],
                     "produce": {"symbol": "Empty", "connect": "ego"},
                 }
             ]

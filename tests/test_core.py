@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
@@ -19,12 +19,43 @@ from gridgram.core import (
     GridConfig,
     MAX_N_HALF,
     OutOfGridError,
+    Record,
     State,
     Symbol,
     neighbor,
 )
-from gridgram.grammar import ContextPattern, Production, Rule
+from gridgram.constraint_matcher import (
+    ConjunctiveContract,
+    ContractUnion,
+    DirectionAssignment,
+    IntervalSet,
+    ProductionGuarantee,
+    SymbolConstraint,
+    encode_context,
+)
+from gridgram.generator import (
+    BatchItem,
+    CheckResult,
+    DerivationLog,
+    DerivationStep,
+    GenerationConfig,
+    ValidationReport,
+    generate,
+    run_batch,
+)
+from gridgram.grammar import (
+    ContextPattern,
+    Grammar,
+    LintDiagnostic,
+    MatchTable,
+    Production,
+    Rule,
+    lint_grammar,
+    parse_grammar,
+)
 from gridgram.rng import SplitMix64, draws
+from gridgram.rulesets import demo_uav_text
+from records import replace
 from step_oracle import Canvas, choice_index, empty_grid
 
 
@@ -127,7 +158,7 @@ class TestState:
 
     def test_key_is_not_a_field_of_equality_or_repr(self):
         s = State((Symbol.UNOCCUPIED,) * 7)
-        t = dataclasses.replace(s, symbols=(Symbol.UNOCCUPIED,) + (Symbol.ROTOR,) * 6)
+        t = replace(s, symbols=(Symbol.UNOCCUPIED,) + (Symbol.ROTOR,) * 6)
         assert t.key == State.from_key(t.key).key == 0o1111115 != s.key
         assert repr(s) == f"State(symbols={s.symbols!r})"
 
@@ -161,6 +192,117 @@ class TestGridConfig:
         assert pts == sorted(pts)
         assert len(set(pts)) == 27
         assert pts[0] == (-1, -1, -1) and pts[-1] == (1, 1, 1)
+
+
+def _log(demo: Grammar) -> DerivationLog:
+    return generate(demo, GridConfig(1), GenerationConfig(3))[1]
+
+
+def _contract() -> ConjunctiveContract:
+    state = State.from_labels(["Unoccupied", "Rotor", *["Empty"] * 5])
+    assumptions = encode_context(state, DirectionAssignment.identity())
+    return ConjunctiveContract(assumptions, (), ProductionGuarantee(Symbol.CONNECTOR, 4))
+
+
+#: Every record type: an instance made from the demo grammar, and the field
+#: names of its value (what equality, hashing and ``repr`` read), in order.
+RECORDS = {
+    "GridConfig": (lambda g: GridConfig(2, "0.25m"), ("n_half", "unit")),
+    "State": (lambda g: State.from_labels(["Unoccupied", "Rotor", *["Boundary"] * 5]),
+              ("symbols",)),
+    "ContextPattern": (lambda g: g.rules[3].omega[0], ("sets",)),
+    "Production": (lambda g: Production(Symbol.ROTOR, Direction.LEFT), ("symbol", "direction")),
+    "Rule": (lambda g: g.rules[3], ("name", "omega", "production", "weight")),
+    "MatchTable": (MatchTable.from_grammar, ("cols", "rule_of", "later")),
+    "Grammar": (lambda g: g, ("name", "version", "rules")),
+    "LintDiagnostic": (lambda g: lint_grammar(g)[0], ("level", "code", "rule", "message")),
+    "GenerationConfig": (lambda g: GenerationConfig(7, "scanline", max_steps=9),
+                         ("seed", "point_strategy", "rule_strategy", "max_steps")),
+    "DerivationStep": (lambda g: _log(g).steps[2], ("index", "point", "rule_name", "pre_state")),
+    "DerivationLog": (_log, (
+        "grammar_fingerprint", "grid_config", "gen_config", "steps", "outcome",
+        "design_hash", "log_hash",
+    )),
+    "CheckResult": (lambda g: CheckResult("complete", False, "1 nonterminal point(s) remain"),
+                    ("check", "passed", "detail")),
+    "ValidationReport": (lambda g: ValidationReport((CheckResult("complete", True, "none"),)),
+                         ("checks",)),
+    "BatchItem": (lambda g: run_batch(g, GridConfig(1), [GenerationConfig(5)])[0],
+                  ("seed", "design_hash", "counts", "step_count", "outcome")),
+    "DirectionAssignment": (lambda g: DirectionAssignment((6, 4, 5, 0, 2, 3, 1)), ("slot_of",)),
+    "IntervalSet": (lambda g: IntervalSet.from_ints([0, 1, 2, 5]), ("intervals",)),
+    "SymbolConstraint": (lambda g: SymbolConstraint(Symbol.WING, IntervalSet(((1, 3),))),
+                         ("symbol", "dirs")),
+    "ProductionGuarantee": (lambda g: ProductionGuarantee(Symbol.EMPTY, None),
+                            ("ego_symbol", "edge_slot")),
+    "ConjunctiveContract": (lambda g: _contract(), ("assumptions", "guarantees", "production")),
+    "ContractUnion": (lambda g: ContractUnion(DirectionAssignment.identity(), (_contract(),)),
+                      ("assignment", "members")),
+}
+
+
+class TestRecordContract:
+    """What every value type promises, whatever its fields: one table, one case each."""
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_record_contract(self, demo, monkeypatch, name):
+        make, fields = RECORDS[name]
+        rec = make(demo)
+        cls = type(rec)
+        assert (cls.__name__, cls._fields) == (name, fields)
+        values = tuple(getattr(rec, f) for f in fields)
+
+        # Pickling carries every slot, cached ones included, and checks nothing again.
+        blob = pickle.dumps(rec)
+        monkeypatch.setattr(cls, "__init__", None)
+        back = pickle.loads(blob)
+        monkeypatch.undo()
+        assert back == rec and back is not rec
+        slots = cls.__slots__
+        assert [getattr(back, s) for s in slots] == [getattr(rec, s) for s in slots]
+        if name == "BatchItem":  # ``counts`` is a dict
+            with pytest.raises(TypeError):
+                hash(back)
+        else:
+            assert hash(back) == hash(rec)
+
+        for f in slots:
+            with pytest.raises(AttributeError):
+                setattr(rec, f, getattr(rec, f))
+            with pytest.raises(AttributeError):
+                delattr(rec, f)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+        assert repr(rec) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+
+        # Another class holding the same values is another value.
+        twin_cls = type(name, (Record,), {"__slots__": slots, "_fields": fields})
+        twins = [twin_cls.__new__(twin_cls) for _ in range(2)]
+        for twin in twins:
+            twin.__setstate__(rec.__getstate__())
+        twin = twins[0]
+        assert twin == twins[1]
+        assert not rec == twin and rec != twin and twin != rec
+        assert rec != values
+
+    def test_reprs_are_the_keyword_forms(self):
+        assert repr(GridConfig(2)) == "GridConfig(n_half=2, unit=None)"
+        assert repr(GenerationConfig(7)) == (
+            "GenerationConfig(seed=7, point_strategy='uniform-random-frontier', "
+            "rule_strategy='uniform-random', max_steps=None)"
+        )
+        assert repr(State.from_labels(["Unoccupied", "Rotor", *["Boundary"] * 5])) == (
+            "State(symbols=(<Symbol.UNOCCUPIED: 5>, <Symbol.ROTOR: 1>, <Symbol.BOUNDARY: 6>, "
+            "<Symbol.BOUNDARY: 6>, <Symbol.BOUNDARY: 6>, <Symbol.BOUNDARY: 6>, "
+            "<Symbol.BOUNDARY: 6>))"
+        )
+
+    def test_a_grammar_pickled_after_hashing_keeps_its_fingerprint(self):
+        grammar = parse_grammar(demo_uav_text())
+        assert pickle.loads(pickle.dumps(grammar))._fingerprint is None
+        fingerprint = grammar.fingerprint
+        assert pickle.loads(pickle.dumps(grammar))._fingerprint == fingerprint
 
 
 class TestGrid:

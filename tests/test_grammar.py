@@ -4,7 +4,6 @@ oracle's rule lookup and rewrite, and lint."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -28,6 +27,7 @@ from gridgram.grammar import (
 )
 from gridgram.rulesets import demo_uav_text
 from grammar_inputs import grammars
+from records import replace
 from step_oracle import Canvas, matching_rules
 
 U = Symbol.UNOCCUPIED
