@@ -30,7 +30,7 @@ from functools import cache
 from itertools import permutations
 from math import prod
 
-from gridgram.core import Direction, Record, State, Symbol, set_value, setter
+from gridgram.core import Direction, Record, State, Symbol, setter
 from gridgram.grammar import Grammar, MatchTable, Rule
 
 _DIRECTIONS = tuple(Direction)
@@ -61,7 +61,7 @@ class DirectionAssignment(Record):
             raise ValueError(f"not a bijection onto 0..6: {slot_of}")
         put = setter(self)
         put("slot_of", slot_of)
-        set_value(self, (slot_of,))
+        put("_value", (slot_of,))
 
     @classmethod
     def identity(cls) -> DirectionAssignment:
@@ -101,7 +101,7 @@ class IntervalSet(Record):
         put = setter(self)
         put("intervals", intervals)
         put("ints", frozenset(v for lo, hi in intervals for v in range(lo, hi + 1)))
-        set_value(self, (intervals,))
+        put("_value", (intervals,))
 
     @classmethod
     def from_ints(cls, values) -> IntervalSet:
@@ -133,7 +133,7 @@ class SymbolConstraint(Record):
         put = setter(self)
         put("symbol", symbol)
         put("dirs", dirs)
-        set_value(self, (symbol, dirs))
+        put("_value", (symbol, dirs))
 
     def text(self) -> str:
         return f"{self.symbol.label} in {{{self.dirs.text()}}}"
@@ -152,7 +152,7 @@ class ProductionGuarantee(Record):
         put = setter(self)
         put("ego_symbol", ego_symbol)
         put("edge_slot", edge_slot)
-        set_value(self, (ego_symbol, edge_slot))
+        put("_value", (ego_symbol, edge_slot))
 
     def text(self) -> str:
         if self.edge_slot is None:
@@ -179,7 +179,7 @@ class ConjunctiveContract(Record):
         put("assumptions", assumptions)
         put("guarantees", guarantees)
         put("production", production)
-        set_value(self, (assumptions, guarantees, production))
+        put("_value", (assumptions, guarantees, production))
 
 
 class ContractUnion(Record):
@@ -195,7 +195,7 @@ class ContractUnion(Record):
         put = setter(self)
         put("assignment", assignment)
         put("members", members)
-        set_value(self, (assignment, members))
+        put("_value", (assignment, members))
 
 
 @cache

@@ -139,12 +139,11 @@ class Record:
 
     A subclass lists its slots in ``__slots__`` and the ones that make up its
     value, in order, in ``_fields``. Its ``__init__`` checks the arguments,
-    sets every slot with ``setter``, and sets ``_value`` to the tuple of
-    the ``_fields`` values with ``set_value``. Equality (same class only)
-    and hashing compare ``_value``, so they cost a tuple's; ``repr`` is
-    ``Name(f=v, ...)``. Pickling carries every slot of the subclass's
-    ``__slots__`` and runs no check, so a cached slot such as
-    ``Grammar._fingerprint`` survives it.
+    then sets every slot with ``setter``, and ``_value`` to the tuple of the
+    ``_fields`` values. Equality (same class only) and hashing compare
+    ``_value``, so they cost a tuple's; ``repr`` is ``Name(f=v, ...)``.
+    Pickling carries every slot of the subclass's ``__slots__`` and runs no
+    check, so a cached slot such as ``Grammar._fingerprint`` survives it.
     """
 
     __slots__ = ("_value",)
@@ -175,12 +174,7 @@ class Record:
         put = setter(self)
         for name, value in zip(self.__slots__, state):
             put(name, value)
-        set_value(self, tuple(map(self.__getattribute__, self._fields)))
-
-
-#: How a record's ``__init__`` sets ``_value``: its slot's own setter, which
-#: costs less than ``setter`` and so pays for most of the extra slot.
-set_value = Record._value.__set__
+        put("_value", tuple(map(self.__getattribute__, self._fields)))
 
 
 class GridConfig(Record):
@@ -202,7 +196,7 @@ class GridConfig(Record):
         put = setter(self)
         put("n_half", n_half)
         put("unit", unit)
-        set_value(self, (n_half, unit))
+        put("_value", (n_half, unit))
 
     @property
     def side(self) -> int:
@@ -278,7 +272,7 @@ class State(Record):
         put = setter(self)
         put("symbols", symbols)
         put("key", a | b << 3 | c << 6 | d << 9 | e << 12 | f << 15 | g << 18)
-        set_value(self, (symbols,))
+        put("_value", (symbols,))
 
     def at(self, d: Direction) -> Symbol:
         return self.symbols[d]

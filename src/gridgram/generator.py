@@ -98,7 +98,6 @@ from gridgram.core import (
     State,
     Symbol,
     point_index,
-    set_value,
     setter,
 )
 from gridgram.grammar import (
@@ -199,7 +198,7 @@ class GenerationConfig(Record):
         put("point_strategy", point_strategy)
         put("rule_strategy", rule_strategy)
         put("max_steps", max_steps)
-        set_value(self, (seed, point_strategy, rule_strategy, max_steps))
+        put("_value", (seed, point_strategy, rule_strategy, max_steps))
 
     def to_obj(self) -> dict:
         return {
@@ -233,7 +232,7 @@ class DerivationStep(Record):
         put("point", point)
         put("rule_name", rule_name)
         put("pre_state", pre_state)
-        set_value(self, (index, point, rule_name, pre_state))
+        put("_value", (index, point, rule_name, pre_state))
 
 
 class DerivationLog(Record):
@@ -262,7 +261,7 @@ class DerivationLog(Record):
         put("outcome", outcome)
         put("design_hash", design_hash)
         put("log_hash", log_hash)
-        set_value(self, (
+        put("_value", (
             grammar_fingerprint, grid_config, gen_config, steps, outcome, design_hash, log_hash,
         ))
 
@@ -846,7 +845,7 @@ class CheckResult(Record):
         put("check", check)
         put("passed", passed)
         put("detail", detail)
-        set_value(self, (check, passed, detail))
+        put("_value", (check, passed, detail))
 
     def to_obj(self) -> dict:
         return {"check": self.check, "passed": self.passed, "detail": self.detail}
@@ -860,7 +859,7 @@ class ValidationReport(Record):
     def __init__(self, checks: tuple[CheckResult, ...]) -> None:
         put = setter(self)
         put("checks", checks)
-        set_value(self, (checks,))
+        put("_value", (checks,))
 
     @property
     def passed(self) -> bool:
@@ -1017,7 +1016,7 @@ class BatchItem(Record):
         put("counts", counts)
         put("step_count", step_count)
         put("outcome", outcome)
-        set_value(self, (seed, design_hash, counts, step_count, outcome))
+        put("_value", (seed, design_hash, counts, step_count, outcome))
 
 
 def _derive_one(engine: Engine, cfg: GenerationConfig) -> tuple[tuple, BatchItem, str]:

@@ -19,7 +19,7 @@ from math import prod
 
 from gridgram.canon import compact_json, load_json, sha256_hex
 from gridgram.core import (
-    COMPONENTS, NONTERMINALS, TERMINALS, Direction, Record, State, Symbol, set_value, setter,
+    COMPONENTS, NONTERMINALS, TERMINALS, Direction, Record, State, Symbol, setter,
 )
 
 #: What "*" means per direction: ego never admits Boundary. ``ContextPattern``
@@ -96,7 +96,7 @@ class ContextPattern(Record):
         put = setter(self)
         put("sets", sets)
         put("masks", tuple(sum(1 << s for s in ss) for ss in sets))
-        set_value(self, (sets,))
+        put("_value", (sets,))
 
     def admits(self, state: State) -> bool:
         m = self.masks
@@ -134,7 +134,7 @@ class Production(Record):
         put = setter(self)
         put("symbol", symbol)
         put("direction", direction)
-        set_value(self, (symbol, direction))
+        put("_value", (symbol, direction))
 
 
 class Rule(Record):
@@ -163,7 +163,7 @@ class Rule(Record):
         put("omega", omega)
         put("production", production)
         put("weight", weight)
-        set_value(self, (name, omega, production, weight))
+        put("_value", (name, omega, production, weight))
 
     def matches(self, state: State) -> bool:
         return any(pat.admits(state) for pat in self.omega)
@@ -229,7 +229,7 @@ class MatchTable(Record):
         put("cols", cols)
         put("rule_of", rule_of)
         put("later", later)
-        set_value(self, (cols, rule_of, later))
+        put("_value", (cols, rule_of, later))
 
     @classmethod
     def from_grammar(cls, grammar: Grammar) -> MatchTable:
@@ -292,7 +292,7 @@ class Grammar(Record):
         put("version", version)
         put("rules", rules)
         put("_fingerprint", None)
-        set_value(self, (name, version, rules))
+        put("_value", (name, version, rules))
 
     def rule_named(self, name: str) -> Rule:
         for r in self.rules:
@@ -512,7 +512,7 @@ class LintDiagnostic(Record):
         put("code", code)
         put("rule", rule)
         put("message", message)
-        set_value(self, (level, code, rule, message))
+        put("_value", (level, code, rule, message))
 
     def to_obj(self) -> dict:
         return {
