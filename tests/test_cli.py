@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,17 @@ from gridgram import cli, constraint_matcher, generator
 from gridgram.canon import sha256_hex
 from gridgram.cli import EXIT_INTERNAL, EXIT_PARSE, EXIT_USAGE, main
 from gridgram.core import MAX_N_HALF
-from gridgram.generator import Design, parse_log, serialize_log, verify_log
+from gridgram.generator import (
+    Design,
+    DesignFormatError,
+    LogFormatError,
+    ProfileFormatError,
+    parse_log,
+    serialize_log,
+    validate_design,
+    verify_log,
+)
+from gridgram.grammar import GrammarParseError, parse_grammar
 from gridgram.rulesets import demo_profile_obj, demo_uav_text
 import log_edits
 
@@ -665,6 +676,19 @@ PARSE_ERRORS = [
     ],
 ]
 
+# The library reader of each row whose input is a grammar, log or design
+# text or a profile object, and the error it raises; ``validate_design``
+# reads the profile rows.
+READERS = {
+    "grammar": (parse_grammar, GrammarParseError),
+    "log": (parse_log, LogFormatError),
+    "design": (Design.parse, DesignFormatError),
+}
+LIBRARY_PARSE_ERRORS = [
+    e for e in PARSE_ERRORS
+    if e[0].split("-")[0] in READERS or e[0].startswith("profile-") and e[2].startswith("{")
+]
+
 
 class TestParseErrors:
     """Unparseable input content exits 3 with one ``error:`` line and no output."""
@@ -698,6 +722,28 @@ class TestParseErrors:
         assert (rc, out) == (EXIT_PARSE, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "kind, content, fragment",
+        [(e[0].split("-")[0], *e[2:]) for e in LIBRARY_PARSE_ERRORS],
+        ids=[e[0] for e in LIBRARY_PARSE_ERRORS],
+    )
+    def test_the_library_reader_raises_its_own_error(self, inputs, kind, content, fragment):
+        """The reader behind the row raises its own class, whose text the row's line prints.
+
+        Every one of these classes exits 3, so no ``test_exits_3`` row tells them apart.
+        """
+        if callable(content):
+            content = content(inputs)
+        if kind == "profile":
+            design = Design.parse(Path(inputs["design"]).read_text())
+            read, error = partial(validate_design, design), ProfileFormatError
+            content = json.loads(content)
+        else:
+            read, error = READERS[kind]
+        with pytest.raises(error) as e:
+            read(content)
+        assert type(e.value) is error and fragment in f"error: {e.value}\n"
 
 
 # (id, argv, stderr fragment) per usage or file-access error. Argv words that
