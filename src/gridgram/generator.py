@@ -465,6 +465,9 @@ class Engine:
 
         self._match_list = match_list
         self._weights = [r.weight for r in grammar.rules]
+        # With every weight 1 the running sums are 1..n, so ``weighted``
+        # takes the rule ``uniform-random`` takes, from the same draw.
+        self._unit_weights = all(w == 1 for w in self._weights)
         # Matching-rule tuple -> running sums of its rules' weights.
         self._cum_weights: dict[tuple[int, ...], list[int]] = {}
         # Point i is (a, b, c) = (x, y, z) + n_half with
@@ -481,13 +484,12 @@ class Engine:
         self._rule_json = [json.dumps(r.name) for r in grammar.rules]
 
         # Per point: the initial all-Unoccupied key, and in ``_updates[i]``,
-        # for each in-grid neighbor q in Direction order, (q, shift, clear
-        # mask) of the entry of q's state that looks back at point i.
+        # for each in-grid neighbor q in Direction order, (q, shift) of the
+        # entry of q's state that looks back at point i.
         U, B = int(Symbol.UNOCCUPIED), int(Symbol.BOUNDARY)
         last = side - 1
         dirs = [  # per neighbor direction: its shift, its offset, the look-back entry
-            (3 * d, offsets[d], 3 * d.opposite, ~(7 << (3 * d.opposite)))
-            for d in NEIGHBOR_DIRECTIONS
+            (3 * d, offsets[d], 3 * d.opposite) for d in NEIGHBOR_DIRECTIONS
         ]
         self._base_keys = base = []
         self._updates = updates = []
@@ -498,10 +500,10 @@ class Engine:
                     inside = (a < last, a > 0, b > 0, b < last, c < last, c > 0)
                     key = U
                     update = []
-                    for (shift, off, back, clear), ok in zip(dirs, inside):
+                    for (shift, off, back), ok in zip(dirs, inside):
                         if ok:
                             key |= U << shift
-                            update.append((i + off, back, clear))
+                            update.append((i + off, back))
                         else:
                             key |= B << shift
                     base.append(key)
@@ -514,18 +516,45 @@ class Engine:
         self._near_rank = [0] * count
         for r, i in enumerate(self._near_order):
             self._near_rank[i] = r
+        # Per order (True for nearest-to-origin): the start frontier that
+        # ``_start`` builds on the order's first run.
+        self._starts: dict[bool, tuple[tuple[int, ...], bytes]] = {}
+
+    def _start(self, order) -> tuple[tuple[int, ...], bytes]:
+        """The all-Unoccupied grid's frontier: its ranks in ``order``, and a flag per point."""
+        memo, match_list = self._memo, self._match_list
+        keys = self._base_keys
+        ranks: list[int] = []
+        flags = bytearray(len(keys))
+        for r, i in enumerate(order):
+            key = keys[i]
+            lst = memo.get(key)
+            if lst is None:
+                lst = memo[key] = match_list(key)
+            if lst:
+                ranks.append(r)
+                flags[i] = 1
+        return tuple(ranks), bytes(flags)
 
     def run(self, gen_config: GenerationConfig):
         """One derivation; returns (cells, edges, raw steps, outcome).
 
         Raw steps are (point index, rule index, packed pre-state key). The
         frontier is kept as a sorted list of ranks in the point strategy's
-        order, so every strategy takes its point by position. Only the keys
-        of Unoccupied points are kept current, because a key is read only
-        at an Unoccupied point. A production's edge joins the rewritten cell
-        and the cell its ``_prod`` offset away, written smaller index first:
-        the pair is ordered by the offset's sign. Only a strategy pair that
-        draws binds ``rng.draws``; its draw sites apply ``below(n)`` inline.
+        order, so every strategy takes its point by position, and that
+        position drops it from the list. The start frontier is the same for
+        every run in one order (nearest-to-origin's, or the index order the
+        other two strategies share), so the order's first run builds it
+        (``_start``) and later runs copy it. Only the keys of Unoccupied
+        points are kept current, because a key is read only at an
+        Unoccupied point. Such a key's entry for the point just rewritten
+        held Unoccupied until this step, so adding (code - Unoccupied) at
+        that entry's shift writes the new code exactly. A production's edge
+        joins the rewritten cell and the cell its ``_prod`` offset away,
+        written smaller index first: the pair is ordered by the offset's
+        sign. Only a strategy pair that draws binds ``rng.draws``; its draw
+        sites apply ``below(n)`` inline. With unit weights ``weighted``
+        takes the ``uniform-random`` site, which draws the same rule.
         """
         memo, match_list = self._memo, self._match_list
         updates, prod = self._updates, self._prod
@@ -536,27 +565,24 @@ class Engine:
         cells = bytearray([U]) * count
         edges: set[tuple[int, int]] = set()
         point_random = gen_config.point_strategy == "uniform-random-frontier"
-        rule_random = gen_config.rule_strategy == "uniform-random"
-        weighted = gen_config.rule_strategy == "weighted"
+        rule_strategy = gen_config.rule_strategy
+        if rule_strategy == "weighted" and self._unit_weights:
+            rule_strategy = "uniform-random"
+        rule_random = rule_strategy == "uniform-random"
+        weighted = rule_strategy == "weighted"
         if point_random or rule_random or weighted:
             draw = draws(gen_config.seed)
         # Each step rewrites one Unoccupied point, so no run has more steps.
         max_steps = count if gen_config.max_steps is None else gen_config.max_steps
-        if gen_config.point_strategy == "nearest-to-origin":
+        near = gen_config.point_strategy == "nearest-to-origin"
+        if near:
             order, rank = self._near_order, self._near_rank
         else:
             order = rank = range(count)
-
-        flist: list[int] = []
-        fflag = bytearray(count)
-        for r, i in enumerate(order):
-            key = keys[i]
-            lst = memo.get(key)
-            if lst is None:
-                lst = memo[key] = match_list(key)
-            if lst:
-                flist.append(r)
-                fflag[i] = 1
+        start = self._starts.get(near)
+        if start is None:
+            start = self._starts[near] = self._start(order)
+        flist, fflag = list(start[0]), bytearray(start[1])
 
         steps: list[tuple[int, int, int]] = []
         for _ in range(max_steps):
@@ -570,9 +596,9 @@ class Engine:
                 while v - r > SPAN - n:
                     v = draw()
                     r = v % n
-                pi = order[flist[r]]
             else:
-                pi = order[flist[0]]
+                r = 0
+            pi = order[flist.pop(r)]
             key = keys[pi]
             applicable = memo[key]
             if rule_random:
@@ -602,15 +628,16 @@ class Engine:
 
             s_code, off = prod[ri]
             cells[pi] = s_code
-            del flist[bisect_left(flist, rank[pi])]
             if off:
                 edges.add((pi, pi + off) if off > 0 else (pi + off, pi))
 
-            for qi, shift, clear in updates[pi]:
+            delta = s_code - U
+            for qi, shift in updates[pi]:
                 if cells[qi] == U:
-                    kq = keys[qi] = (keys[qi] & clear) | (s_code << shift)
-                    lst = memo.get(kq)
-                    if lst is None:
+                    kq = keys[qi] = keys[qi] + (delta << shift)
+                    try:
+                        lst = memo[kq]
+                    except KeyError:
                         lst = memo[kq] = match_list(kq)
                     if lst:
                         if not fflag[qi]:
@@ -670,8 +697,8 @@ def shared_engine(grammar: Grammar, grid_config: GridConfig) -> Engine:
     relints and rebuilds nothing while the key stays the same, and its memo
     stays warm. A new key drops the old engine before the new one is built;
     a build that fails keeps nothing. Output never depends on the slot:
-    every memo and running-sum entry is a pure function of its key, and the
-    key holds everything else the engine reads.
+    every memo, running-sum and start-frontier entry is a pure function of
+    its key, and the key holds everything else the engine reads.
     """
     key = (grammar.fingerprint, grid_config)
     engine = _shared.get(key)
@@ -706,8 +733,10 @@ def verify_log_text(text: str, grammar: Grammar) -> BatchItem:
     When the header slice does not load, names another grammar or leads to
     a text that differs, the whole text is loaded. A foreign fingerprint is
     refused once the whole log has parsed, with no engine built unless the
-    header slice named this grammar. Otherwise the log is parsed into
-    objects and judged on a run of the configs the whole text records (the
+    header slice named this grammar. Otherwise the engine is built (a
+    grammar that fails lint raises ``LintFailedError`` here), the log is
+    parsed into objects, so malformed steps are refused before any run,
+    and it is judged on a run of the configs the whole text records (the
     slice's run when they are the same); the first fault is named by the
     ordered checks:
     the steps in order, then a log that stops early or runs on
@@ -766,6 +795,8 @@ def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
     if fingerprint != grammar.fingerprint:
         _log_from_obj(obj, header)  # a malformed log is a format error first
         raise ReplayError("fingerprint", None, "log was produced by a different grammar")
+    shared_engine(grammar, grid_config)  # a lint failure outranks malformed steps
+    log = _log_from_obj(obj, header)
     # A canonical text has a head equal to its header, so a text whose
     # header differs (or whose head did not read) is never canonical: the
     # run that names its fault is of the configs the whole text records.
@@ -773,7 +804,6 @@ def _verify(text: str, grammar: Grammar) -> tuple[tuple, BatchItem]:
         run, item, log_text = _rederive(grammar, header)
     cells, _, raw_steps, outcome = run
 
-    log = _log_from_obj(obj, header)
     pts, rules = grid_config.points(), grammar.rules
     for i, (s, (pi, ri, key)) in enumerate(zip(log.steps, raw_steps)):
         if s.index != i:

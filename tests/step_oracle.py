@@ -156,7 +156,8 @@ def engine_tables(config: GridConfig):
     """``Engine``'s per-point tables, built point by point through ``neighbor``.
 
     Returns (the all-Unoccupied key per point; per point the (neighbor
-    index, shift, clear mask) of each in-grid neighbor, in Direction order).
+    index, shift) of each in-grid neighbor, in Direction order, where shift
+    places the entry of the neighbor's state that looks back at the point).
     """
     U, B = Symbol.UNOCCUPIED, Symbol.BOUNDARY
     base, updates = [], []
@@ -169,7 +170,7 @@ def engine_tables(config: GridConfig):
             q = neighbor(p, d)
             if config.contains(q):
                 key |= U << (3 * d)
-                update.append((config.index_of(q), 3 * d.opposite, ~(7 << (3 * d.opposite))))
+                update.append((config.index_of(q), 3 * d.opposite))
             else:
                 key |= B << (3 * d)
         base.append(key)

@@ -114,6 +114,12 @@ def weighted_demo(demo):
 
 
 @pytest.fixture(scope="module")
+def demo_weights_2(demo):
+    """The demo rules, each weighted 2: equal weights that are not 1."""
+    return replace(demo, rules=tuple(replace(r, weight=2) for r in demo.rules))
+
+
+@pytest.fixture(scope="module")
 def fill():
     return parse_grammar(FILL_GRAMMAR)
 
@@ -130,13 +136,20 @@ def fill3(fill):
 
 @pytest.fixture(scope="module")
 def corners4():
-    """Four rules of weight 1, matching only at the (-n,-n,-n) and (n,n,n) corners."""
+    """Four rules, matching only at the (-n,-n,-n) and (n,n,n) corners.
+
+    They are weighted 1, 1, 1 and 5: not all 1, so ``weighted`` runs its own
+    draw site.
+    """
     doc = json.loads(CORNER_ONLY_GRAMMAR)
     rule = doc["rules"][0]
     low = rule["contexts"][0]
     high = {**low, "rear": "*", "left": "*", "bottom": "*",
             "front": "Boundary", "right": "Boundary", "top": "Boundary"}
-    doc["rules"] = [{**rule, "name": f"corner_{k}", "contexts": [low, high]} for k in range(4)]
+    doc["rules"] = [
+        {**rule, "name": f"corner_{k}", "contexts": [low, high], "weight": w}
+        for k, w in enumerate((1, 1, 1, 5))
+    ]
     return parse_grammar(json.dumps(doc))
 
 
@@ -163,6 +176,13 @@ def genuine(demo):
 def seed13_design(demo):
     design, _ = generate(demo, GridConfig(2), GenerationConfig(seed=13))
     return design
+
+
+def unreachable_rule() -> Grammar:
+    """A grammar that fails lint: its one rule has no context."""
+    return parse_grammar(json.dumps({"name": "bad", "version": "1", "rules": [
+        {"name": "r", "contexts": [], "produce": {"symbol": "Empty", "connect": "ego"}}
+    ]}))
 
 
 def _count_runs(monkeypatch) -> list:
@@ -490,9 +510,10 @@ class TestEngineMatchesStepLoop:
         assert design == grid
         assert steps == list(log.steps)
 
-    # below(n) keeps 2**64 - 1 when n is a power of two: over the two corners
-    # and the four rules (total weight 4) every draw site takes the first
-    # draw, and the rule of the first row is the second draw's 1 mod 4.
+    # below(n) keeps 2**64 - 1 when n is a power of two: over the two corners,
+    # the four rules and their total weight 8 every draw site takes the first
+    # draw (7 mod 8 falls in corner_3's weight), and the rule of the first
+    # row is the second draw's 1 mod 4.
     @pytest.mark.parametrize(
         "point_strategy, rule_strategy, first_point, first_rule",
         [
@@ -547,6 +568,38 @@ class TestEngineMatchesStepLoop:
         grid, steps = self._run_with_step(grammar, GridConfig(n_half), gcfg)
         assert isinstance(design, Grid) and design == grid
         assert steps == list(log.steps)
+
+    @pytest.mark.parametrize(
+        "grammar_name, equal",
+        [("demo", True), ("weighted_demo", False), ("demo_weights_2", False)],
+    )
+    def test_unit_weights_draw_the_uniform_random_rules(self, request, grammar_name, equal):
+        """With every weight 1, ``weighted`` logs the ``uniform-random`` log's bytes.
+
+        Equal weights of 2 draw over twice the range, so they log other steps.
+        """
+        grammar = request.getfixturevalue(grammar_name)
+        grid = GridConfig(2)
+        uniform, weighted = (
+            GenerationConfig(3, rule_strategy=r) for r in ("uniform-random", "weighted")
+        )
+        _, log = generate(grammar, grid, uniform)
+        _, oracle_steps = self._run_with_step(grammar, grid, weighted)
+        assert (oracle_steps == list(log.steps)) is equal
+        _, weighted_log = generate(grammar, grid, weighted)
+        relabelled = replace(weighted_log, gen_config=uniform, log_hash=log.log_hash)
+        assert (serialize_log(relabelled) == serialize_log(log)) is equal
+
+    @pytest.mark.parametrize("grammar_name", ["demo", "weighted_demo"])
+    def test_a_warm_engine_derives_as_a_fresh_one(self, request, grammar_name):
+        """Point strategies interleave on one engine, whose first run is capped at one step."""
+        grammar = request.getfixturevalue(grammar_name)
+        grid = GridConfig(2)
+        engine = Engine(grammar, grid)
+        pairs = itertools.product(RULE_STRATEGIES, POINT_STRATEGIES)
+        for k, (r, p) in enumerate(pairs):
+            cfg = GenerationConfig(k, p, r, {0: 1, 5: 40}.get(k))
+            assert engine.run(cfg) == Engine(grammar, grid).run(cfg)
 
     @settings(max_examples=4, deadline=None)
     @given(
@@ -656,6 +709,19 @@ class TestLogTextVerification:
             verify_log(parse_log(text), demo)
         assert (e.value.kind, e.value.step) == verdict
 
+    def test_malformed_steps_are_refused_before_a_run(self, demo, genuine, monkeypatch, cold):
+        """A format error with no run; a grammar that fails lint is still named first."""
+        obj = json.loads(genuine[1])
+        obj["steps"][0]["extra"] = 0
+        runs = _count_runs(monkeypatch)
+        with pytest.raises(LogFormatError, match="step keys"):
+            verify_log_text(json.dumps(obj), demo)  # spaced: the head does not read
+        assert runs == []
+        bad = unreachable_rule()
+        obj["grammar_fingerprint"] = bad.fingerprint
+        with pytest.raises(LintFailedError):
+            verify_log_text(json.dumps(obj), bad)
+
     @pytest.mark.parametrize("name", ["rule", "log_hash"])
     def test_a_rejected_log_builds_one_engine(self, demo, genuine, monkeypatch, cold, name):
         edits = {n: edit for n, edit, _ in log_edits.EDITS}
@@ -750,11 +816,8 @@ class TestSharedEngine:
 
     def test_a_failed_build_is_not_kept(self, demo, cold):
         generate(demo, GridConfig(1), GenerationConfig(seed=0))
-        bad = parse_grammar(json.dumps({"name": "bad", "version": "1", "rules": [
-            {"name": "r", "contexts": [], "produce": {"symbol": "Empty", "connect": "ego"}}
-        ]}))
         with pytest.raises(LintFailedError):
-            generate(bad, GridConfig(1), GenerationConfig(seed=0))
+            generate(unreachable_rule(), GridConfig(1), GenerationConfig(seed=0))
         assert generator._shared == {}
 
     def test_engine_never_returns_the_shared_instance(self, demo, cold):
