@@ -465,9 +465,6 @@ class Engine:
 
         self._match_list = match_list
         self._weights = [r.weight for r in grammar.rules]
-        # With every weight 1 the running sums are 1..n, so ``weighted``
-        # takes the rule ``uniform-random`` takes, from the same draw.
-        self._unit_weights = all(w == 1 for w in self._weights)
         # Matching-rule tuple -> running sums of its rules' weights.
         self._cum_weights: dict[tuple[int, ...], list[int]] = {}
         # Point i is (a, b, c) = (x, y, z) + n_half with
@@ -553,8 +550,7 @@ class Engine:
         joins the rewritten cell and the cell its ``_prod`` offset away,
         written smaller index first: the pair is ordered by the offset's
         sign. Only a strategy pair that draws binds ``rng.draws``; its draw
-        sites apply ``below(n)`` inline. With unit weights ``weighted``
-        takes the ``uniform-random`` site, which draws the same rule.
+        sites apply ``below(n)`` inline.
         """
         memo, match_list = self._memo, self._match_list
         updates, prod = self._updates, self._prod
@@ -565,11 +561,8 @@ class Engine:
         cells = bytearray([U]) * count
         edges: set[tuple[int, int]] = set()
         point_random = gen_config.point_strategy == "uniform-random-frontier"
-        rule_strategy = gen_config.rule_strategy
-        if rule_strategy == "weighted" and self._unit_weights:
-            rule_strategy = "uniform-random"
-        rule_random = rule_strategy == "uniform-random"
-        weighted = rule_strategy == "weighted"
+        rule_random = gen_config.rule_strategy == "uniform-random"
+        weighted = gen_config.rule_strategy == "weighted"
         if point_random or rule_random or weighted:
             draw = draws(gen_config.seed)
         # Each step rewrites one Unoccupied point, so no run has more steps.

@@ -114,12 +114,6 @@ def weighted_demo(demo):
 
 
 @pytest.fixture(scope="module")
-def demo_weights_2(demo):
-    """The demo rules, each weighted 2: equal weights that are not 1."""
-    return replace(demo, rules=tuple(replace(r, weight=2) for r in demo.rules))
-
-
-@pytest.fixture(scope="module")
 def fill():
     return parse_grammar(FILL_GRAMMAR)
 
@@ -136,20 +130,13 @@ def fill3(fill):
 
 @pytest.fixture(scope="module")
 def corners4():
-    """Four rules, matching only at the (-n,-n,-n) and (n,n,n) corners.
-
-    They are weighted 1, 1, 1 and 5: not all 1, so ``weighted`` runs its own
-    draw site.
-    """
+    """Four rules of weight 1, matching only at the (-n,-n,-n) and (n,n,n) corners."""
     doc = json.loads(CORNER_ONLY_GRAMMAR)
     rule = doc["rules"][0]
     low = rule["contexts"][0]
     high = {**low, "rear": "*", "left": "*", "bottom": "*",
             "front": "Boundary", "right": "Boundary", "top": "Boundary"}
-    doc["rules"] = [
-        {**rule, "name": f"corner_{k}", "contexts": [low, high], "weight": w}
-        for k, w in enumerate((1, 1, 1, 5))
-    ]
+    doc["rules"] = [{**rule, "name": f"corner_{k}", "contexts": [low, high]} for k in range(4)]
     return parse_grammar(json.dumps(doc))
 
 
@@ -510,10 +497,9 @@ class TestEngineMatchesStepLoop:
         assert design == grid
         assert steps == list(log.steps)
 
-    # below(n) keeps 2**64 - 1 when n is a power of two: over the two corners,
-    # the four rules and their total weight 8 every draw site takes the first
-    # draw (7 mod 8 falls in corner_3's weight), and the rule of the first
-    # row is the second draw's 1 mod 4.
+    # below(n) keeps 2**64 - 1 when n is a power of two: over the two corners
+    # and the four rules (total weight 4) every draw site takes the first
+    # draw, and the rule of the first row is the second draw's 1 mod 4.
     @pytest.mark.parametrize(
         "point_strategy, rule_strategy, first_point, first_rule",
         [
@@ -568,27 +554,6 @@ class TestEngineMatchesStepLoop:
         grid, steps = self._run_with_step(grammar, GridConfig(n_half), gcfg)
         assert isinstance(design, Grid) and design == grid
         assert steps == list(log.steps)
-
-    @pytest.mark.parametrize(
-        "grammar_name, equal",
-        [("demo", True), ("weighted_demo", False), ("demo_weights_2", False)],
-    )
-    def test_unit_weights_draw_the_uniform_random_rules(self, request, grammar_name, equal):
-        """With every weight 1, ``weighted`` logs the ``uniform-random`` log's bytes.
-
-        Equal weights of 2 draw over twice the range, so they log other steps.
-        """
-        grammar = request.getfixturevalue(grammar_name)
-        grid = GridConfig(2)
-        uniform, weighted = (
-            GenerationConfig(3, rule_strategy=r) for r in ("uniform-random", "weighted")
-        )
-        _, log = generate(grammar, grid, uniform)
-        _, oracle_steps = self._run_with_step(grammar, grid, weighted)
-        assert (oracle_steps == list(log.steps)) is equal
-        _, weighted_log = generate(grammar, grid, weighted)
-        relabelled = replace(weighted_log, gen_config=uniform, log_hash=log.log_hash)
-        assert (serialize_log(relabelled) == serialize_log(log)) is equal
 
     @pytest.mark.parametrize("grammar_name", ["demo", "weighted_demo"])
     def test_a_warm_engine_derives_as_a_fresh_one(self, request, grammar_name):
